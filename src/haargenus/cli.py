@@ -9,6 +9,7 @@ identical configurations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -56,28 +57,50 @@ def _metadata(args) -> dict:
     return meta
 
 
-def _load_matrices(data: dict, extra_path: str | None) -> dict[int, DenseMatrix]:
-    matrices = {int(k): DenseMatrix.from_json(v)
-                for k, v in data.get("matrices", {}).items()}
+@contextlib.contextmanager
+def _input(path: str, field: str):
+    """Report an unreadable input file, or a missing or malformed part of it, as
+    a validation error naming the file and the part."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValidationError(f"{path}: {field} lacks the field {exc.args[0]!r}") from exc
+    except (OSError, AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"{path}: bad {field}: {exc}") from exc
+
+
+def _read_json(path: str):
+    with _input(path, "file"), open(path) as fh:
+        return json.load(fh)
+
+
+def _matrices(path: str, entries) -> dict[int, DenseMatrix]:
+    with _input(path, "matrices"):
+        return {int(k): DenseMatrix.from_json(v) for k, v in entries.items()}
+
+
+def _load_matrices(path: str, data, extra_path: str | None) -> dict[int, DenseMatrix]:
+    matrices = _matrices(path, data.get("matrices", {}))
     if extra_path:
-        with open(extra_path) as fh:
-            extra = json.load(fh)
-        extra = extra.get("matrices", extra)
-        matrices.update({int(k): DenseMatrix.from_json(v) for k, v in extra.items()})
+        extra = _read_json(extra_path)
+        if isinstance(extra, dict):
+            extra = extra.get("matrices", extra)
+        matrices.update(_matrices(extra_path, extra))
     return matrices
 
 
 def _load_expression(path: str, matrices_path: str | None = None):
-    with open(path) as fh:
-        data = json.load(fh)
-    return TraceExpression.from_json(data), _load_matrices(data, matrices_path)
+    data = _read_json(path)
+    with _input(path, "expression"):
+        expr = TraceExpression.from_json(data)
+    return expr, _load_matrices(path, data, matrices_path)
 
 
 def _load_expressions(path: str, matrices_path: str | None = None):
-    with open(path) as fh:
-        data = json.load(fh)
-    exprs = [TraceExpression.from_json(e) for e in data["exprs"]]
-    return exprs, _load_matrices(data, matrices_path)
+    data = _read_json(path)
+    with _input(path, "exprs"):
+        exprs = [TraceExpression.from_json(e) for e in data["exprs"]]
+    return exprs, _load_matrices(path, data, matrices_path)
 
 
 def cmd_wg(args) -> int:

@@ -10,22 +10,32 @@ along the particular cycles of the inverse vertex permutation.
 Trace cumulants use the same gluings but weight each by a relative Weingarten
 cumulant and by classical cumulants of the vertex traces, keeping only the
 gluings that connect everything.
+
+All evaluators share one kernel, `_Gluings`, which precomputes each colour's
+pairing pairs as plain dicts; `term_for` turns one choice per colour into chi,
+the N exponent, the join diagrams and the vertex cycles.  Moments consume
+`_Gluings.grouped` (gluing counts per vertex labels, exponent and diagrams, in
+first-seen order), so each Weingarten product is formed once per diagrams;
+numeric traces share one memo per call.  Only `expand_moment` builds
+`ExpansionTerm`s.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import CapExceededError, ValidationError
+from .errors import CapExceededError, PoleError, ValidationError
 from .matrixlab import DenseMatrix, trace_along
-from .permap import Premap, SignedPermutation, pairings_to_premap
-from .ratpoly import PolyFrac
+from .permap import Premap, SignedPermutation
+from .ratpoly import PolyFrac, monomial
 from .setpart import SetPartition, YoungDiagram, enumerate_interval, enumerate_pairings, \
     enumerate_partitions, kernel_of
-from .weingarten import TableSet, pairing_join_diagram, wg_cumulant
+from .weingarten import TableSet, wg_cumulant
 
 TERM_CAP = 500_000
 
@@ -177,102 +187,125 @@ class ExpansionTerm:
     vertex_labels: tuple[tuple[int, ...], ...]
 
 
-def _delta_eps(eps: Mapping[int, int], k: int) -> int:
-    return eps[abs(k)] * k
+class _Option(NamedTuple):
+    """One pairing pair of one colour, with what every gluing through it needs."""
+
+    p_plus: SetPartition
+    p_minus: SetPartition
+    arcs: dict[int, int]  # the alternating premap p_minus d p_plus on +/-pts
+    kinv: dict[int, int]  # K^{-1} = phi_-^{-1} (d_eps a d_eps) phi_+ where phi_+ lands in +/-pts
+    lam: YoungDiagram  # diagram of the join p_plus v p_minus
+    blocks: tuple[tuple[int, ...], ...]  # blocks of that join
+
+
+def _particular_cycles(premap: Mapping[int, int],
+                       positives: Iterable[int]) -> list[tuple[int, ...]]:
+    """One cycle of each mirror pair of a premap given as a dict: the one
+    through the pair's least point, which is positive; in order of that point."""
+    seen: set[int] = set()
+    out = []
+    for start in positives:
+        if start in seen:
+            continue
+        cyc = [start]
+        k = premap[start]
+        while k != start:
+            cyc.append(k)
+            k = premap[k]
+        seen.update(map(abs, cyc))  # the mirror cycle holds the negatives
+        out.append(tuple(cyc))
+    return out
 
 
 class _Gluings:
-    """Shared enumeration machinery over per-colour pairing pairs."""
+    """The gluing kernel: per-colour pairing pairs precomputed as plain dicts,
+    combined per gluing into chi, the N exponent, the join diagrams and the
+    vertex cycles."""
 
     def __init__(self, expr: TraceExpression, tables: TableSet, term_cap: int):
         self.expr = expr
         self.tables = tables
         by_color = expr.positions_by_color()
-        self.colors = list(by_color)
-        self.odd = any(len(p) % 2 for p in by_color.values())
-        self.choices: list[list[tuple]] = []
-        total = 1
-        if not self.odd:
-            for c in self.colors:
-                pts = by_color[c]
-                opts = []
-                pair_list = list(enumerate_pairings(pts))
-                for p_plus in pair_list:
-                    for p_minus in pair_list:
-                        lam = pairing_join_diagram(p_plus, p_minus)
-                        a = pairings_to_premap(p_plus, p_minus)
-                        opts.append((p_plus, p_minus, a, lam, tables.wg_diagram(lam)))
-                self.choices.append(opts)
-                total *= len(opts)
-            if total > term_cap:
-                raise CapExceededError(
-                    f"expansion has {total} terms, beyond the cap of {term_cap}")
-        self.total = 0 if self.odd else total
-        phi = expr.phi()
-        full = list(expr.positions) + [-k for k in expr.positions]
-        self._fp = {k: phi(k) if k > 0 else k for k in full}
-        self._fm_inv = {k: -phi.inverse()(-k) if k < 0 else k for k in full}
-        self._full = full
-        self.num_traces = expr.num_traces
+        odd = any(len(p) % 2 for p in by_color.values())
+        self.total = 0 if odd else math.prod(
+            math.prod(range(len(p) - 1, 0, -2)) ** 2 for p in by_color.values())
+        if self.total > term_cap:
+            raise CapExceededError(
+                f"expansion has {self.total} terms, beyond the cap of {term_cap}")
+        phi_inv = expr.phi().inverse()
+        back = {k: phi_inv(k) for k in expr.positions}
+        eps = expr.eps
+        self.choices: list[list[_Option]] = [[]] if odd else []  # no gluing when odd
+        for pts in ([] if odd else by_color.values()):
+            tables.table(len(pts))  # a table beyond its cap fails before enumeration
+            pairings = [(p, [tuple(b) for b in p.blocks]) for p in enumerate_pairings(pts)]
+            opts = []
+            for p_plus, plus in pairings:
+                for p_minus, minus in pairings:
+                    arcs = {}
+                    for a, b in plus:
+                        arcs[a], arcs[b] = -b, -a
+                    for a, b in minus:
+                        arcs[-a], arcs[-b] = b, a
+                    kinv = {}
+                    for x, a in arcs.items():
+                        y, z = eps[abs(x)] * x, eps[abs(a)] * a  # y -> z under d_eps a d_eps
+                        kinv[back[y] if y > 0 else y] = -back[-z] if z < 0 else z
+                    # the join blocks are the point sets of the mirror pairs of arcs
+                    blocks = tuple(tuple(map(abs, c)) for c in _particular_cycles(arcs, pts))
+                    lam = YoungDiagram(len(b) // 2 for b in blocks)
+                    opts.append(_Option(p_plus, p_minus, arcs, kinv, lam, blocks))
+            self.choices.append(opts)
+        self._labels = {s * k: expr.vertex_label(s * k)
+                        for k in expr.positions for s in (1, -1)}
+        self._wg: dict[tuple[YoungDiagram, ...], PolyFrac] = {}
 
-    def combos(self) -> Iterator[tuple]:
-        if self.odd:
-            return iter(())
+    def combos(self) -> Iterator[tuple[_Option, ...]]:
         return itertools.product(*self.choices)
 
-    def k_inverse_map(self, alpha_map: dict[int, int]) -> dict[int, int]:
-        """phi_-^{-1} (d_eps alpha d_eps) phi_+ as a raw mapping."""
-        eps = self.expr.eps
-        fm_inv, fp = self._fm_inv, self._fp
-        out = {}
-        for k in self._full:
-            t = fp[k]
-            t = _delta_eps(eps, t)
-            t = alpha_map[t]
-            t = _delta_eps(eps, t)
-            out[k] = fm_inv[t]
-        return out
+    def term_for(self, combo: tuple[_Option, ...]) -> tuple:
+        """(chi, exponent, lambdas, vertex cycles, vertex labels) of one gluing.
 
-    def particular_cycles(self, mapping: dict[int, int]) -> tuple[tuple[int, ...], ...]:
-        seen: set[int] = set()
-        out = []
-        for start in sorted(mapping, key=lambda k: (abs(k), k < 0)):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            k = mapping[start]
-            while k != start:
-                cyc.append(k)
-                seen.add(k)
-                k = mapping[k]
-            if cyc[0] > 0:
-                out.append(tuple(cyc))
-        return tuple(out)
+        The vertex cycles are the particular cycles of K^{-1}."""
+        kinv: dict[int, int] = {}
+        pairs = 0  # mirror pairs of cycles of the premap a
+        for opt in combo:
+            kinv.update(opt.kinv)
+            pairs += len(opt.blocks)
+        vertex = _particular_cycles(kinv, self.expr.positions)
+        label = self._labels
+        labels = tuple(tuple(l for l in map(label.__getitem__, c) if l != IDENTITY_SLOT)
+                       for c in vertex)
+        chi = self.expr.num_traces + pairs + len(vertex) - self.expr.n
+        return (chi, chi - 2 * self.expr.num_traces, tuple(opt.lam for opt in combo),
+                tuple(vertex), labels)
 
-    def term_for(self, combo: tuple) -> ExpansionTerm:
-        alpha_map: dict[int, int] = {}
-        wg_factor = PolyFrac(1)
-        lambdas = []
-        alpha_cycles = 0
-        for (_, _, a, lam, wg) in combo:
-            alpha_map.update(a._map)
-            wg_factor = wg_factor * wg
-            lambdas.append(lam)
-            alpha_cycles += 2 * lam.num_rows
-        kinv = self.k_inverse_map(alpha_map)
-        vertex = self.particular_cycles(kinv)
-        chi = self.num_traces + alpha_cycles // 2 + len(vertex) - self.expr.n
-        return ExpansionTerm(
-            pairings=tuple((p, q) for (p, q, _, _, _) in combo),
-            alpha=Premap(alpha_map),
-            chi=chi,
-            exponent=chi - 2 * self.num_traces,
-            wg_factor=wg_factor,
-            lambdas=tuple(lambdas),
-            vertex_cycles=vertex,
-            vertex_labels=self.expr.label_cycles(vertex),
-        )
+    def wg_factor(self, lambdas: tuple[YoungDiagram, ...]) -> PolyFrac:
+        """Product of the normalized Weingarten values, once per distinct lambdas."""
+        if lambdas not in self._wg:
+            self._wg[lambdas] = math.prod(map(self.tables.wg_diagram, lambdas),
+                                          start=PolyFrac(1))
+        return self._wg[lambdas]
+
+    def wg_at(self, lambdas: tuple[YoungDiagram, ...], n: int) -> Fraction:
+        """The Weingarten factor at N, naming the diagrams on a pole."""
+        try:
+            return self.wg_factor(lambdas).eval_at(n)
+        except PoleError as exc:
+            rows = [list(l.rows) for l in lambdas]
+            raise PoleError(
+                f"Weingarten factor for diagram(s) {rows} has a pole at N={n}: {exc}",
+                n_value=n, factors=exc.factors) from exc
+
+    def grouped(self) -> dict[tuple, int]:
+        """Gluing multiplicities keyed by (vertex_labels, exponent, lambdas),
+        in first-seen order."""
+        groups: dict[tuple, int] = {}
+        for combo in self.combos():
+            _, exponent, lambdas, _, labels = self.term_for(combo)
+            key = (labels, exponent, lambdas)
+            groups[key] = groups.get(key, 0) + 1
+        return groups
 
 
 def expand_moment(expr: TraceExpression, tables: TableSet | None = None,
@@ -282,24 +315,23 @@ def expand_moment(expr: TraceExpression, tables: TableSet | None = None,
     Empty for expressions with an odd number of O-factors of some colour."""
     glu = _Gluings(expr, tables or default_tables(), term_cap)
     for combo in glu.combos():
-        yield glu.term_for(combo)
+        chi, exponent, lambdas, vertex, labels = glu.term_for(combo)
+        alpha = {k: v for opt in combo for k, v in opt.arcs.items()}
+        yield ExpansionTerm(
+            pairings=tuple((opt.p_plus, opt.p_minus) for opt in combo),
+            alpha=Premap(alpha), chi=chi, exponent=exponent,
+            wg_factor=glu.wg_factor(lambdas), lambdas=lambdas,
+            vertex_cycles=vertex, vertex_labels=labels)
 
 
 @dataclass
 class MomentResult:
     value: object
     term_count: int
-    breakdown: dict | None = None
 
     def to_json(self) -> dict:
         val = str(self.value) if isinstance(self.value, Fraction) else self.value
         return {"value": val, "terms": self.term_count}
-
-
-def _identity_filled(matrices: Mapping[int, DenseMatrix], n: int, mode: str):
-    mats = dict(matrices)
-    mats[IDENTITY_SLOT] = DenseMatrix.identity(n, mode=mode)
-    return mats
 
 
 def _resolve_for_mode(matrices: Mapping[int, DenseMatrix], n: int, mode: str):
@@ -307,69 +339,54 @@ def _resolve_for_mode(matrices: Mapping[int, DenseMatrix], n: int, mode: str):
     for label, m in matrices.items():
         if m.n != n:
             raise ValidationError(f"matrix {label} is {m.n}x{m.n}, expected {n}x{n}")
-        if mode == "float":
-            out[label] = m.to_float()
-        else:
-            if m.mode != "exact":
-                raise ValidationError("exact mode requires exact (rational) matrices")
-            out[label] = m
+        if mode != "float" and m.mode != "exact":
+            raise ValidationError("exact mode requires exact (rational) matrices")
+        out[label] = m.to_float() if mode == "float" else m
     return out
+
+
+def _cycle_traces(matrices: Mapping[int, DenseMatrix], n: int,
+                  mode: str) -> Callable[[tuple[int, ...]], object]:
+    """Normalized trace along one label cycle, memoised for one evaluation; the
+    empty cycle (identity factors only) has trace one."""
+    mats = _resolve_for_mode(matrices, n, mode)
+    mats[IDENTITY_SLOT] = DenseMatrix.identity(n, mode=mode)
+    one = 1.0 if mode == "float" else Fraction(1)
+
+    @functools.lru_cache(maxsize=None)
+    def trace(cycle: tuple[int, ...]):
+        return trace_along([cycle], mats, normalized=True) if cycle else one
+
+    return trace
+
+
+def _pattern_sum(terms: Iterable[tuple[tuple, Fraction]], trace, mode: str):
+    """Sum over (label pattern, coefficient) of the coefficient times the
+    product of traces along the pattern, in the given order."""
+    exact = mode != "float"
+    total = Fraction(0) if exact else 0.0
+    for pattern, coeff in terms:
+        total += (coeff if exact else float(coeff)) * \
+            math.prod(map(trace, pattern), start=Fraction(1) if exact else 1.0)
+    return total
 
 
 def evaluate_moment(expr: TraceExpression, matrices: Mapping[int, DenseMatrix],
                     n: int, mode: str = "exact", tables: TableSet | None = None,
-                    term_cap: int = TERM_CAP, keep_breakdown: bool = False) -> MomentResult:
+                    term_cap: int = TERM_CAP) -> MomentResult:
     """Exact (or float) value of the expected product of normalized traces.
 
     Groups gluings by their vertex trace pattern, so each distinct product of
     traces is evaluated once; coefficients are evaluated at N with pole
     detection."""
-    tables = tables or default_tables()
-    mats = _resolve_for_mode(matrices, n, mode)
-    mats = _identity_filled(mats, n, mode)
+    trace = _cycle_traces(matrices, n, mode)
+    glu = _Gluings(expr, tables or default_tables(), term_cap)
     coeff_by_pattern: dict[tuple, Fraction] = {}
-    count = 0
-    for term in expand_moment(expr, tables=tables, term_cap=term_cap):
-        count += 1
-        coeff = _eval_coefficient(term, n)
-        key = term.vertex_labels
-        coeff_by_pattern[key] = coeff_by_pattern.get(key, Fraction(0)) + coeff
-    if mode == "float":
-        value = 0.0
-        for key, coeff in coeff_by_pattern.items():
-            value += float(coeff) * _trace_product(key, mats, n, "float")
-    else:
-        value = Fraction(0)
-        for key, coeff in coeff_by_pattern.items():
-            value += coeff * _trace_product(key, mats, n, "exact")
-    breakdown = dict(coeff_by_pattern) if keep_breakdown else None
-    return MomentResult(value=value, term_count=count, breakdown=breakdown)
-
-
-def _eval_coefficient(term: ExpansionTerm, n: int) -> Fraction:
-    """N^exponent times the Weingarten factor at N, naming the offending
-    diagrams on a pole."""
-    from .errors import PoleError
-
-    try:
-        return term.wg_factor.eval_at(n) * Fraction(n) ** term.exponent
-    except PoleError as exc:
-        rows = [list(l.rows) for l in term.lambdas]
-        raise PoleError(
-            f"Weingarten factor for diagram(s) {rows} has a pole at N={n}: {exc}",
-            n_value=n, factors=exc.factors) from exc
-
-
-def _trace_product(label_cycles: tuple[tuple[int, ...], ...],
-                   matrices: Mapping[int, DenseMatrix], n: int, mode: str):
-    value = Fraction(1) if mode == "exact" else 1.0
-    for cyc in label_cycles:
-        if not cyc:
-            value *= 1 if mode == "exact" else 1.0  # trace of identity, normalized
-            continue
-        t = trace_along([cyc], matrices, normalized=True)
-        value = value * t
-    return value
+    for (labels, exponent, lambdas), mult in glu.grouped().items():
+        coeff = mult * glu.wg_at(lambdas, n) * Fraction(n) ** exponent
+        coeff_by_pattern[labels] = coeff_by_pattern.get(labels, 0) + coeff
+    return MomentResult(value=_pattern_sum(coeff_by_pattern.items(), trace, mode),
+                        term_count=glu.total)
 
 
 @dataclass
@@ -379,12 +396,8 @@ class AsymptoticMoment:
     terms: tuple[tuple[Fraction, tuple[tuple[int, ...], ...]], ...]
 
     def evaluate(self, matrices: Mapping[int, DenseMatrix], n: int, mode: str = "exact"):
-        mats = _identity_filled(_resolve_for_mode(matrices, n, mode), n, mode)
-        total = Fraction(0) if mode == "exact" else 0.0
-        for coeff, pattern in self.terms:
-            c = coeff if mode == "exact" else float(coeff)
-            total = total + c * _trace_product(pattern, mats, n, mode)
-        return total
+        return _pattern_sum(((pattern, c) for c, pattern in self.terms),
+                            _cycle_traces(matrices, n, mode), mode)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -397,25 +410,17 @@ class AsymptoticMoment:
 def asymptotic_moment(expr: TraceExpression, tables: TableSet | None = None,
                       term_cap: int = TERM_CAP) -> AsymptoticMoment:
     """Keep only exponent-zero gluings, with Weingarten limits as coefficients."""
+    glu = _Gluings(expr, tables or default_tables(), term_cap)
     acc: dict[tuple, Fraction] = {}
-    for term in expand_moment(expr, tables=tables, term_cap=term_cap):
-        if term.exponent != 0:
-            continue
-        coeff = term.wg_factor.limit_at_infinity()
-        acc[term.vertex_labels] = acc.get(term.vertex_labels, Fraction(0)) + coeff
+    for (labels, exponent, lambdas), mult in glu.grouped().items():
+        if exponent == 0:
+            coeff = mult * glu.wg_factor(lambdas).limit_at_infinity()
+            acc[labels] = acc.get(labels, Fraction(0)) + coeff
     terms = tuple((c, pat) for pat, c in sorted(acc.items()) if c != 0)
     return AsymptoticMoment(terms=terms)
 
 
 # -- trace cumulants -----------------------------------------------------------
-
-
-def _pi_partition(combo: tuple, positions: Sequence[int]) -> SetPartition:
-    """Join of the pairing pairs, per colour, as a partition of the positions."""
-    blocks = []
-    for (p_plus, p_minus, _, _, _) in combo:
-        blocks.extend((p_plus | p_minus).blocks)
-    return SetPartition(blocks, ground=positions)
 
 
 def _tau_sigma(blocks: Iterable[Iterable[int]],
@@ -468,13 +473,7 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
     else:
         if matrices is None or n is None:
             raise ValidationError("numeric cumulants need matrices and N")
-        mats = _identity_filled(_resolve_for_mode(matrices, n, mode), n, mode)
-        cache: dict[tuple, object] = {}
-
-        def tv(cycle: tuple[int, ...]):
-            if cycle not in cache:
-                cache[cycle] = _trace_product((cycle,), mats, n, mode)
-            return cache[cycle]
+        tv = _cycle_traces(matrices, n, mode)
 
     glu = _Gluings(expr, tables, term_cap)
     phi_part = expr.phi().orbit_partition()
@@ -482,59 +481,58 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
     ground = expr.positions
     full = SetPartition.full(ground)
     c_cache: dict[tuple, PolyFrac] = {}
+    c_at_n: dict[tuple, Fraction] = {}
 
-    def relative_cumulant(pi: SetPartition, rho: SetPartition) -> PolyFrac:
+    def relative_cumulant(pi: SetPartition, rho: SetPartition) -> tuple:
+        """Key of C_{pi,pi,rho}: the sizes of pi's blocks inside each block of rho."""
         key = tuple(sorted(
             tuple(sorted(len(b) for b in pi.blocks if b <= blk))
             for blk in rho.blocks))
         if key not in c_cache:
             c_cache[key] = wg_cumulant(tables, pi, pi, rho)
-        return c_cache[key]
+            if not symbolic:
+                c_at_n[key] = c_cache[key].eval_at(n)
+        return key
 
-    total_sym = PolyFrac(0)
+    weights: dict[tuple, Fraction] = {}  # symbolic: trace weight per (N exponent, key)
     total_num = Fraction(0) if mode == "exact" else 0.0
     for combo in glu.combos():
-        term = glu.term_for(combo)
-        pi = _pi_partition(combo, ground)
-        vertex = term.vertex_cycles
-        labels = term.vertex_labels
+        chi, _, _, vertex, labels = glu.term_for(combo)
+        pi = SetPartition([b for opt in combo for b in opt.blocks], ground=ground)
         s = len(vertex)
         if kappa is None:
             tau_choices = [tuple((i,) for i in range(s))]
         else:
-            tau_choices = [tuple(tuple(sorted(b)) for b in p.blocks)
+            tau_choices = [tuple(tuple(sorted(i - 1 for i in b)) for b in p.blocks)
                            for p in enumerate_partitions(range(1, s + 1), cap=max(12, s))]
-            tau_choices = [tuple(tuple(i - 1 for i in b) for b in blocks)
-                           for blocks in tau_choices]
         for tau_blocks in tau_choices:
             tau_sigma = _tau_sigma(tau_blocks, vertex, ground)
-            if kappa is None:
-                k_tau = Fraction(1)
-                for blk in tau_blocks:
-                    k_tau *= tv(labels[blk[0]])
-            else:
-                k_tau = Fraction(1)
-                for blk in tau_blocks:
-                    if len(blk) == 1:
-                        k_tau *= tv(labels[blk[0]])
-                    else:
-                        k_tau *= kappa(tuple(labels[i] for i in blk))
+            k_tau = Fraction(1)
+            for blk in tau_blocks:
+                k_tau *= tv(labels[blk[0]]) if len(blk) == 1 else \
+                    kappa(tuple(labels[i] for i in blk))
             if not k_tau:
                 continue
             base = phi_part | tau_sigma
             for rho in enumerate_interval(pi, ker_w):
                 if (base | rho) != full:
                     continue
-                c_val = relative_cumulant(pi, rho)
+                key = relative_cumulant(pi, rho)
                 if symbolic:
-                    total_sym = total_sym + \
-                        PolyFrac.n_power(term.chi - r) * c_val * \
-                        PolyFrac.from_fraction(Fraction(k_tau))
+                    weights[chi - r, key] = weights.get((chi - r, key), 0) + Fraction(k_tau)
                 else:
-                    coeff = c_val.eval_at(n) * Fraction(n) ** (term.chi - r)
+                    coeff = c_at_n[key] * Fraction(n) ** (chi - r)
                     total_num = total_num + (coeff * k_tau if mode == "exact"
                                              else float(coeff) * k_tau)
-    return total_sym if symbolic else total_num
+    if symbolic:
+        return sum((c_cache[key] * _scaled_n_power(e, w)
+                    for (e, key), w in weights.items() if w), PolyFrac(0))
+    return total_num
+
+
+def _scaled_n_power(k: int, c: Fraction) -> PolyFrac:
+    """c * N^k, built as one fraction."""
+    return PolyFrac(monomial(max(k, 0), c.numerator), monomial(max(-k, 0), c.denominator))
 
 
 def moment_symbolic(expr: TraceExpression,
@@ -543,16 +541,15 @@ def moment_symbolic(expr: TraceExpression,
                     term_cap: int = TERM_CAP) -> PolyFrac:
     """The expected product of normalized traces as an exact PolyFrac in N,
     for N-free vertex trace values (block-repeated deterministic matrices)."""
-    total = PolyFrac(0)
-    for term in expand_moment(expr, tables=tables, term_cap=term_cap):
-        tv = Fraction(1)
-        for cyc in term.vertex_labels:
-            tv *= trace_value(cyc)
-        if not tv:
-            continue
-        total = total + PolyFrac.n_power(term.exponent) * term.wg_factor * \
-            PolyFrac.from_fraction(tv)
-    return total
+    glu = _Gluings(expr, tables or default_tables(), term_cap)
+    trace = functools.lru_cache(maxsize=None)(trace_value)
+    weights: dict[tuple, Fraction] = {}
+    for (labels, exponent, lambdas), mult in glu.grouped().items():
+        key = (exponent, lambdas)
+        weights[key] = weights.get(key, 0) + mult * math.prod(map(trace, labels),
+                                                             start=Fraction(1))
+    return sum((glu.wg_factor(lambdas) * _scaled_n_power(exponent, weight)
+                for (exponent, lambdas), weight in weights.items() if weight), PolyFrac(0))
 
 
 def to_unnormalized(value, num_traces: int, n: int):

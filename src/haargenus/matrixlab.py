@@ -331,6 +331,16 @@ def _chunk_values(compute_sample, samples: int, workers: int) -> list[np.ndarray
         return list(pool.map(run, starts))
 
 
+def _mean_estimate(compute_sample, samples: int, seed: int, workers: int) -> McEstimate:
+    """Sample mean and its standard error, summed in fixed chunk order."""
+    if samples < 1:
+        raise ValidationError(f"need at least one sample, got {samples}")
+    total, total2, count = _kahan_total(_chunk_values(compute_sample, samples, workers))
+    mean = total / count
+    var = max(total2 / count - mean * mean, 0.0) * count / max(count - 1, 1)
+    return McEstimate(mean=mean, std_error=math.sqrt(var / count), samples=count, seed=seed)
+
+
 def mc_moment(expr, matrices: Mapping[int, DenseMatrix], n: int, samples: int,
               seed: int, workers: int = 1) -> McEstimate:
     """Monte Carlo estimate of the expected product of normalized traces,
@@ -342,10 +352,7 @@ def mc_moment(expr, matrices: Mapping[int, DenseMatrix], n: int, samples: int,
         o_by_color = {c: haar_orthogonal(n, rng) for c in colors}
         return statistic(o_by_color)
 
-    total, total2, count = _kahan_total(_chunk_values(compute_sample, samples, workers))
-    mean = total / count
-    var = max(total2 / count - mean * mean, 0.0) * count / max(count - 1, 1)
-    return McEstimate(mean=mean, std_error=math.sqrt(var / count), samples=count, seed=seed)
+    return _mean_estimate(compute_sample, samples, seed, workers)
 
 
 def mc_entry_moment(n: int, powers: Mapping[tuple[int, int], int], samples: int,
@@ -359,10 +366,7 @@ def mc_entry_moment(n: int, powers: Mapping[tuple[int, int], int], samples: int,
             v *= o[r - 1, c - 1] ** p
         return v
 
-    total, total2, count = _kahan_total(_chunk_values(compute_sample, samples, workers))
-    mean = total / count
-    var = max(total2 / count - mean * mean, 0.0) * count / max(count - 1, 1)
-    return McEstimate(mean=mean, std_error=math.sqrt(var / count), samples=count, seed=seed)
+    return _mean_estimate(compute_sample, samples, seed, workers)
 
 
 def _k_statistic(sums: dict, r: int) -> float:
@@ -388,6 +392,10 @@ def mc_cumulant(exprs: Sequence, matrices: Mapping[int, DenseMatrix], n: int,
     if len(exprs) != order:
         raise ValidationError("need exactly one expression per argument")
     batches = max(2, min(batches, samples // 2))
+    # the smallest leave-one-out set drops the largest batch, ceil(samples / batches)
+    if samples + (-samples // batches) < order:
+        raise ValidationError(
+            f"{samples} samples leave fewer than {order} per jackknife estimate")
     compiled = [_expr_sampler(e, matrices, n) for e in exprs]
     all_colors = sorted({c for _, cols in compiled for c in cols})
 
@@ -400,29 +408,18 @@ def mc_cumulant(exprs: Sequence, matrices: Mapping[int, DenseMatrix], n: int,
 
     per_batch = [dict(count=0, x=0.0, y=0.0, z=0.0, xy=0.0, xz=0.0, yz=0.0, xyz=0.0)
                  for _ in range(batches)]
-    starts = list(range(0, samples, MC_CHUNK))
-
-    def run(start: int) -> list[tuple[int, np.ndarray]]:
-        stop = min(start + MC_CHUNK, samples)
-        return [(i, compute_sample(i)) for i in range(start, stop)]
-
-    if workers <= 1:
-        chunk_results = [run(s) for s in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunk_results = list(pool.map(run, starts))
-    for chunk in chunk_results:
-        for i, v in chunk:
-            b = per_batch[(i * batches) // samples]
-            b["count"] += 1
-            b["x"] += v[0]
-            b["y"] += v[1]
-            b["xy"] += v[0] * v[1]
-            if order == 3:
-                b["z"] += v[2]
-                b["xz"] += v[0] * v[2]
-                b["yz"] += v[1] * v[2]
-                b["xyz"] += v[0] * v[1] * v[2]
+    chunks = _chunk_values(compute_sample, samples, workers)
+    for i, v in enumerate(itertools.chain.from_iterable(chunks)):
+        b = per_batch[(i * batches) // samples]
+        b["count"] += 1
+        b["x"] += v[0]
+        b["y"] += v[1]
+        b["xy"] += v[0] * v[1]
+        if order == 3:
+            b["z"] += v[2]
+            b["xz"] += v[0] * v[2]
+            b["yz"] += v[1] * v[2]
+            b["xyz"] += v[0] * v[1] * v[2]
 
     def merged(skip: int | None) -> dict:
         out = dict(count=0, x=0.0, y=0.0, z=0.0, xy=0.0, xz=0.0, yz=0.0, xyz=0.0)

@@ -168,11 +168,6 @@ class SignedPermutation:
         return cls.from_cycles(data, domain=domain)
 
 
-def negate(s: SignedPermutation) -> SignedPermutation:
-    """Conjugate by d: k -> -k, applied structurally."""
-    return SignedPermutation({-k: -v for k, v in s._map.items()})
-
-
 def delta_eps_conjugate(s: SignedPermutation, eps: Mapping[int, int]) -> SignedPermutation:
     """Conjugate by d_eps: k -> eps(|k|) k, applied structurally.
 
@@ -184,11 +179,6 @@ def delta_eps_conjugate(s: SignedPermutation, eps: Mapping[int, int]) -> SignedP
         return eps[abs(k)] * k
 
     return SignedPermutation({d(k): d(v) for k, v in s._map.items()})
-
-
-def parity_signs(positions: Iterable[int]) -> dict[int, int]:
-    """The sign pattern eps(k) = (-1)^k on the given positive positions."""
-    return {k: (-1) ** k for k in positions}
 
 
 class Premap(SignedPermutation):
@@ -206,9 +196,6 @@ class Premap(SignedPermutation):
         """One cycle from each mirror pair: the one whose minimal-|k| point is
         positive; ordered by that point."""
         return tuple(c for c in self.cycles() if c[0] > 0)
-
-    def mirror_pairs(self) -> int:
-        return self.cycle_count // 2
 
     @classmethod
     def from_particular(cls, cycles: Iterable[Iterable[int]]) -> "Premap":

@@ -195,8 +195,8 @@ def integer_roots(p: Poly) -> tuple[list[tuple[int, int]], Poly, int, int]:
     roots: list[tuple[int, int]] = []
     if work and len(work) > 1:
         c0 = abs(work[0])
-        candidates = sorted({d for d in range(1, c0 + 1) if c0 % d == 0})
-        for mag in candidates:
+        small = [d for d in range(1, math.isqrt(c0) + 1) if c0 % d == 0]
+        for mag in sorted({*small, *(c0 // d for d in small)}):
             for r in (mag, -mag):
                 mult = 0
                 while len(work) > 1 and peval(work, r) == 0:

@@ -107,14 +107,6 @@ class SetPartition:
         lookup = {k: i for i, b in enumerate(other._blocks) for k in b}
         return all(len({lookup[k] for k in b}) == 1 for b in self._blocks)
 
-    def restrict(self, subset: Iterable[int]) -> "SetPartition":
-        """The induced partition on a subset of the ground set."""
-        sub = frozenset(subset)
-        if not sub <= self._ground:
-            raise GroundMismatchError("subset is not contained in the ground set")
-        blocks = [b & sub for b in self._blocks if b & sub]
-        return SetPartition(blocks)
-
     def join(self, other: "SetPartition") -> "SetPartition":
         """Smallest partition coarser than both (transitive closure of the union)."""
         if self._ground != other._ground:

@@ -74,6 +74,28 @@ class TestMoment:
         assert main(["moment", "--expr", str(path), "--N", "1", "--cap-terms", "2"]) == 3
 
 
+class TestBadInput:
+    NO_SLOT = {"traces": [[{"color": 1, "eps": 1}, {"color": 1, "eps": -1, "slot": 2}]]}
+    NO_TRACES = {"matrices": MOMENT_EXPR["matrices"]}
+    BAD_ENTRY = {"traces": MOMENT_EXPR["traces"],
+                 "matrices": {"1": [["1/x", "1"], ["0", "1"]], "2": [["1", "0"], ["0", "1"]]}}
+
+    @pytest.mark.parametrize("payload, field", [(NO_SLOT, "'slot'"), (NO_TRACES, "'traces'"),
+                                                (BAD_ENTRY, "1/x")],
+                             ids=["missing-slot", "missing-traces", "bad-rational"])
+    def test_malformed_file_exit_code(self, tmp_path, capsys, payload, field):
+        path = tmp_path / "expr.json"
+        path.write_text(json.dumps(payload))
+        assert main(["moment", "--expr", str(path), "--N", "2"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and field in err
+
+    def test_missing_file_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert main(["moment", "--expr", str(path), "--N", "2"]) == 2
+        assert str(path) in capsys.readouterr().err
+
+
 class TestMatricesFlag:
     def test_override_file(self, tmp_path, capsys):
         bare = {"traces": MOMENT_EXPR["traces"]}

@@ -1,20 +1,24 @@
 import itertools
+import os
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from haargenus.errors import CapExceededError, PoleError, ValidationError
-from haargenus.expansion import (TraceExpression, asymptotic_moment,
+from haargenus.expansion import (TERM_CAP, TraceExpression, _Gluings, asymptotic_moment,
                                  center_slots, check_conjugated_color_consistency,
                                  concatenate, evaluate_moment, expand_moment,
                                  moment_symbolic, predicted_second_order_cov,
                                  to_unnormalized, trace_cumulant)
 from haargenus.matrixlab import DenseMatrix, brute_force_moment, trace_along
-from haargenus.permap import euler_characteristic, delta_eps_conjugate
+from haargenus.permap import (K_inverse, Premap, delta_eps_conjugate, euler_characteristic,
+                              pairings_to_premap, particular_cycles)
 from haargenus.ratpoly import PolyFrac, format_polyfrac
 from haargenus.setpart import SetPartition, enumerate_partitions, mobius
-from haargenus.weingarten import TableSet
+from haargenus.weingarten import TableSet, pairing_join_diagram
 
 TABLES = TableSet()
 
@@ -126,6 +130,80 @@ class TestExpandMoment:
         assert format_polyfrac(coeff) == \
             "2*N/((N+1)*(N+2)*(N+6)*(N-1)*(N-2)*(N-3))"
         assert term.vertex_labels == ((1, -3, 5), (2, 7, -8, 4), (6,))
+
+
+def random_expression(rng, max_positions=8):
+    """1-3 traces over 1-3 colours, each colour on an even number of positions."""
+    ncolors = rng.randint(1, 3)
+    counts = [2] * ncolors
+    target = rng.randrange(2 * ncolors, max_positions + 1, 2)
+    while sum(counts) < target:
+        counts[rng.randrange(ncolors)] += 2
+    colors = [c for c, m in zip(rng.sample([1, 2, 5, 9], ncolors), counts) for _ in range(m)]
+    rng.shuffle(colors)
+    n = len(colors)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, min(2, n - 1))))
+    cycles = [list(range(a + 1, b + 1)) for a, b in zip([0] + cuts, cuts + [n])]
+    return TraceExpression(cycles,
+                           {k: rng.choice((1, -1)) for k in range(1, n + 1)},
+                           dict(enumerate(colors, 1)),
+                           {k: rng.choice((0, 1, 2, -1, -3)) for k in range(1, n + 1)})
+
+
+class TestGluingKernel:
+    def test_against_premap_oracle(self):
+        rng = random.Random(2024)
+        for _ in range(25):
+            expr = random_expression(rng)
+            glu = _Gluings(expr, TABLES, TERM_CAP)
+            combos = list(glu.combos())
+            assert len(combos) == glu.total
+            phi = expr.phi()
+            for combo in rng.sample(combos, min(30, len(combos))):
+                chi, exponent, lambdas, vertex, labels = glu.term_for(combo)
+                arcs = {k: v for opt in combo for k, v in opt.arcs.items()}
+                expected = {k: v for opt in combo
+                            for k, v in pairings_to_premap(opt.p_plus, opt.p_minus)._map.items()}
+                assert arcs == expected
+                conj = delta_eps_conjugate(Premap(arcs), expr.eps)
+                assert chi == euler_characteristic(phi, conj)
+                assert exponent == chi - 2 * expr.num_traces
+                assert vertex == particular_cycles(K_inverse(phi, conj))
+                assert labels == expr.label_cycles(vertex)
+                assert lambdas == tuple(pairing_join_diagram(opt.p_plus, opt.p_minus)
+                                        for opt in combo)
+
+    def test_grouping_counts_the_stream(self):
+        rng = random.Random(7)
+        for _ in range(10):
+            expr = random_expression(rng, max_positions=6)
+            stream = Counter((t.vertex_labels, t.exponent, t.lambdas)
+                             for t in expand_moment(expr, TABLES))
+            grouped = _Gluings(expr, TABLES, TERM_CAP).grouped()
+            assert grouped == stream and list(grouped) == list(stream)
+
+    def test_benchmark_tracer_counts_every_gluing(self):
+        # the benchmark's tracer patches the kernel by name; a renamed method
+        # fails here rather than in a traced benchmark run
+        perfbench = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+        sys.path.insert(0, perfbench)
+        try:
+            import tracer
+        finally:
+            sys.path.remove(perfbench)
+        rng = random.Random(3)
+        expr = TraceExpression.single_trace([(1, 1, 1), (1, -1, 2), (1, 1, -1),
+                                             (1, 1, 0), (1, -1, 2), (1, 1, 1)])
+        mats = {1: rational_matrix(rng, 3), 2: rational_matrix(rng, 3)}
+        t = tracer.Tracer()
+        t.install()
+        try:
+            result = evaluate_moment(expr, mats, 3, tables=TABLES)
+        finally:
+            t.uninstall()
+        assert result.term_count == 15 ** 2
+        assert t.counts["expansion.gluings"] == result.term_count
+        assert t.metrics()["permap.premap.built"] == 0
 
 
 class TestEvaluateMoment:

@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -168,6 +169,42 @@ class TestMonteCarlo:
     def test_cumulant_order_validation(self):
         with pytest.raises(ValidationError):
             mc_cumulant([], {}, 4, 100, 0, order=4)
+
+    def test_cumulant_deterministic_across_workers(self):
+        rng = random.Random(11)
+        n = 3
+        x = {1: rational_matrix(rng, n), 2: rational_matrix(rng, n)}
+        ys = [TraceExpression.single_trace([(1, 1, 1), (1, -1, 2)]),
+              TraceExpression.single_trace([(1, 1, 2), (1, 1, 1)])]
+        a = mc_cumulant(ys, x, n, samples=1100, seed=5, order=2, workers=1)
+        b = mc_cumulant(ys, x, n, samples=1100, seed=5, order=2, workers=2)
+        assert a.to_json() == b.to_json()
+
+    def test_sample_count_validated_before_sampling(self, monkeypatch):
+        import haargenus.matrixlab as ml
+
+        def no_sampling(*args):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(ml, "haar_orthogonal", no_sampling)
+        x = {1: DenseMatrix.identity(2)}
+        expr = TraceExpression.single_trace([(1, 1, 1), (1, -1, 1)])
+        with pytest.raises(ValidationError):
+            mc_moment(expr, x, 2, samples=0, seed=1)
+        with pytest.raises(ValidationError):
+            mc_entry_moment(2, {(1, 1): 2}, samples=0, seed=1)
+        for samples, order in [(0, 2), (2, 2), (3, 2), (5, 3)]:
+            with pytest.raises(ValidationError):
+                mc_cumulant([expr] * order, x, 2, samples=samples, seed=1, order=order)
+
+    def test_smallest_jackknife_sample_counts(self):
+        x = {1: DenseMatrix.identity(2)}
+        expr = TraceExpression.single_trace([(1, 1, 1), (1, -1, 1)])
+        for samples, order in [(4, 2), (6, 3)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                est = mc_cumulant([expr] * order, x, 2, samples=samples, seed=1, order=order)
+            assert np.isfinite(est.std_error)
 
     @pytest.mark.slow
     def test_cumulant_concordance(self):

@@ -33,6 +33,15 @@ class TestPoly:
         assert sorted(roots) == [(-2, 1), (1, 1)]
         assert residual == ONE and npow == 1 and const == 2
 
+    def test_integer_roots_large_and_small(self):
+        # roots 3 and -9999991 next to an irreducible N^2 + 2; the constant
+        # term has magnitude about 6 * 10^7
+        p = pmul(pmul((-3, 1), (9999991, 1)), (2, 0, 1))
+        roots, residual, npow, const = integer_roots(pmul(p, (5,)))
+        assert roots == [(3, 1), (-9999991, 1)]
+        assert residual == (2, 0, 1) and npow == 0 and const == 5
+        assert format_polyfrac(PolyFrac(1, (10 ** 7, 1))) == "1/(N+10000000)"
+
 
 class TestPolyFrac:
     def test_reduction(self):
