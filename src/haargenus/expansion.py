@@ -9,15 +9,17 @@ along the particular cycles of the inverse vertex permutation.
 
 Trace cumulants use the same gluings but weight each by a relative Weingarten
 cumulant and by classical cumulants of the vertex traces, keeping only the
-gluings that connect everything.
+gluings that connect everything; that loop runs on block and trace indices
+and builds SetPartitions only for a new relative cumulant.
 
 All evaluators share one kernel, `_Gluings`, which precomputes each colour's
 pairing pairs as plain dicts; `term_for` turns one choice per colour into chi,
 the N exponent, the join diagrams and the vertex cycles.  Moments consume
 `_Gluings.grouped` (gluing counts per vertex labels, exponent and diagrams, in
 first-seen order), so each Weingarten product is formed once per diagrams;
-numeric traces share one memo per call.  Only `expand_moment` builds
-`ExpansionTerm`s.
+numeric traces share one memo per call, and each Weingarten factor is
+evaluated once per N.  Only `expand_moment` builds `ExpansionTerm`s, and a
+term builds its `Premap` only when `alpha` is read.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -33,8 +35,8 @@ from .errors import CapExceededError, PoleError, ValidationError
 from .matrixlab import DenseMatrix, trace_along
 from .permap import Premap, SignedPermutation
 from .ratpoly import PolyFrac, monomial
-from .setpart import SetPartition, YoungDiagram, enumerate_interval, enumerate_pairings, \
-    enumerate_partitions, kernel_of
+from .setpart import PARTITION_CAP, SetPartition, YoungDiagram, enumerate_pairings, \
+    enumerate_partitions
 from .weingarten import TableSet, wg_cumulant
 
 TERM_CAP = 500_000
@@ -178,13 +180,19 @@ class ExpansionTerm:
     """One gluing of the expansion and everything needed to evaluate it."""
 
     pairings: tuple[tuple[SetPartition, SetPartition], ...]  # per colour
-    alpha: Premap
+    # the premap's arcs; a function of the pairings, so left out of == and hash
+    arcs: Mapping[int, int] = field(repr=False, compare=False)
     chi: int
     exponent: int
     wg_factor: PolyFrac
     lambdas: tuple[YoungDiagram, ...]
     vertex_cycles: tuple[tuple[int, ...], ...]
     vertex_labels: tuple[tuple[int, ...], ...]
+
+    @functools.cached_property
+    def alpha(self) -> Premap:
+        """The gluing's alternating premap, built and validated on first read."""
+        return Premap(self.arcs)
 
 
 class _Option(NamedTuple):
@@ -217,6 +225,20 @@ def _particular_cycles(premap: Mapping[int, int],
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _block_partitions(counts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Set partitions of the indices 0, 1, ... that keep each run of counts[c]
+    consecutive indices apart: the product over runs of the set partitions of
+    each run, in `enumerate_partitions` order, as tuples of index blocks."""
+    per_run = []
+    for offset, m in zip(itertools.accumulate((0,) + counts), counts):
+        per_run.append([tuple(tuple(offset + i - 1 for i in sorted(b)) for b in p.blocks)
+                           for p in enumerate_partitions(range(1, m + 1),
+                                                         cap=max(PARTITION_CAP, m))])
+    return tuple(tuple(g for part in combo for g in part)
+                 for combo in itertools.product(*per_run))
+
+
 class _Gluings:
     """The gluing kernel: per-colour pairing pairs precomputed as plain dicts,
     combined per gluing into chi, the N exponent, the join diagrams and the
@@ -236,6 +258,9 @@ class _Gluings:
         back = {k: phi_inv(k) for k in expr.positions}
         eps = expr.eps
         self.choices: list[list[_Option]] = [[]] if odd else []  # no gluing when odd
+        # choices run over colours in sorted order; ker(colour) orders them by least position
+        firsts = [pts[0] for pts in by_color.values()]
+        self._ker_order = sorted(range(len(firsts)), key=firsts.__getitem__)
         for pts in ([] if odd else by_color.values()):
             tables.table(len(pts))  # a table beyond its cap fails before enumeration
             pairings = [(p, [tuple(b) for b in p.blocks]) for p in enumerate_pairings(pts)]
@@ -259,6 +284,7 @@ class _Gluings:
         self._labels = {s * k: expr.vertex_label(s * k)
                         for k in expr.positions for s in (1, -1)}
         self._wg: dict[tuple[YoungDiagram, ...], PolyFrac] = {}
+        self._wg_at: dict[tuple[tuple[YoungDiagram, ...], int], Fraction] = {}
 
     def combos(self) -> Iterator[tuple[_Option, ...]]:
         return itertools.product(*self.choices)
@@ -280,6 +306,14 @@ class _Gluings:
         return (chi, chi - 2 * self.expr.num_traces, tuple(opt.lam for opt in combo),
                 tuple(vertex), labels)
 
+    def rho_choices(self, combo: tuple[_Option, ...]) -> tuple[list[tuple[int, ...]], tuple]:
+        """The blocks of pi (the join of the gluing's pairings), colour by
+        colour, and every rho in [pi, ker(colour)] as groups of block indices,
+        in the order `enumerate_interval(pi, ker(colour))` yields them."""
+        order = self._ker_order
+        return ([b for i in order for b in combo[i].blocks],
+                _block_partitions(tuple(len(combo[i].blocks) for i in order)))
+
     def wg_factor(self, lambdas: tuple[YoungDiagram, ...]) -> PolyFrac:
         """Product of the normalized Weingarten values, once per distinct lambdas."""
         if lambdas not in self._wg:
@@ -288,14 +322,17 @@ class _Gluings:
         return self._wg[lambdas]
 
     def wg_at(self, lambdas: tuple[YoungDiagram, ...], n: int) -> Fraction:
-        """The Weingarten factor at N, naming the diagrams on a pole."""
-        try:
-            return self.wg_factor(lambdas).eval_at(n)
-        except PoleError as exc:
-            rows = [list(l.rows) for l in lambdas]
-            raise PoleError(
-                f"Weingarten factor for diagram(s) {rows} has a pole at N={n}: {exc}",
-                n_value=n, factors=exc.factors) from exc
+        """The Weingarten factor at N, once per (lambdas, N), naming the
+        diagrams on a pole."""
+        if (lambdas, n) not in self._wg_at:
+            try:
+                self._wg_at[lambdas, n] = self.wg_factor(lambdas).eval_at(n)
+            except PoleError as exc:
+                rows = [list(l.rows) for l in lambdas]
+                raise PoleError(
+                    f"Weingarten factor for diagram(s) {rows} has a pole at N={n}: {exc}",
+                    n_value=n, factors=exc.factors) from exc
+        return self._wg_at[lambdas, n]
 
     def grouped(self) -> dict[tuple, int]:
         """Gluing multiplicities keyed by (vertex_labels, exponent, lambdas),
@@ -316,10 +353,10 @@ def expand_moment(expr: TraceExpression, tables: TableSet | None = None,
     glu = _Gluings(expr, tables or default_tables(), term_cap)
     for combo in glu.combos():
         chi, exponent, lambdas, vertex, labels = glu.term_for(combo)
-        alpha = {k: v for opt in combo for k, v in opt.arcs.items()}
         yield ExpansionTerm(
             pairings=tuple((opt.p_plus, opt.p_minus) for opt in combo),
-            alpha=Premap(alpha), chi=chi, exponent=exponent,
+            arcs={k: v for opt in combo for k, v in opt.arcs.items()},
+            chi=chi, exponent=exponent,
             wg_factor=glu.wg_factor(lambdas), lambdas=lambdas,
             vertex_cycles=vertex, vertex_labels=labels)
 
@@ -423,15 +460,22 @@ def asymptotic_moment(expr: TraceExpression, tables: TableSet | None = None,
 # -- trace cumulants -----------------------------------------------------------
 
 
-def _tau_sigma(blocks: Iterable[Iterable[int]],
-               vertex: Sequence[tuple[int, ...]], ground) -> SetPartition:
-    out = []
-    for blk in blocks:
-        pts: set[int] = set()
-        for idx in blk:
-            pts |= {abs(i) for i in vertex[idx]}
-        out.append(pts)
-    return SetPartition(out, ground=ground)
+def _roots(size: int, groups: Iterable[Iterable[int]]) -> list[int]:
+    """Union-find over range(size): the root of each point once the points of
+    every (nonempty) group are merged."""
+    parent = list(range(size))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for group in groups:
+        it = iter(group)
+        root = find(next(it))
+        for x in it:
+            parent[find(x)] = root
+    return [find(x) for x in range(size)]
 
 
 def trace_cumulant(exprs: Sequence[TraceExpression], *,
@@ -449,6 +493,13 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
     Weingarten cumulant C_{pi,pi,rho} times classical cumulants of the vertex
     traces, over (rho, tau) whose join with the trace partition connects
     everything.
+
+    pi is the join of the gluing's pairings and rho runs over
+    [pi, ker(colour)] as groups of pi's blocks (`_Gluings.rho_choices`).
+    Connectivity is tested on the r traces alone: tau merges the traces its
+    vertex cycles touch into the components of phi v tau_sigma, and each group
+    of rho merges the components its blocks touch (`_roots`).  SetPartitions
+    are built only for a new relative cumulant, for `wg_cumulant`.
 
     Deterministic slot matrices are the built-in path (higher vertex-trace
     cumulants vanish); pass `kappa` to supply them for random slots.  With
@@ -476,20 +527,20 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
         tv = _cycle_traces(matrices, n, mode)
 
     glu = _Gluings(expr, tables, term_cap)
-    phi_part = expr.phi().orbit_partition()
-    ker_w = kernel_of(expr.color)
+    trace_of = {k: t for t, cyc in enumerate(expr.cycles) for k in cyc}
     ground = expr.positions
-    full = SetPartition.full(ground)
     c_cache: dict[tuple, PolyFrac] = {}
     c_at_n: dict[tuple, Fraction] = {}
 
-    def relative_cumulant(pi: SetPartition, rho: SetPartition) -> tuple:
+    def relative_cumulant(blocks: Sequence[tuple[int, ...]],
+                          rho: tuple[tuple[int, ...], ...]) -> tuple:
         """Key of C_{pi,pi,rho}: the sizes of pi's blocks inside each block of rho."""
-        key = tuple(sorted(
-            tuple(sorted(len(b) for b in pi.blocks if b <= blk))
-            for blk in rho.blocks))
+        key = tuple(sorted(tuple(sorted(len(blocks[j]) for j in g)) for g in rho))
         if key not in c_cache:
-            c_cache[key] = wg_cumulant(tables, pi, pi, rho)
+            pi = SetPartition(blocks, ground=ground)
+            rho_part = SetPartition([[k for j in g for k in blocks[j]] for g in rho],
+                                    ground=ground)
+            c_cache[key] = wg_cumulant(tables, pi, pi, rho_part)
             if not symbolic:
                 c_at_n[key] = c_cache[key].eval_at(n)
         return key
@@ -498,26 +549,27 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
     total_num = Fraction(0) if mode == "exact" else 0.0
     for combo in glu.combos():
         chi, _, _, vertex, labels = glu.term_for(combo)
-        pi = SetPartition([b for opt in combo for b in opt.blocks], ground=ground)
+        blocks, rhos = glu.rho_choices(combo)
+        block_traces = [{trace_of[k] for k in b} for b in blocks]
         s = len(vertex)
-        if kappa is None:
-            tau_choices = [tuple((i,) for i in range(s))]
-        else:
-            tau_choices = [tuple(tuple(sorted(i - 1 for i in b)) for b in p.blocks)
-                           for p in enumerate_partitions(range(1, s + 1), cap=max(12, s))]
+        tau_choices = [tuple((i,) for i in range(s))] if kappa is None \
+            else _block_partitions((s,))
         for tau_blocks in tau_choices:
-            tau_sigma = _tau_sigma(tau_blocks, vertex, ground)
             k_tau = Fraction(1)
             for blk in tau_blocks:
                 k_tau *= tv(labels[blk[0]]) if len(blk) == 1 else \
                     kappa(tuple(labels[i] for i in blk))
             if not k_tau:
                 continue
-            base = phi_part | tau_sigma
-            for rho in enumerate_interval(pi, ker_w):
-                if (base | rho) != full:
+            # the components of phi v tau_sigma, each trace named by its root trace
+            comp = _roots(r, ({trace_of[abs(k)] for i in blk for k in vertex[i]}
+                              for blk in tau_blocks))
+            block_comps = [{comp[t] for t in ts} for ts in block_traces]
+            for rho in rhos:
+                roots = _roots(r, ((c for j in g for c in block_comps[j]) for g in rho))
+                if len({roots[c] for c in comp}) != 1:
                     continue
-                key = relative_cumulant(pi, rho)
+                key = relative_cumulant(blocks, rho)
                 if symbolic:
                     weights[chi - r, key] = weights.get((chi - r, key), 0) + Fraction(k_tau)
                 else:

@@ -1,11 +1,14 @@
 """Dense matrix arithmetic, Haar orthogonal sampling, Monte Carlo estimators,
 and the entrywise brute-force moment oracle.
 
-Exact mode carries Fractions end to end; float mode uses numpy with
-fixed-order compensated summation, so results are reproducible bit for bit
-for a given seed regardless of worker count (samples are drawn from
-counter-based Philox substreams keyed by (seed, sample index), and chunk
-boundaries are fixed independently of the worker count).
+Exact matrices hold Fractions; traces along cycles of them run on Python
+ints (each matrix is scaled once to integer entries over one common
+denominator) and form one Fraction per cycle.  Float matrices use numpy.
+The Monte Carlo estimators sum with fixed-order compensated summation, so
+their results are reproducible bit for bit for a given seed regardless of
+worker count (samples are drawn from counter-based Philox substreams keyed by
+(seed, sample index), and chunk boundaries are fixed independently of the
+worker count).
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -30,9 +34,10 @@ MC_CHUNK = 512
 class DenseMatrix:
     """A square matrix in a uniform scalar mode: exact Fractions or floats."""
 
-    __slots__ = ("mode", "n", "_rows", "_arr")
+    __slots__ = ("mode", "n", "_rows", "_arr", "_ints")
 
     def __init__(self, rows=None, *, arr=None):
+        self._ints = None  # integer form of an exact matrix, made on first use
         if arr is not None:
             arr = np.asarray(arr, dtype=float)
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -73,6 +78,19 @@ class DenseMatrix:
         if self.mode != "exact":
             raise ValidationError("rows are only stored in exact mode")
         return self._rows
+
+    def integer_form(self) -> tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """(den, rows, cols) with this exact matrix = rows / den, den the lcm of
+        the entries' denominators; cols holds the same integers by column.
+        Computed on first use and kept, since the matrix is immutable."""
+        if self._ints is None:
+            if self.mode != "exact":
+                raise ValidationError("integer form is only defined in exact mode")
+            den = math.lcm(*(v.denominator for r in self._rows for v in r))
+            rows = tuple(tuple(v.numerator * (den // v.denominator) for v in r)
+                         for r in self._rows)
+            self._ints = (den, rows, tuple(zip(*rows)))
+        return self._ints
 
     def as_numpy(self) -> np.ndarray:
         if self.mode == "float":
@@ -179,12 +197,50 @@ def block_diagonal_repeat(block: DenseMatrix, n: int) -> DenseMatrix:
     return DenseMatrix(rows)
 
 
-def resolve_slot(matrices: Mapping[int, DenseMatrix], label: int) -> DenseMatrix:
-    """Matrix for a signed label: negative labels mean the transpose."""
+def _slot_matrix(matrices: Mapping[int, DenseMatrix], label: int) -> DenseMatrix:
+    """The stored matrix of a signed label, before any transpose."""
     base = matrices.get(abs(label))
     if base is None:
         raise ValidationError(f"no matrix for label {abs(label)}")
+    return base
+
+
+def resolve_slot(matrices: Mapping[int, DenseMatrix], label: int) -> DenseMatrix:
+    """Matrix for a signed label: negative labels mean the transpose."""
+    base = _slot_matrix(matrices, label)
     return base.transpose() if label < 0 else base
+
+
+def _exact_trace(cycle: Sequence[int], matrices: Mapping[int, DenseMatrix],
+                 normalized: bool) -> Fraction:
+    """Trace of the product of exact matrices along one cycle, on integers.
+
+    Each factor is its integer form over its denominator, so the product runs
+    on ints and one Fraction is formed at the end (fraction-free, as in
+    Bareiss elimination).  A negative label reads the stored integers by
+    index: the transpose's rows are the matrix's columns.  The last factor is
+    folded into the trace as sum over i, j of P[i][j] B[j][i]."""
+    n = None
+    den = 1
+    factors = []  # (rows, cols) of each factor as it enters the product
+    for label in cycle:
+        m = _slot_matrix(matrices, label)
+        if m.mode != "exact":
+            raise ValidationError("mixed exact and float matrices")
+        if n is not None and m.n != n:
+            raise ValidationError(f"dimension mismatch: {n} vs {m.n}")
+        n = m.n
+        d, rows, cols = m.integer_form()
+        den *= d
+        factors.append((cols, rows) if label < 0 else (rows, cols))
+    prod = factors[0][0]
+    if len(factors) == 1:
+        t = sum(prod[i][i] for i in range(n))
+    else:
+        for _, cols in factors[1:-1]:
+            prod = [[sum(map(mul, row, col)) for col in cols] for row in prod]
+        t = sum(sum(map(mul, row, col)) for row, col in zip(prod, factors[-1][1]))
+    return Fraction(t, den * n if normalized else den)
 
 
 def trace_along(cycles: Iterable[Sequence[int]], matrices: Mapping[int, DenseMatrix],
@@ -192,39 +248,21 @@ def trace_along(cycles: Iterable[Sequence[int]], matrices: Mapping[int, DenseMat
     """Product over cycles of the trace of the matrix product along the cycle.
 
     Cycle entries are signed labels; the normalized variant divides by N once
-    per cycle."""
+    per cycle.  Exact matrices multiply on integers (`_exact_trace`) and give
+    Fractions; float matrices multiply in numpy."""
     total = None
     for cyc in cycles:
-        prod = None
-        for label in cyc:
-            m = resolve_slot(matrices, label)
-            prod = m if prod is None else prod @ m
-        t = prod.normalized_trace() if normalized else prod.trace()
+        if _slot_matrix(matrices, cyc[0]).mode == "exact":
+            t = _exact_trace(cyc, matrices, normalized)
+        else:
+            prod = None
+            for label in cyc:
+                m = resolve_slot(matrices, label)
+                prod = m if prod is None else prod @ m
+            t = prod.normalized_trace() if normalized else prod.trace()
         total = t if total is None else total * t
     if total is None:
         return Fraction(1)
-    return total
-
-
-def trace_index_sum(cycles: Iterable[Sequence[int]], matrices: Mapping[int, DenseMatrix]):
-    """Literal index-sum form of the trace along a permutation (test oracle).
-
-    Sums over all index assignments i: points -> [N] the product of entries
-    X^(k)[i_k, i_pi(k)]."""
-    nxt = {}
-    for cyc in cycles:
-        for a, b in zip(cyc, tuple(cyc[1:]) + (cyc[0],)):
-            nxt[a] = b
-    points = sorted(nxt)
-    mats = {k: resolve_slot(matrices, k) for k in points}
-    n = next(iter(mats.values())).n if mats else 0
-    total = Fraction(0)
-    for assign in itertools.product(range(n), repeat=len(points)):
-        idx = dict(zip(points, assign))
-        term = Fraction(1)
-        for k in points:
-            term *= mats[k].rows[idx[k]][idx[nxt[k]]]
-        total += term
     return total
 
 

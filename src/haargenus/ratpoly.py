@@ -457,23 +457,3 @@ def bareiss_solve(a: Sequence[Sequence[Poly]], b: Sequence[Poly]) -> list[PolyFr
             acc = acc - PolyFrac(m[i][j]) * x[j]
         x[i] = acc / PolyFrac(m[i][i])
     return x
-
-
-def polyfrac_solve(a: Sequence[Sequence[PolyFrac]], b: Sequence[Sequence[PolyFrac]]) -> list[list[PolyFrac]]:
-    """Gauss-Jordan solve A X = B over PolyFrac (B given as columns in rows)."""
-    p = len(a)
-    nrhs = len(b[0])
-    m = [[_as_polyfrac(v) for v in a[i]] + [_as_polyfrac(v) for v in b[i]] for i in range(p)]
-    for k in range(p):
-        pivot_row = next((r for r in range(k, p) if m[r][k]), None)
-        if pivot_row is None:
-            raise ValidationError("singular matrix")
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-        inv = PolyFrac(ONE) / m[k][k]
-        m[k] = [v * inv for v in m[k]]
-        for i in range(p):
-            if i != k and m[i][k]:
-                f = m[i][k]
-                m[i] = [vi - f * vk for vi, vk in zip(m[i], m[k])]
-    return [row[p:p + nrhs] for row in m]

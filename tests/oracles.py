@@ -1,0 +1,130 @@
+"""Reference implementations that the tests compare the library against.
+
+They are written for plainness, not speed: the literal index sum for traces,
+Gauss-Jordan elimination over PolyFrac, Fraction matrix products, and the
+SetPartition-join form of the trace-cumulant sum.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+from typing import Iterable, Mapping, Sequence
+
+from haargenus.expansion import TERM_CAP, _Gluings, _cycle_traces, concatenate, default_tables
+from haargenus.matrixlab import DenseMatrix, resolve_slot
+from haargenus.ratpoly import PolyFrac
+from haargenus.setpart import SetPartition, enumerate_interval, enumerate_partitions, kernel_of
+from haargenus.weingarten import wg_cumulant
+
+
+def trace_index_sum(cycles: Iterable[Sequence[int]], matrices: Mapping[int, DenseMatrix]):
+    """Literal index-sum form of the trace along a permutation.
+
+    Sums over all index assignments i: points -> [N] the product of entries
+    X^(k)[i_k, i_pi(k)]."""
+    nxt = {}
+    for cyc in cycles:
+        for a, b in zip(cyc, tuple(cyc[1:]) + (cyc[0],)):
+            nxt[a] = b
+    points = sorted(nxt)
+    mats = {k: resolve_slot(matrices, k) for k in points}
+    n = next(iter(mats.values())).n if mats else 0
+    total = Fraction(0)
+    for assign in itertools.product(range(n), repeat=len(points)):
+        idx = dict(zip(points, assign))
+        term = Fraction(1)
+        for k in points:
+            term *= mats[k].rows[idx[k]][idx[nxt[k]]]
+        total += term
+    return total
+
+
+def fraction_trace_along(cycles: Iterable[Sequence[int]],
+                         matrices: Mapping[int, DenseMatrix], normalized: bool = False):
+    """Product over cycles of traces of Fraction matrix products, transposing
+    each negative label into a new matrix."""
+    total = Fraction(1)
+    for cyc in cycles:
+        prod = None
+        for label in cyc:
+            m = resolve_slot(matrices, label)
+            prod = m if prod is None else prod @ m
+        total *= prod.normalized_trace() if normalized else prod.trace()
+    return total
+
+
+def polyfrac_solve(a: Sequence[Sequence[PolyFrac]],
+                   b: Sequence[Sequence[PolyFrac]]) -> list[list[PolyFrac]]:
+    """Gauss-Jordan solve A X = B over PolyFrac (B given as columns in rows)."""
+    p = len(a)
+    nrhs = len(b[0])
+    m = [list(a[i]) + list(b[i]) for i in range(p)]
+    for k in range(p):
+        pivot_row = next((r for r in range(k, p) if m[r][k]), None)
+        if pivot_row is None:
+            raise ValueError("singular matrix")
+        if pivot_row != k:
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+        inv = PolyFrac(1) / m[k][k]
+        m[k] = [v * inv for v in m[k]]
+        for i in range(p):
+            if i != k and m[i][k]:
+                f = m[i][k]
+                m[i] = [vi - f * vk for vi, vk in zip(m[i], m[k])]
+    return [row[p:p + nrhs] for row in m]
+
+
+def join_trace_cumulant(exprs, *, matrices=None, n=None, mode="exact", trace_value=None,
+                        kappa=None, symbolic=False, tables=None):
+    """`trace_cumulant` as a loop over gluings, tau and rho that joins
+    SetPartitions: rho runs over the interval [pi, ker(colour)], and a term
+    counts when phi v tau_sigma v rho is the full partition."""
+    tables = tables or default_tables()
+    expr = concatenate(exprs)
+    r = len(exprs)
+    tv = trace_value if trace_value is not None else _cycle_traces(matrices, n, mode)
+    glu = _Gluings(expr, tables, TERM_CAP)
+    phi_part = expr.phi().orbit_partition()
+    ker_w = kernel_of(expr.color)
+    ground = expr.positions
+    full = SetPartition.full(ground)
+    c_cache: dict = {}
+    weights: dict = {}
+    total = Fraction(0) if mode == "exact" else 0.0
+    for combo in glu.combos():
+        chi, _, _, vertex, labels = glu.term_for(combo)
+        pi = SetPartition([b for opt in combo for b in opt.blocks], ground=ground)
+        s = len(vertex)
+        if kappa is None:
+            tau_choices = [tuple((i,) for i in range(s))]
+        else:
+            tau_choices = [tuple(tuple(sorted(i - 1 for i in b)) for b in p.blocks)
+                           for p in enumerate_partitions(range(1, s + 1), cap=max(12, s))]
+        for tau_blocks in tau_choices:
+            tau_sigma = SetPartition([{abs(k) for i in blk for k in vertex[i]}
+                                      for blk in tau_blocks], ground=ground)
+            k_tau = Fraction(1)
+            for blk in tau_blocks:
+                k_tau *= tv(labels[blk[0]]) if len(blk) == 1 else \
+                    kappa(tuple(labels[i] for i in blk))
+            if not k_tau:
+                continue
+            base = phi_part | tau_sigma
+            for rho in enumerate_interval(pi, ker_w):
+                if (base | rho) != full:
+                    continue
+                key = tuple(sorted(tuple(sorted(len(b) for b in pi.blocks if b <= blk))
+                                   for blk in rho.blocks))
+                if key not in c_cache:
+                    c_cache[key] = wg_cumulant(tables, pi, pi, rho)
+                if symbolic:
+                    weights[chi - r, key] = weights.get((chi - r, key), 0) + Fraction(k_tau)
+                else:
+                    coeff = c_cache[key].eval_at(n) * Fraction(n) ** (chi - r)
+                    total = total + (coeff * k_tau if mode == "exact"
+                                     else float(coeff) * k_tau)
+    if symbolic:
+        return sum((c_cache[key] * PolyFrac.n_power(e) * PolyFrac.from_fraction(w)
+                    for (e, key), w in weights.items() if w), PolyFrac(0))
+    return total

@@ -17,8 +17,10 @@ from haargenus.matrixlab import DenseMatrix, brute_force_moment, trace_along
 from haargenus.permap import (K_inverse, Premap, delta_eps_conjugate, euler_characteristic,
                               pairings_to_premap, particular_cycles)
 from haargenus.ratpoly import PolyFrac, format_polyfrac
-from haargenus.setpart import SetPartition, enumerate_partitions, mobius
+from haargenus.setpart import (SetPartition, enumerate_interval, enumerate_partitions,
+                               kernel_of, mobius)
 from haargenus.weingarten import TableSet, pairing_join_diagram
+from oracles import join_trace_cumulant
 
 TABLES = TableSet()
 
@@ -182,6 +184,20 @@ class TestGluingKernel:
             grouped = _Gluings(expr, TABLES, TERM_CAP).grouped()
             assert grouped == stream and list(grouped) == list(stream)
 
+    def test_rho_choices_follow_the_interval(self):
+        # float cumulants add their terms in this order
+        rng = random.Random(11)
+        for _ in range(15):
+            expr = random_expression(rng)
+            glu = _Gluings(expr, TABLES, TERM_CAP)
+            ker = kernel_of(expr.color)
+            for combo in rng.sample(list(glu.combos()), min(5, glu.total)):
+                blocks, rhos = glu.rho_choices(combo)
+                pi = SetPartition(blocks)
+                assert pi == SetPartition([b for opt in combo for b in opt.blocks])
+                assert [SetPartition([[k for j in g for k in blocks[j]] for g in rho])
+                        for rho in rhos] == list(enumerate_interval(pi, ker))
+
     def test_benchmark_tracer_counts_every_gluing(self):
         # the benchmark's tracer patches the kernel by name; a renamed method
         # fails here rather than in a traced benchmark run
@@ -199,11 +215,12 @@ class TestGluingKernel:
         t.install()
         try:
             result = evaluate_moment(expr, mats, 3, tables=TABLES)
+            listed = [(term.chi, term.vertex_labels) for term in expand_moment(expr, TABLES)]
         finally:
             t.uninstall()
-        assert result.term_count == 15 ** 2
-        assert t.counts["expansion.gluings"] == result.term_count
-        assert t.metrics()["permap.premap.built"] == 0
+        assert result.term_count == len(listed) == 15 ** 2
+        assert t.counts["expansion.gluings"] == 2 * result.term_count
+        assert t.metrics()["permap.premap.built"] == 0  # a term builds alpha only when read
 
 
 class TestEvaluateMoment:
@@ -401,6 +418,71 @@ class TestTraceCumulant:
         big = {i: block_diagonal_repeat(block[i], n) for i in block}
         num = trace_cumulant([y1, y2], matrices=big, n=n, tables=TABLES)
         assert sym.eval_at(n) == num
+
+
+def random_single_traces(rng):
+    """2-3 single traces over 1-2 colours, each colour on an even number of
+    at most 6 positions."""
+    sizes = rng.choice([(1, 1), (2, 2), (1, 3), (3, 3), (2, 4), (2, 2, 2), (1, 1, 2),
+                        (4, 4), (3, 5)])
+    total = sum(sizes)
+    counts = rng.choice([c for c in ([total], [2, total - 2], [total - 2, 2], [4, total - 4])
+                         if min(c) > 0 and max(c) <= 6])
+    colours = [c for c, m in zip(rng.sample([1, 2, 7], len(counts)), counts) for _ in range(m)]
+    rng.shuffle(colours)
+    exprs = []
+    for size in sizes:
+        factors = [(colours.pop(), rng.choice((1, -1)), rng.choice((0, 1, -1, 2, -2)))
+                   for _ in range(size)]
+        exprs.append(TraceExpression.single_trace(factors))
+    return exprs
+
+
+class TestCumulantAgainstJoins:
+    """trace_cumulant tests connectivity on trace indices; the oracle joins
+    SetPartitions.  Float results must match by repr, so the terms must come
+    in the same order."""
+
+    def test_exact_and_float(self):
+        rng = random.Random(50)
+        for _ in range(12):
+            exprs = random_single_traces(rng)
+            n = rng.randint(3, 5)
+            x = {l: rational_matrix(rng, n) for l in (1, 2)}
+            for mode in ("exact", "float"):
+                got = trace_cumulant(exprs, matrices=x, n=n, mode=mode, tables=TABLES)
+                want = join_trace_cumulant(exprs, matrices=x, n=n, mode=mode, tables=TABLES)
+                assert repr(got) == repr(want)
+
+    def test_symbolic(self):
+        rng = random.Random(51)
+        for _ in range(10):
+            exprs = random_single_traces(rng)
+            block = {l: rational_matrix(rng, 2) for l in (1, 2)}
+
+            def tv(cycle):
+                return _trace_value(cycle, block, 2)
+
+            assert trace_cumulant(exprs, symbolic=True, trace_value=tv, tables=TABLES) == \
+                join_trace_cumulant(exprs, symbolic=True, trace_value=tv, tables=TABLES)
+
+    def test_random_slots_via_kappa(self):
+        rng = random.Random(52)
+        for _ in range(8):
+            exprs = random_single_traces(rng)
+            n = rng.randint(4, 6)
+            x = {l: rational_matrix(rng, 2) for l in (1, 2)}
+
+            def tv(cycle):
+                return _trace_value(cycle, x, 2)
+
+            def kappa(cycles):
+                return Fraction(len(cycles), 1 + sum(map(len, cycles))) * tv(cycles[0])
+
+            for mode, cast in (("exact", Fraction), ("float", float)):
+                kw = dict(trace_value=lambda c: cast(tv(c)), kappa=lambda c: cast(kappa(c)),
+                          n=n, mode=mode, tables=TABLES)
+                assert repr(trace_cumulant(exprs, **kw)) == repr(join_trace_cumulant(exprs, **kw))
 
 
 class TestColorConsistency:

@@ -9,8 +9,9 @@ from haargenus.errors import ValidationError
 from haargenus.expansion import TraceExpression, evaluate_moment
 from haargenus.matrixlab import (DenseMatrix, block_diagonal_repeat, brute_force_moment,
                                  haar_orthogonal, mc_cumulant, mc_entry_moment,
-                                 mc_moment, sample_rng, trace_along, trace_index_sum)
+                                 mc_moment, sample_rng, trace_along)
 from haargenus.weingarten import TableSet
+from oracles import fraction_trace_along, trace_index_sum
 
 
 def rational_matrix(rng, n, span=3):
@@ -97,6 +98,75 @@ class TestTraceAlong:
     def test_missing_label(self):
         with pytest.raises(ValidationError):
             trace_along([(1, 5)], {1: DenseMatrix([[1]])})
+
+    def test_mixed_modes_rejected(self):
+        x = {1: DenseMatrix([[1, 2], [3, 4]]), 2: DenseMatrix([[1.0, 0.0], [0.0, 1.0]])}
+        for cycle in ((1, 2), (2, 1)):
+            with pytest.raises(ValidationError):
+                trace_along([cycle], x)
+        with pytest.raises(ValidationError):
+            trace_along([(1, 3)], {1: x[1], 3: DenseMatrix([[1]])})
+
+
+def _signed_cycles(rng, labels, max_len):
+    """1-2 cycles of signed labels drawn with repetition."""
+    return [tuple(rng.choice((1, -1)) * rng.choice(labels)
+                  for _ in range(rng.randint(1, max_len)))
+            for _ in range(rng.randint(1, 2))]
+
+
+class TestIntegerTraceKernel:
+    """The exact trace runs on integers; it must equal Fraction arithmetic."""
+
+    def test_integer_form(self):
+        m = DenseMatrix([[Fraction(1, 6), Fraction(-3, 4)], [2, Fraction(5, 9)]])
+        den, rows, cols = m.integer_form()
+        assert den == 36
+        assert rows == ((6, -27), (72, 20))
+        assert cols == ((6, 72), (-27, 20))
+        assert all(type(v) is int for r in rows for v in r)
+        assert m.integer_form() is m.integer_form()  # computed once
+        with pytest.raises(ValidationError):
+            DenseMatrix([[1.0]]).integer_form()
+
+    def test_against_references(self):
+        rng = random.Random(41)
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            x = {l: rational_matrix(rng, n, span=5) for l in (1, 2, 3)}
+            cycles = _signed_cycles(rng, (1, 2, 3), 6)
+            for normalized in (False, True):
+                got = trace_along(cycles, x, normalized=normalized)
+                assert type(got) is Fraction
+                assert got == fraction_trace_along(cycles, x, normalized=normalized)
+            # the index sum keys points by signed label, so it needs them distinct
+            points = [l for c in cycles for l in c]
+            if len(set(points)) == len(points) and n ** len(points) <= 1024:
+                assert trace_along(cycles, x) == trace_index_sum(cycles, x)
+
+    def test_one_by_one_and_zero_matrices(self):
+        x = {1: DenseMatrix([[Fraction(-2, 3)]]), 2: DenseMatrix([[Fraction(5, 7)]])}
+        assert trace_along([(1, -2, 1)], x) == Fraction(20, 63)
+        assert trace_along([(1,), (-2, 2)], x, normalized=True) == Fraction(-50, 147)
+        rng = random.Random(42)
+        z = {1: DenseMatrix.zeros(3), 2: rational_matrix(rng, 3)}
+        for cycles in ([(1,)], [(2, -1, 2)], [(2,), (1, -2)]):
+            for normalized in (False, True):
+                got = trace_along(cycles, z, normalized=normalized)
+                assert type(got) is Fraction and got == 0
+
+    def test_large_coprime_denominators(self):
+        rng = random.Random(43)
+        primes = (1_000_000_007, 998_244_353, 2**61 - 1, 1_000_000_009, 3**40)
+        for _ in range(10):
+            n = rng.randint(2, 4)
+            x = {l: DenseMatrix([[Fraction(rng.randint(-10**12, 10**12), rng.choice(primes))
+                                  for _ in range(n)] for _ in range(n)])
+                 for l in (1, 2)}
+            cycles = _signed_cycles(rng, (1, 2), 5)
+            for normalized in (False, True):
+                assert trace_along(cycles, x, normalized=normalized) == \
+                    fraction_trace_along(cycles, x, normalized=normalized)
 
 
 class TestHaar:

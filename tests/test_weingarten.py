@@ -6,7 +6,7 @@ import pytest
 
 from haargenus.errors import CapExceededError, ValidationError
 from haargenus.matrixlab import mc_entry_moment
-from haargenus.ratpoly import PolyFrac, format_polyfrac, monomial, polyfrac_solve
+from haargenus.ratpoly import PolyFrac, format_polyfrac, monomial
 from haargenus.setpart import (SetPartition, YoungDiagram, enumerate_interval,
                                enumerate_pairings, enumerate_partitions, mobius,
                                young_diagrams)
@@ -16,6 +16,7 @@ from haargenus.weingarten import (TableSet, WeingartenTable, catalan, compute_ta
                                   weingarten_table, wg_cumulant,
                                   wg_cumulant_order_check, wg_limit, wg_normalized,
                                   write_golden, _class_representative)
+from oracles import polyfrac_solve
 
 
 def lam(*rows):
