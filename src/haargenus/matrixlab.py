@@ -4,11 +4,14 @@ and the entrywise brute-force moment oracle.
 Exact matrices hold Fractions; traces along cycles of them run on Python
 ints (each matrix is scaled once to integer entries over one common
 denominator) and form one Fraction per cycle.  Float matrices use numpy.
-The Monte Carlo estimators sum with fixed-order compensated summation, so
-their results are reproducible bit for bit for a given seed regardless of
-worker count (samples are drawn from counter-based Philox substreams keyed by
-(seed, sample index), and chunk boundaries are fixed independently of the
-worker count).
+
+The Monte Carlo estimators use per-sample Philox substreams on a fixed chunk
+grid: sample i draws from the counter-based stream keyed by (seed, i), and
+each chunk of MC_CHUNK samples rekeys one generator per sample, stacks the
+Gaussian draws, makes one batched QR with the sign fix and evaluates the
+statistic on the stack.  Values are summed in sample order with
+compensated summation, so a result is reproducible bit for bit for a given
+seed and depends on neither the chunk size nor the worker count.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .weingarten import TableSet, pairing_join_diagram
 from .setpart import enumerate_pairings
 
 RNG_NAME = "philox4x64"
-MC_CHUNK = 512
+MC_CHUNK = 64
 
 
 class DenseMatrix:
@@ -274,14 +277,40 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
-def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed orthogonal matrix: QR of a Gaussian with the
-    triangular factor's diagonal made positive (plain QR is not Haar)."""
-    z = rng.standard_normal((n, n))
+def _haar_from_gaussian(z: np.ndarray) -> np.ndarray:
+    """Haar-distributed orthogonal matrices from a stack of Gaussian ones (last
+    two axes): QR with the triangular factor's diagonal made positive, since
+    plain QR is not Haar (Mezzadri 2007)."""
     q, r = np.linalg.qr(z)
-    signs = np.sign(np.diag(r))
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
-    return q * signs
+    return q * signs[..., None, :]
+
+
+def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
+    """One Haar-distributed orthogonal n x n matrix drawn from `rng`."""
+    return _haar_from_gaussian(rng.standard_normal((n, n)))
+
+
+def _haar_chunk(n: int, count: int, seed: int, start: int, stop: int) -> np.ndarray:
+    """Haar matrices of samples start..stop-1, `count` per sample, as a stack of
+    shape (stop - start, count, n, n).
+
+    One Philox generator is rekeyed to (seed, i) for each sample i, counter 0,
+    so entry [i - start, c] equals, bit for bit, the c-th `haar_orthogonal`
+    drawn from `sample_rng(seed, i)`; all QRs run in one batched call."""
+    bitgen = np.random.Philox(0)  # its key is replaced before every draw
+    rng = np.random.Generator(bitgen)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    z = np.empty((stop - start, count, n, n))
+    for j, i in enumerate(range(start, stop)):
+        state["state"]["key"] = np.array([seed, i], dtype=np.uint64)
+        bitgen.state = state
+        rng.standard_normal((count, n, n), out=z[j])
+    return _haar_from_gaussian(z)
 
 
 @dataclass(frozen=True)
@@ -306,8 +335,9 @@ class McEstimate:
 
 
 def _expr_sampler(expr, matrices: Mapping[int, DenseMatrix], n: int):
-    """Compile an expression into a function of the per-color O samples that
-    returns the product of normalized traces."""
+    """Compile an expression into a function of a stack of O samples, shape
+    (samples, colours, n, n), and a colour -> column map, that returns each
+    sample's product of normalized traces."""
     mats = {}
     for k in expr.positions:
         label = expr.slot[k]
@@ -320,28 +350,30 @@ def _expr_sampler(expr, matrices: Mapping[int, DenseMatrix], n: int):
     cycles = [tuple(c) for c in expr.cycles]
     colors = sorted({expr.color[k] for k in expr.positions})
 
-    def statistic(o_by_color: Mapping[int, np.ndarray]) -> float:
-        value = 1.0
+    def statistic(o: np.ndarray, column: Mapping[int, int]) -> np.ndarray:
+        value = np.ones(len(o))
         for cyc in cycles:
             prod = None
             for k in cyc:
-                o = o_by_color[expr.color[k]]
-                f = o if expr.eps[k] == 1 else o.T
+                f = o[:, column[expr.color[k]]]
+                if expr.eps[k] != 1:
+                    f = np.swapaxes(f, 1, 2)
                 fm = f @ mats[k]
                 prod = fm if prod is None else prod @ fm
-            value *= prod.trace() / n
+            # np.trace sums each diagonal as ndarray.trace does; einsum does not
+            value *= np.trace(prod, axis1=1, axis2=2) / n
         return value
 
     return statistic, colors
 
 
-def _kahan_total(chunks: Iterable[np.ndarray]) -> tuple[float, float, int]:
+def _kahan_total(chunks: Iterable[list[float]]) -> tuple[float, float, int]:
     """Compensated sum and sum of squares in fixed chunk order."""
     total = comp = 0.0
     total2 = comp2 = 0.0
     count = 0
-    for arr in chunks:
-        for v in arr:
+    for values in chunks:
+        for v in values:
             y = v - comp
             t = total + y
             comp = (t - total) - y
@@ -350,30 +382,36 @@ def _kahan_total(chunks: Iterable[np.ndarray]) -> tuple[float, float, int]:
             t2 = total2 + y2
             comp2 = (t2 - total2) - y2
             total2 = t2
-            count += 1
+        count += len(values)
     return total, total2, count
 
 
-def _chunk_values(compute_sample, samples: int, workers: int) -> list[np.ndarray]:
-    """Evaluate per-sample values in fixed chunks of MC_CHUNK, optionally in
-    parallel; the chunk grid does not depend on the worker count."""
-    starts = list(range(0, samples, MC_CHUNK))
+def _chunk_values(sample_chunk, samples: int, workers: int) -> list[list]:
+    """Per-sample values from `sample_chunk(start, stop)` over the fixed grid of
+    MC_CHUNK-sample chunks, in chunk order, on up to `workers` threads.  A
+    sample's value depends only on its index, so neither the chunk size nor the
+    worker count changes any value."""
+    if workers < 1:
+        raise ValidationError(f"need at least one worker, got {workers}")
+    import os  # only to size the pool; kept out of the module's import time
 
-    def run(start: int) -> np.ndarray:
-        stop = min(start + MC_CHUNK, samples)
-        return np.array([compute_sample(i) for i in range(start, stop)], dtype=float)
+    starts = range(0, samples, MC_CHUNK)
+    threads = min(workers, len(starts), os.cpu_count() or 1)
 
-    if workers <= 1:
+    def run(start: int) -> list:
+        return sample_chunk(start, min(start + MC_CHUNK, samples))
+
+    if threads <= 1:
         return [run(s) for s in starts]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(run, starts))
 
 
-def _mean_estimate(compute_sample, samples: int, seed: int, workers: int) -> McEstimate:
+def _mean_estimate(sample_chunk, samples: int, seed: int, workers: int) -> McEstimate:
     """Sample mean and its standard error, summed in fixed chunk order."""
     if samples < 1:
         raise ValidationError(f"need at least one sample, got {samples}")
-    total, total2, count = _kahan_total(_chunk_values(compute_sample, samples, workers))
+    total, total2, count = _kahan_total(_chunk_values(sample_chunk, samples, workers))
     mean = total / count
     var = max(total2 / count - mean * mean, 0.0) * count / max(count - 1, 1)
     return McEstimate(mean=mean, std_error=math.sqrt(var / count), samples=count, seed=seed)
@@ -384,27 +422,37 @@ def mc_moment(expr, matrices: Mapping[int, DenseMatrix], n: int, samples: int,
     """Monte Carlo estimate of the expected product of normalized traces,
     with fresh independent O per color per sample."""
     statistic, colors = _expr_sampler(expr, matrices, n)
+    column = {c: j for j, c in enumerate(colors)}
 
-    def compute_sample(i: int) -> float:
-        rng = sample_rng(seed, i)
-        o_by_color = {c: haar_orthogonal(n, rng) for c in colors}
-        return statistic(o_by_color)
+    def sample_chunk(start: int, stop: int) -> list[float]:
+        return statistic(_haar_chunk(n, len(colors), seed, start, stop), column).tolist()
 
-    return _mean_estimate(compute_sample, samples, seed, workers)
+    return _mean_estimate(sample_chunk, samples, seed, workers)
 
 
 def mc_entry_moment(n: int, powers: Mapping[tuple[int, int], int], samples: int,
                     seed: int, workers: int = 1) -> McEstimate:
-    """Monte Carlo moments of individual entries, e.g. E[O_11^2 O_22^2]."""
+    """Monte Carlo moments of individual entries, e.g. E[O_11^2 O_22^2].
+    Keys are 1-based (row, column) pairs; powers are non-negative integers."""
+    entries = []
+    for key, p in powers.items():
+        if not (isinstance(key, tuple) and len(key) == 2
+                and all(isinstance(v, int) and 1 <= v <= n for v in key)):
+            raise ValidationError(f"entry {key!r} is not a (row, column) pair in 1..{n}")
+        if not isinstance(p, int) or p < 0:
+            raise ValidationError(f"power of entry {key} must be a non-negative integer, "
+                                  f"got {p!r}")
+        entries.append((key[0] - 1, key[1] - 1, p))
 
-    def compute_sample(i: int) -> float:
-        o = haar_orthogonal(n, sample_rng(seed, i))
-        v = 1.0
-        for (r, c), p in powers.items():
-            v *= o[r - 1, c - 1] ** p
-        return v
+    def sample_chunk(start: int, stop: int) -> list[float]:
+        o = _haar_chunk(n, 1, seed, start, stop)[:, 0]
+        values = [1.0] * (stop - start)
+        for r, c, p in entries:
+            # a scalar pow per entry: ndarray ** p rounds differently for p >= 3
+            values = [v * e ** p for v, e in zip(values, o[:, r, c].tolist())]
+        return values
 
-    return _mean_estimate(compute_sample, samples, seed, workers)
+    return _mean_estimate(sample_chunk, samples, seed, workers)
 
 
 def _k_statistic(sums: dict, r: int) -> float:
@@ -436,17 +484,18 @@ def mc_cumulant(exprs: Sequence, matrices: Mapping[int, DenseMatrix], n: int,
             f"{samples} samples leave fewer than {order} per jackknife estimate")
     compiled = [_expr_sampler(e, matrices, n) for e in exprs]
     all_colors = sorted({c for _, cols in compiled for c in cols})
+    column = {c: j for j, c in enumerate(all_colors)}
 
-    def compute_sample(i: int) -> np.ndarray:
-        rng = sample_rng(seed, i)
-        o_by_color = {c: haar_orthogonal(n, rng) for c in all_colors}
+    def sample_chunk(start: int, stop: int) -> list[tuple[float, ...]]:
+        o = _haar_chunk(n, len(all_colors), seed, start, stop)
         # traces are unnormalized: one factor of N per trace cycle
-        return np.array([stat(o_by_color) * n ** len(e.cycles)
-                         for e, (stat, _) in zip(exprs, compiled)], dtype=float)
+        per_expr = [(stat(o, column) * n ** len(e.cycles)).tolist()
+                    for e, (stat, _) in zip(exprs, compiled)]
+        return list(zip(*per_expr))
 
     per_batch = [dict(count=0, x=0.0, y=0.0, z=0.0, xy=0.0, xz=0.0, yz=0.0, xyz=0.0)
                  for _ in range(batches)]
-    chunks = _chunk_values(compute_sample, samples, workers)
+    chunks = _chunk_values(sample_chunk, samples, workers)
     for i, v in enumerate(itertools.chain.from_iterable(chunks)):
         b = per_batch[(i * batches) // samples]
         b["count"] += 1

@@ -156,6 +156,12 @@ class TestVerify:
         assert first.returncode == 0
         assert first.stdout == second.stdout == third.stdout
 
+    def test_mc_worker_count_exit_code(self, expr_path, capsys):
+        for workers in ("0", "-2"):
+            assert main(["verify", "--suite", "mc", "--expr", expr_path, "--N", "2",
+                         "--samples", "100", "--workers", workers]) == 2
+            assert "worker" in capsys.readouterr().err
+
     def test_out_file(self, expr_path, tmp_path):
         out = tmp_path / "report.json"
         assert main(["verify", "--suite", "mc", "--expr", expr_path, "--N", "2",

@@ -1,3 +1,5 @@
+import json
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -206,6 +208,18 @@ class TestHaar:
         assert abs(m1 - m2) <= 5 * se
 
 
+@pytest.fixture
+def no_sampling(monkeypatch):
+    """Any Haar draw fails the test: checks must run before sampling."""
+    import haargenus.matrixlab as ml
+
+    def sampled(*args):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(ml, "_haar_chunk", sampled)
+    monkeypatch.setattr(ml, "haar_orthogonal", sampled)
+
+
 class TestMonteCarlo:
     def test_moment_concordance(self):
         rng = random.Random(6)
@@ -250,13 +264,7 @@ class TestMonteCarlo:
         b = mc_cumulant(ys, x, n, samples=1100, seed=5, order=2, workers=2)
         assert a.to_json() == b.to_json()
 
-    def test_sample_count_validated_before_sampling(self, monkeypatch):
-        import haargenus.matrixlab as ml
-
-        def no_sampling(*args):
-            raise AssertionError("sampled")
-
-        monkeypatch.setattr(ml, "haar_orthogonal", no_sampling)
+    def test_sample_count_validated_before_sampling(self, no_sampling):
         x = {1: DenseMatrix.identity(2)}
         expr = TraceExpression.single_trace([(1, 1, 1), (1, -1, 1)])
         with pytest.raises(ValidationError):
@@ -266,6 +274,63 @@ class TestMonteCarlo:
         for samples, order in [(0, 2), (2, 2), (3, 2), (5, 3)]:
             with pytest.raises(ValidationError):
                 mc_cumulant([expr] * order, x, 2, samples=samples, seed=1, order=order)
+
+    def test_worker_count_validated_before_sampling(self, no_sampling):
+        x = {1: DenseMatrix.identity(2)}
+        expr = TraceExpression.single_trace([(1, 1, 1), (1, -1, 1)])
+        for workers in (0, -3):
+            with pytest.raises(ValidationError):
+                mc_moment(expr, x, 2, samples=100, seed=1, workers=workers)
+            with pytest.raises(ValidationError):
+                mc_entry_moment(2, {(1, 1): 2}, samples=100, seed=1, workers=workers)
+            with pytest.raises(ValidationError):
+                mc_cumulant([expr] * 2, x, 2, samples=100, seed=1, order=2, workers=workers)
+
+    def test_entry_moment_inputs_validated_before_sampling(self, no_sampling):
+        for powers in ({(0, 1): 2},        # row 0 would wrap to row N
+                       {(4, 1): 2},        # out of range at N = 3
+                       {(1, 1): -2},
+                       {(1, 1): 1.5},
+                       {(1.0, 1): 2},
+                       {1: 2}):
+            with pytest.raises(ValidationError):
+                mc_entry_moment(3, powers, samples=64, seed=1)
+
+    def test_thread_pool_is_capped(self, monkeypatch):
+        import os
+        import haargenus.matrixlab as ml
+
+        sizes = []
+
+        class RecordingPool:
+            """Runs the chunks in the calling thread; starts no threads."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(ml, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(ml, "MC_CHUNK", 8)
+        x = {1: DenseMatrix.identity(2)}
+        expr = TraceExpression.single_trace([(1, 1, 1), (1, -1, 1)])
+        reference = mc_moment(expr, x, 2, samples=40, seed=1)  # 5 chunks
+        for cpus, samples, workers, expected in [(4, 40, 100_000, [4]), (4, 40, 3, [3]),
+                                                 (4, 16, 100_000, [2]), (64, 40, 10**9, [5]),
+                                                 (None, 40, 100_000, []), (4, 40, 1, [])]:
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            sizes.clear()
+            est = mc_moment(expr, x, 2, samples=samples, seed=1, workers=workers)
+            assert sizes == expected
+            if samples == 40:
+                assert est == reference
 
     def test_smallest_jackknife_sample_counts(self):
         x = {1: DenseMatrix.identity(2)}
@@ -327,6 +392,159 @@ class TestMonteCarlo:
         exact = float(trace_cumulant(ys, matrices=x, n=n))
         est = mc_cumulant(ys, x, n, samples=40000, seed=19, order=3)
         assert est.within(exact, 5.0)
+
+
+def _golden_reports():
+    rng = random.Random(2026)
+    n = 5
+    x = {i: rational_matrix(rng, n) for i in (1, 2, 3)}
+    two_colour = TraceExpression([(1, 2, 3), (4,)], {1: 1, 2: -1, 3: -1, 4: 1},
+                                 {1: 1, 2: 2, 3: 1, 4: 2}, {1: 1, 2: 0, 3: -2, 4: 3})
+    word = TraceExpression.conjugated_word([1, 2], [1, -3])
+    ys = [TraceExpression.single_trace([(1, 1, 1), (1, -1, 2)]),
+          TraceExpression.single_trace([(1, 1, -2), (2, -1, 0), (2, 1, 3)]),
+          TraceExpression.single_trace([(2, -1, 1), (1, 1, 3)])]
+    return [
+        mc_moment(two_colour, x, n, samples=300, seed=3),
+        mc_moment(word, x, n, samples=130, seed=4, workers=2),
+        mc_cumulant(ys[:2], x, n, samples=300, seed=5, order=2),
+        mc_cumulant(ys, x, n, samples=257, seed=6, order=3, batches=7, workers=2),
+        mc_entry_moment(4, {(1, 1): 1, (2, 3): 2, (4, 4): 3}, samples=300, seed=7),
+        mc_entry_moment(6, {(2, 2): 4, (1, 6): 5}, samples=200, seed=8),
+        mc_entry_moment(3, {(3, 1): 6}, samples=65, seed=9, workers=2),
+    ]
+
+
+# reports of _golden_reports() recorded with the per-sample sampler (one
+# generator and one QR per sample); a change in the streams, the QR or the
+# sums shows here
+GOLDEN_REPORTS = [
+    '{"mean": -0.03504831768100131, "std_error": 0.04150463408018027, "samples": 300, '
+    '"seed": 3, "generator": "philox4x64"}',
+    '{"mean": 0.33167118424688974, "std_error": 0.10358192095836102, "samples": 130, '
+    '"seed": 4, "generator": "philox4x64"}',
+    '{"mean": 1.120773078351476, "std_error": 3.3512419643566203, "samples": 300, '
+    '"seed": 5, "generator": "philox4x64"}',
+    '{"mean": -21.09509868721344, "std_error": 15.154558137554869, "samples": 257, '
+    '"seed": 6, "generator": "philox4x64"}',
+    '{"mean": -0.0008208846306460883, "std_error": 0.005797095055251769, "samples": 300, '
+    '"seed": 7, "generator": "philox4x64"}',
+    '{"mean": 0.0009386162062044521, "std_error": 0.0006860521289212626, "samples": 200, '
+    '"seed": 8, "generator": "philox4x64"}',
+    '{"mean": 0.13987131917302192, "std_error": 0.030802037836308478, "samples": 65, '
+    '"seed": 9, "generator": "philox4x64"}',
+]
+
+
+class TestChunkKernel:
+    def test_matches_per_sample_haar(self):
+        import haargenus.matrixlab as ml
+        for n in (1, 2, 6, 16):
+            for count in (1, 2, 3):
+                start, stop = 5 + n, 9 + n
+                stack = ml._haar_chunk(n, count, 17, start, stop)
+                assert stack.shape == (stop - start, count, n, n)
+                for j, i in enumerate(range(start, stop)):
+                    rng = sample_rng(17, i)
+                    for c in range(count):
+                        assert np.array_equal(stack[j, c], haar_orthogonal(n, rng))
+
+    def test_per_sample_values_match_reference_loop(self, monkeypatch):
+        # the per-sample loop the chunk kernel replaced, on 2-D matrices
+        import haargenus.matrixlab as ml
+        chunks = []
+
+        def recording(*args):
+            out = chunk_values(*args)
+            chunks.extend(out)
+            return out
+
+        chunk_values = ml._chunk_values
+        monkeypatch.setattr(ml, "_chunk_values", recording)
+
+        def reference_statistic(expr, mats, n, o_by_color):
+            value = 1.0
+            for cyc in expr.cycles:
+                prod = None
+                for k in cyc:
+                    o = o_by_color[expr.color[k]]
+                    f = o if expr.eps[k] == 1 else o.T
+                    fm = f @ mats[k]
+                    prod = fm if prod is None else prod @ fm
+                value *= prod.trace() / n
+            return value
+
+        rng = random.Random(40)
+        n = 16
+        x = {i: rational_matrix(rng, n) for i in (1, 2)}
+        expr = TraceExpression([(1, 2, 3), (4,)], {1: 1, 2: -1, 3: 1, 4: -1},
+                               {1: 2, 2: 1, 3: 2, 4: 1}, {1: 1, 2: -2, 3: 0, 4: 2})
+        mats = {k: np.eye(n) if expr.slot[k] == 0 else
+                (x[abs(expr.slot[k])].as_numpy().T if expr.slot[k] < 0
+                 else x[expr.slot[k]].as_numpy()) for k in expr.positions}
+        mc_moment(expr, x, n, samples=70, seed=41)
+        got = [v for chunk in chunks for v in chunk]
+        want = []
+        for i in range(70):
+            sample = sample_rng(41, i)
+            o_by_color = {c: haar_orthogonal(n, sample) for c in (1, 2)}
+            want.append(reference_statistic(expr, mats, n, o_by_color))
+        assert got == want
+
+        chunks.clear()
+        powers = {(1, 1): 3, (2, 3): 4, (10, 7): 5, (4, 4): 6}
+        mc_entry_moment(10, powers, samples=70, seed=42)
+        got = [v for chunk in chunks for v in chunk]
+        want = []
+        for i in range(70):
+            o = haar_orthogonal(10, sample_rng(42, i))
+            v = 1.0
+            for (r, c), p in powers.items():
+                v *= o[r - 1, c - 1] ** p
+            want.append(v)
+        assert got == want
+
+    def test_golden_reports(self):
+        assert [json.dumps(est.to_json()) for est in _golden_reports()] == GOLDEN_REPORTS
+
+    def test_reports_independent_of_chunk_size_and_workers(self, monkeypatch):
+        import haargenus.matrixlab as ml
+        rng = random.Random(30)
+        n = 4
+        x = {i: rational_matrix(rng, n) for i in (1, 2)}
+        ys = [TraceExpression.single_trace([(1, 1, 1), (2, -1, -2)]),
+              TraceExpression.single_trace([(2, 1, 2), (1, -1, 0)])]
+
+        def reports(workers):
+            return [json.dumps(r.to_json()) for r in (
+                mc_moment(ys[0], x, n, samples=150, seed=31, workers=workers),
+                mc_cumulant(ys, x, n, samples=150, seed=32, order=2, workers=workers),
+                mc_entry_moment(n, {(1, 2): 3, (4, 4): 2}, samples=150, seed=33,
+                                workers=workers))]
+
+        expected = reports(1)
+        for chunk in (1, 7, 64, 512):
+            monkeypatch.setattr(ml, "MC_CHUNK", chunk)
+            for workers in (1, 2, 3):
+                assert reports(workers) == expected, (chunk, workers)
+
+    @pytest.mark.slow
+    def test_scipy_ortho_group_oracle(self):
+        # a second Haar sampler: E[tr(O X O^T Y)/N] and E[O_11^4] must agree
+        stats = pytest.importorskip("scipy.stats")
+        n, samples = 4, 20000
+        rng = random.Random(34)
+        x = {1: rational_matrix(rng, n), 2: rational_matrix(rng, n)}
+        expr = TraceExpression.single_trace([(1, 1, 1), (1, -1, 2)])
+        ours = [mc_moment(expr, x, n, samples, seed=35),
+                mc_entry_moment(n, {(1, 1): 4}, samples, seed=36)]
+        o = stats.ortho_group.rvs(dim=n, size=samples, random_state=37)
+        xa, ya = x[1].as_numpy(), x[2].as_numpy()
+        theirs = [np.trace(o @ xa @ np.swapaxes(o, 1, 2) @ ya, axis1=1, axis2=2) / n,
+                  o[:, 0, 0] ** 4]
+        for est, vals in zip(ours, theirs):
+            se = math.sqrt(est.std_error ** 2 + vals.var(ddof=1) / samples)
+            assert abs(est.mean - vals.mean()) <= 5 * se
 
 
 class TestBruteForce:
