@@ -103,14 +103,26 @@ def _load_expressions(path: str, matrices_path: str | None = None):
     return exprs, _load_matrices(path, data, matrices_path)
 
 
+def _diagram(text: str, n: int) -> YoungDiagram:
+    """The --lambda diagram: comma-separated rows that partition n/2."""
+    try:
+        lam = YoungDiagram(int(x) for x in text.split(","))
+    except ValueError:
+        lam = None
+    if lam is None or 2 * lam.n != n:
+        raise ValidationError(f"--lambda {text!r} must be a partition of n/2 = {n / 2:g}, "
+                              "given as comma-separated rows")
+    return lam
+
+
 def cmd_wg(args) -> int:
+    lam = None if args.lam is None else _diagram(args.lam, args.n)
     table = weingarten_table(args.n, cap=args.cap)
     if args.golden_out:
         path = write_golden(args.n, args.golden_out, cap=args.cap)
         emit({"meta": _metadata(args), "written": path}, args.out)
         return 0
-    if args.lam:
-        lam = YoungDiagram([int(x) for x in args.lam.split(",")])
+    if lam is not None:
         entry = {"lambda": list(lam.rows),
                  "Wg": format_polyfrac(table.wg_unnormalized(lam)),
                  "wg": format_polyfrac(table.wg(lam))}

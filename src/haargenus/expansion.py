@@ -9,16 +9,24 @@ along the particular cycles of the inverse vertex permutation.
 
 Trace cumulants use the same gluings but weight each by a relative Weingarten
 cumulant and by classical cumulants of the vertex traces, keeping only the
-gluings that connect everything; that loop runs on block and trace indices
-and builds SetPartitions only for a new relative cumulant.
+gluings that connect everything.  Which (rho, tau) connect depends only on a
+gluing's shape (the traces each vertex cycle and each join block touch), so
+that scan runs once per shape and tau, on trace indices; SetPartitions are
+built only for a new relative cumulant.  A caller's `trace_value` and `kappa`
+are memoised per call.
 
-All evaluators share one kernel, `_Gluings`, which precomputes each colour's
-pairing pairs as plain dicts; `term_for` turns one choice per colour into chi,
-the N exponent, the join diagrams and the vertex cycles.  Moments consume
-`_Gluings.grouped` (gluing counts per vertex labels, exponent and diagrams, in
-first-seen order), so each Weingarten product is formed once per diagrams;
-numeric traces share one memo per call, and each Weingarten factor is
-evaluated once per N.  Only `expand_moment` builds `ExpansionTerm`s, and a
+All evaluators share one kernel, `_Gluings`.  Each colour's pairing pairs,
+with their premap arcs, join blocks and join diagrams, depend only on the
+colour's size, so they are built once per size on the points 1..m
+(`_pairing_table`) and shared by every expression; the colour's positions, in
+increasing order, relabel them monotonically, and the kernel builds only
+K^{-1} per expression.  Pairings, arcs and blocks are relabelled onto the
+positions only where they are read.  `term_for` turns one choice per colour
+into chi, the N exponent, the join diagrams and the vertex cycles.  Moments
+consume `_Gluings.grouped` (gluing counts per vertex labels, exponent and
+diagrams, in first-seen order), so each Weingarten product is formed once per
+diagrams; numeric traces share one memo per call, and each Weingarten factor
+is evaluated once per N.  Only `expand_moment` builds `ExpansionTerm`s, and a
 term builds its `Premap` only when `alpha` is read.
 """
 
@@ -195,15 +203,22 @@ class ExpansionTerm:
         return Premap(self.arcs)
 
 
-class _Option(NamedTuple):
-    """One pairing pair of one colour, with what every gluing through it needs."""
+class _Pair(NamedTuple):
+    """A pair of pairings (p_plus, p_minus) of the points 1..m, with what every
+    gluing through it needs that does not depend on the expression."""
 
-    p_plus: SetPartition
-    p_minus: SetPartition
-    arcs: dict[int, int]  # the alternating premap p_minus d p_plus on +/-pts
+    plus: int  # index of p_plus in the table's pairings
+    minus: int  # index of p_minus
+    arcs: tuple[tuple[int, int], ...]  # x -> a for the premap p_minus d p_plus on +/-(1..m)
+    blocks: tuple[tuple[int, ...], ...]  # blocks of the join p_plus v p_minus
+    lam: YoungDiagram  # diagram of that join
+
+
+class _Option(NamedTuple):
+    """One pair of pairings of one colour of an expression."""
+
+    pair: _Pair  # on 1..m, where point i stands for the colour's i-th least position
     kinv: dict[int, int]  # K^{-1} = phi_-^{-1} (d_eps a d_eps) phi_+ where phi_+ lands in +/-pts
-    lam: YoungDiagram  # diagram of the join p_plus v p_minus
-    blocks: tuple[tuple[int, ...], ...]  # blocks of that join
 
 
 def _particular_cycles(premap: Mapping[int, int],
@@ -226,6 +241,29 @@ def _particular_cycles(premap: Mapping[int, int],
 
 
 @functools.lru_cache(maxsize=None)
+def _pairing_table(m: int) -> tuple[tuple[SetPartition, ...], tuple[_Pair, ...]]:
+    """The pairings of 1..m and every pair of them (p_plus major), built once
+    per colour size and shared by every expression.  A colour's positions in
+    increasing order relabel 1..m monotonically, which keeps the order of the
+    pairings, of the arcs' cycles and of the blocks."""
+    points = range(1, m + 1)
+    pairings = tuple(enumerate_pairings(points))
+    pairs = []
+    for i, p_plus in enumerate(pairings):
+        for j, p_minus in enumerate(pairings):
+            arcs = {}
+            for a, b in map(sorted, p_plus.blocks):
+                arcs[a], arcs[b] = -b, -a
+            for a, b in map(sorted, p_minus.blocks):
+                arcs[-a], arcs[-b] = b, a
+            # the join blocks are the point sets of the mirror pairs of arcs
+            blocks = tuple(tuple(map(abs, c)) for c in _particular_cycles(arcs, points))
+            pairs.append(_Pair(i, j, tuple(arcs.items()), blocks,
+                               YoungDiagram(len(b) // 2 for b in blocks)))
+    return pairings, tuple(pairs)
+
+
+@functools.lru_cache(maxsize=None)
 def _block_partitions(counts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Set partitions of the indices 0, 1, ... that keep each run of counts[c]
     consecutive indices apart: the product over runs of the set partitions of
@@ -240,9 +278,11 @@ def _block_partitions(counts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], .
 
 
 class _Gluings:
-    """The gluing kernel: per-colour pairing pairs precomputed as plain dicts,
-    combined per gluing into chi, the N exponent, the join diagrams and the
-    vertex cycles."""
+    """The gluing kernel: each colour's pairing pairs, read from the shared
+    table of its size with K^{-1} built on the real points, combined per
+    gluing into chi, the N exponent, the join diagrams and the vertex cycles.
+    Pairings, arcs and blocks are relabelled onto the real points only where
+    they are read (`pairings`, `arcs`, `rho_choices`)."""
 
     def __init__(self, expr: TraceExpression, tables: TableSet, term_cap: int):
         self.expr = expr
@@ -255,36 +295,35 @@ class _Gluings:
             raise CapExceededError(
                 f"expansion has {self.total} terms, beyond the cap of {term_cap}")
         phi_inv = expr.phi().inverse()
-        back = {k: phi_inv(k) for k in expr.positions}
-        eps = expr.eps
+        # an arc x -> a of the premap becomes the arc src[x] -> dst[a] of K^{-1}
+        src: dict[int, int] = {}
+        dst: dict[int, int] = {}
+        for k in expr.positions:
+            for x in (k, -k):
+                y = expr.eps[k] * x  # x -> y under d_eps
+                src[x] = phi_inv(y) if y > 0 else y
+                dst[x] = -phi_inv(-y) if y < 0 else y
         self.choices: list[list[_Option]] = [[]] if odd else []  # no gluing when odd
+        # per colour, (0, least position, ...): point i of the table is points[i]
+        self.points: list[tuple[int, ...]] = []
         # choices run over colours in sorted order; ker(colour) orders them by least position
         firsts = [pts[0] for pts in by_color.values()]
-        self._ker_order = sorted(range(len(firsts)), key=firsts.__getitem__)
+        self.ker_order = sorted(range(len(firsts)), key=firsts.__getitem__)
         for pts in ([] if odd else by_color.values()):
             tables.table(len(pts))  # a table beyond its cap fails before enumeration
-            pairings = [(p, [tuple(b) for b in p.blocks]) for p in enumerate_pairings(pts)]
-            opts = []
-            for p_plus, plus in pairings:
-                for p_minus, minus in pairings:
-                    arcs = {}
-                    for a, b in plus:
-                        arcs[a], arcs[b] = -b, -a
-                    for a, b in minus:
-                        arcs[-a], arcs[-b] = b, a
-                    kinv = {}
-                    for x, a in arcs.items():
-                        y, z = eps[abs(x)] * x, eps[abs(a)] * a  # y -> z under d_eps a d_eps
-                        kinv[back[y] if y > 0 else y] = -back[-z] if z < 0 else z
-                    # the join blocks are the point sets of the mirror pairs of arcs
-                    blocks = tuple(tuple(map(abs, c)) for c in _particular_cycles(arcs, pts))
-                    lam = YoungDiagram(len(b) // 2 for b in blocks)
-                    opts.append(_Option(p_plus, p_minus, arcs, kinv, lam, blocks))
-            self.choices.append(opts)
+            points = (0, *pts)
+            self.points.append(points)
+            signed = [(s * i, s * k) for i, k in enumerate(pts, 1) for s in (1, -1)]
+            src_c = {i: src[k] for i, k in signed}
+            dst_c = {i: dst[k] for i, k in signed}
+            self.choices.append([
+                _Option(pair, {src_c[x]: dst_c[a] for x, a in pair.arcs})
+                for pair in _pairing_table(len(pts))[1]])
         self._labels = {s * k: expr.vertex_label(s * k)
                         for k in expr.positions for s in (1, -1)}
         self._wg: dict[tuple[YoungDiagram, ...], PolyFrac] = {}
         self._wg_at: dict[tuple[tuple[YoungDiagram, ...], int], Fraction] = {}
+        self._pairings: list[list[SetPartition]] | None = None
 
     def combos(self) -> Iterator[tuple[_Option, ...]]:
         return itertools.product(*self.choices)
@@ -297,22 +336,42 @@ class _Gluings:
         pairs = 0  # mirror pairs of cycles of the premap a
         for opt in combo:
             kinv.update(opt.kinv)
-            pairs += len(opt.blocks)
+            pairs += len(opt.pair.blocks)
         vertex = _particular_cycles(kinv, self.expr.positions)
         label = self._labels
         labels = tuple(tuple(l for l in map(label.__getitem__, c) if l != IDENTITY_SLOT)
                        for c in vertex)
         chi = self.expr.num_traces + pairs + len(vertex) - self.expr.n
-        return (chi, chi - 2 * self.expr.num_traces, tuple(opt.lam for opt in combo),
+        return (chi, chi - 2 * self.expr.num_traces, tuple(opt.pair.lam for opt in combo),
                 tuple(vertex), labels)
 
+    def pairings(self, combo: tuple[_Option, ...]) -> tuple[tuple[SetPartition, SetPartition], ...]:
+        """Each colour's (p_plus, p_minus) on its positions; each colour's
+        pairings are relabelled once per kernel, on the first read."""
+        if self._pairings is None:
+            self._pairings = [[SetPartition([[pts[i] for i in b] for b in p.blocks])
+                               for p in _pairing_table(len(pts) - 1)[0]]
+                              for pts in self.points]
+        return tuple((real[opt.pair.plus], real[opt.pair.minus])
+                     for real, opt in zip(self._pairings, combo))
+
+    def arcs(self, combo: tuple[_Option, ...]) -> dict[int, int]:
+        """The arcs of the gluing's premap on the signed positions."""
+        out = {}
+        for pts, opt in zip(self.points, combo):
+            for x, a in opt.pair.arcs:
+                out[pts[x] if x > 0 else -pts[-x]] = pts[a] if a > 0 else -pts[-a]
+        return out
+
     def rho_choices(self, combo: tuple[_Option, ...]) -> tuple[list[tuple[int, ...]], tuple]:
-        """The blocks of pi (the join of the gluing's pairings), colour by
-        colour, and every rho in [pi, ker(colour)] as groups of block indices,
-        in the order `enumerate_interval(pi, ker(colour))` yields them."""
-        order = self._ker_order
-        return ([b for i in order for b in combo[i].blocks],
-                _block_partitions(tuple(len(combo[i].blocks) for i in order)))
+        """The blocks of pi (the join of the gluing's pairings) on the
+        positions, colour by colour, and every rho in [pi, ker(colour)] as
+        groups of block indices, in the order `enumerate_interval(pi,
+        ker(colour))` yields them."""
+        order = self.ker_order
+        blocks = [tuple(map(self.points[i].__getitem__, b))
+                  for i in order for b in combo[i].pair.blocks]
+        return blocks, _block_partitions(tuple(len(combo[i].pair.blocks) for i in order))
 
     def wg_factor(self, lambdas: tuple[YoungDiagram, ...]) -> PolyFrac:
         """Product of the normalized Weingarten values, once per distinct lambdas."""
@@ -354,8 +413,7 @@ def expand_moment(expr: TraceExpression, tables: TableSet | None = None,
     for combo in glu.combos():
         chi, exponent, lambdas, vertex, labels = glu.term_for(combo)
         yield ExpansionTerm(
-            pairings=tuple((opt.p_plus, opt.p_minus) for opt in combo),
-            arcs={k: v for opt in combo for k, v in opt.arcs.items()},
+            pairings=glu.pairings(combo), arcs=glu.arcs(combo),
             chi=chi, exponent=exponent,
             wg_factor=glu.wg_factor(lambdas), lambdas=lambdas,
             vertex_cycles=vertex, vertex_labels=labels)
@@ -478,6 +536,28 @@ def _roots(size: int, groups: Iterable[Iterable[int]]) -> list[int]:
     return [find(x) for x in range(size)]
 
 
+def _connecting_rhos(r: int, vertex_traces: Sequence[frozenset[int]],
+                     blocks: Sequence[Sequence[tuple[int, frozenset[int]]]],
+                     tau_blocks: Sequence[tuple[int, ...]]) -> list[tuple[tuple, tuple]]:
+    """(key, rho) for every rho in [pi, ker(colour)] whose join with phi v
+    tau_sigma connects the r traces, in `rho_choices` order.
+
+    The arguments are a gluing's shape: the traces each vertex cycle touches,
+    and, colour by colour in ker(colour) order, the size and traces of each
+    block of pi.  The key names the relative cumulant C_{pi,pi,rho} by the
+    sizes of pi's blocks inside each block of rho."""
+    flat = [b for per_colour in blocks for b in per_colour]
+    # the components of phi v tau_sigma, each trace named by its root trace
+    comp = _roots(r, (frozenset().union(*(vertex_traces[i] for i in blk)) for blk in tau_blocks))
+    block_comps = [{comp[t] for t in traces} for _, traces in flat]
+    hits = []
+    for rho in _block_partitions(tuple(map(len, blocks))):
+        roots = _roots(r, ((c for j in g for c in block_comps[j]) for g in rho))
+        if len({roots[c] for c in comp}) == 1:
+            hits.append((tuple(sorted(tuple(sorted(flat[j][0] for j in g)) for g in rho)), rho))
+    return hits
+
+
 def trace_cumulant(exprs: Sequence[TraceExpression], *,
                    matrices: Mapping[int, DenseMatrix] | None = None,
                    n: int | None = None,
@@ -496,17 +576,25 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
 
     pi is the join of the gluing's pairings and rho runs over
     [pi, ker(colour)] as groups of pi's blocks (`_Gluings.rho_choices`).
-    Connectivity is tested on the r traces alone: tau merges the traces its
-    vertex cycles touch into the components of phi v tau_sigma, and each group
-    of rho merges the components its blocks touch (`_roots`).  SetPartitions
-    are built only for a new relative cumulant, for `wg_cumulant`.
+    Which (rho, tau) connect, and which relative cumulants they name, depends
+    only on the gluing's shape: the traces each vertex cycle touches and the
+    size and traces of each block of pi.  That scan (`_connecting_rhos`) runs
+    once per (shape, tau); exact and symbolic results sum the vertex-trace
+    cumulants once per (chi, shape, tau) and expand them into one weight per
+    (N exponent, relative cumulant) at the end, while float results add term
+    by term in gluing and rho order.  SetPartitions are built only for a new
+    relative cumulant, for `wg_cumulant`.
 
     Deterministic slot matrices are the built-in path (higher vertex-trace
     cumulants vanish); pass `kappa` to supply them for random slots.  With
     symbolic=True the result is a PolyFrac in N and `trace_value` must return
-    exact N-free values for label cycles.
+    exact N-free values for label cycles; in exact mode they must be
+    rational.  A caller's `trace_value` and `kappa` are called once per
+    distinct argument.
     """
     tables = tables or default_tables()
+    if not exprs:
+        raise ValidationError("trace_cumulant needs at least one expression")
     if any(e.num_traces != 1 for e in exprs):
         raise ValidationError("trace_cumulant takes single-trace expressions")
     expr = concatenate(exprs)
@@ -514,72 +602,94 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
     if symbolic:
         if trace_value is None:
             raise ValidationError("symbolic cumulants need an N-free trace_value")
-        tv = trace_value
     elif trace_value is not None:
         # random-slot path: the caller supplies expected vertex traces (and
         # kappa for the higher vertex-trace cumulants)
         if n is None:
             raise ValidationError("numeric cumulants need N")
-        tv = trace_value
-    else:
-        if matrices is None or n is None:
-            raise ValidationError("numeric cumulants need matrices and N")
-        tv = _cycle_traces(matrices, n, mode)
+    elif matrices is None or n is None:
+        raise ValidationError("numeric cumulants need matrices and N")
+    tv = _cycle_traces(matrices, n, mode) if trace_value is None \
+        else functools.lru_cache(maxsize=None)(trace_value)
+    if kappa is not None:
+        kappa = functools.lru_cache(maxsize=None)(kappa)
+    exact = symbolic or mode == "exact"
 
     glu = _Gluings(expr, tables, term_cap)
-    trace_of = {k: t for t, cyc in enumerate(expr.cycles) for k in cyc}
+    trace_of = {s * k: t for t, cyc in enumerate(expr.cycles) for k in cyc for s in (1, -1)}
+    # the (size, traces) of each block of each option's join; options hold
+    # dicts and do not hash, so they are keyed by identity
+    block_shape = {id(opt): tuple((len(b), frozenset(trace_of[pts[i]] for i in b))
+                                  for b in opt.pair.blocks)
+                   for pts, opts in zip(glu.points, glu.choices) for opt in opts}
+    order = glu.ker_order
     ground = expr.positions
     c_cache: dict[tuple, PolyFrac] = {}
     c_at_n: dict[tuple, Fraction] = {}
 
-    def relative_cumulant(blocks: Sequence[tuple[int, ...]],
-                          rho: tuple[tuple[int, ...], ...]) -> tuple:
-        """Key of C_{pi,pi,rho}: the sizes of pi's blocks inside each block of rho."""
-        key = tuple(sorted(tuple(sorted(len(blocks[j]) for j in g)) for g in rho))
-        if key not in c_cache:
+    def build_cumulants(combo: tuple[_Option, ...], hits: list[tuple[tuple, tuple]]) -> None:
+        """C_{pi,pi,rho} for each key of hits not built yet, on this gluing's blocks."""
+        blocks = None
+        for key, rho in hits:
+            if key in c_cache:
+                continue
+            if blocks is None:
+                blocks, _ = glu.rho_choices(combo)
             pi = SetPartition(blocks, ground=ground)
             rho_part = SetPartition([[k for j in g for k in blocks[j]] for g in rho],
                                     ground=ground)
             c_cache[key] = wg_cumulant(tables, pi, pi, rho_part)
             if not symbolic:
                 c_at_n[key] = c_cache[key].eval_at(n)
-        return key
 
-    weights: dict[tuple, Fraction] = {}  # symbolic: trace weight per (N exponent, key)
-    total_num = Fraction(0) if mode == "exact" else 0.0
+    scans: dict[tuple, list[tuple[tuple, tuple]]] = {}  # (shape, tau) -> connecting rhos
+    sums: dict[tuple, Fraction] = {}  # exact and symbolic: k_tau summed per (chi, shape, tau)
+    floats: dict[tuple, list[float]] = {}  # float: each hit's coefficient per (chi, shape, tau)
+    total_num = 0.0
     for combo in glu.combos():
         chi, _, _, vertex, labels = glu.term_for(combo)
-        blocks, rhos = glu.rho_choices(combo)
-        block_traces = [{trace_of[k] for k in b} for b in blocks]
-        s = len(vertex)
-        tau_choices = [tuple((i,) for i in range(s))] if kappa is None \
-            else _block_partitions((s,))
-        for tau_blocks in tau_choices:
+        shape = (tuple(frozenset(map(trace_of.__getitem__, c)) for c in vertex),
+                 tuple(block_shape[id(combo[i])] for i in order))
+        tau_choices = [tuple((i,) for i in range(len(vertex)))] if kappa is None \
+            else _block_partitions((len(vertex),))
+        for t, tau_blocks in enumerate(tau_choices):
             k_tau = Fraction(1)
             for blk in tau_blocks:
                 k_tau *= tv(labels[blk[0]]) if len(blk) == 1 else \
                     kappa(tuple(labels[i] for i in blk))
             if not k_tau:
                 continue
-            # the components of phi v tau_sigma, each trace named by its root trace
-            comp = _roots(r, ({trace_of[abs(k)] for i in blk for k in vertex[i]}
-                              for blk in tau_blocks))
-            block_comps = [{comp[t] for t in ts} for ts in block_traces]
-            for rho in rhos:
-                roots = _roots(r, ((c for j in g for c in block_comps[j]) for g in rho))
-                if len({roots[c] for c in comp}) != 1:
-                    continue
-                key = relative_cumulant(blocks, rho)
-                if symbolic:
-                    weights[chi - r, key] = weights.get((chi - r, key), 0) + Fraction(k_tau)
-                else:
-                    coeff = c_at_n[key] * Fraction(n) ** (chi - r)
-                    total_num = total_num + (coeff * k_tau if mode == "exact"
-                                             else float(coeff) * k_tau)
+            hits = scans.get((shape, t))
+            if hits is None:
+                hits = scans[shape, t] = _connecting_rhos(r, *shape, tau_blocks)
+            entry = (chi, shape, t)
+            if exact:
+                if not symbolic and not isinstance(k_tau, Fraction):
+                    raise ValidationError("exact cumulants need rational vertex-trace "
+                                          f"values, got {k_tau!r}")
+                if entry not in sums:
+                    build_cumulants(combo, hits)
+                    sums[entry] = Fraction(0)
+                sums[entry] += Fraction(k_tau)
+            else:
+                coeffs = floats.get(entry)
+                if coeffs is None:
+                    build_cumulants(combo, hits)
+                    coeffs = floats[entry] = [float(c_at_n[key] * Fraction(n) ** (chi - r))
+                                              for key, _ in hits]
+                for coeff in coeffs:
+                    total_num = total_num + coeff * k_tau
+    if not exact:
+        return total_num
+    weights: dict[tuple, Fraction] = {}  # per (N exponent, key), in first-hit order
+    for (chi, shape, t), k_sum in sums.items():
+        for key, _ in scans[shape, t]:
+            weights[chi - r, key] = weights.get((chi - r, key), 0) + k_sum
     if symbolic:
         return sum((c_cache[key] * _scaled_n_power(e, w)
                     for (e, key), w in weights.items() if w), PolyFrac(0))
-    return total_num
+    return sum((c_at_n[key] * Fraction(n) ** e * w for (e, key), w in weights.items()),
+               Fraction(0))
 
 
 def _scaled_n_power(k: int, c: Fraction) -> PolyFrac:

@@ -272,8 +272,15 @@ def trace_along(cycles: Iterable[Sequence[int]], matrices: Mapping[int, DenseMat
 # -- Haar sampling ------------------------------------------------------------
 
 
+def _check_seed(seed: int) -> None:
+    """A seed is the first of the two unsigned 64-bit words of a Philox key."""
+    if not 0 <= seed < 2 ** 64:
+        raise ValidationError(f"seed must lie in 0..2**64 - 1, got {seed}")
+
+
 def sample_rng(seed: int, index: int) -> np.random.Generator:
     """Independent counter-based substream for one sample."""
+    _check_seed(seed)
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
@@ -411,6 +418,7 @@ def _mean_estimate(sample_chunk, samples: int, seed: int, workers: int) -> McEst
     """Sample mean and its standard error, summed in fixed chunk order."""
     if samples < 1:
         raise ValidationError(f"need at least one sample, got {samples}")
+    _check_seed(seed)
     total, total2, count = _kahan_total(_chunk_values(sample_chunk, samples, workers))
     mean = total / count
     var = max(total2 / count - mean * mean, 0.0) * count / max(count - 1, 1)
@@ -482,6 +490,7 @@ def mc_cumulant(exprs: Sequence, matrices: Mapping[int, DenseMatrix], n: int,
     if samples + (-samples // batches) < order:
         raise ValidationError(
             f"{samples} samples leave fewer than {order} per jackknife estimate")
+    _check_seed(seed)
     compiled = [_expr_sampler(e, matrices, n) for e in exprs]
     all_colors = sorted({c for _, cols in compiled for c in cols})
     column = {c: j for j, c in enumerate(all_colors)}

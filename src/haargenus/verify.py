@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .errors import ValidationError
 from .expansion import TraceExpression, evaluate_moment
 from .matrixlab import DenseMatrix, brute_force_moment, mc_moment
 from .noncross import (AnnularFrame, biane_criterion, is_annular_noncrossing,
@@ -199,6 +200,8 @@ def oracle_battery(seed: int = 20240, count: int = 60) -> list[tuple[TraceExpres
 def oracle_suite(seed: int = 20240, count: int = 60, tables: TableSet | None = None) -> dict:
     """Exact equality of the genus-expansion evaluator and the entrywise
     brute-force oracle on the generated battery."""
+    if count < 1:
+        raise ValidationError(f"the oracle suite needs at least one case, got {count}")
     tables = tables or TableSet()
     cases = oracle_battery(seed, count)
     discrepancies = []

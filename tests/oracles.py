@@ -94,7 +94,8 @@ def join_trace_cumulant(exprs, *, matrices=None, n=None, mode="exact", trace_val
     total = Fraction(0) if mode == "exact" else 0.0
     for combo in glu.combos():
         chi, _, _, vertex, labels = glu.term_for(combo)
-        pi = SetPartition([b for opt in combo for b in opt.blocks], ground=ground)
+        pi = SetPartition([b for p_plus, p_minus in glu.pairings(combo)
+                           for b in (p_plus | p_minus).blocks], ground=ground)
         s = len(vertex)
         if kappa is None:
             tau_choices = [tuple((i,) for i in range(s))]

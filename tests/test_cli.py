@@ -51,6 +51,12 @@ class TestWg:
     def test_validation_exit_code(self):
         assert main(["wg", "--n", "5"]) == 2
 
+    @pytest.mark.parametrize("lam", ["3", "1", "a", "2,x", "0,2", ""])
+    def test_bad_diagram_exit_code(self, capsys, lam):
+        assert main(["wg", "--n", "4", "--lambda", lam]) == 2
+        err = capsys.readouterr().err
+        assert repr(lam) in err and "partition of n/2 = 2" in err
+
 
 class TestMoment:
     def test_exact_value(self, expr_path, capsys):
@@ -135,6 +141,12 @@ class TestCumulant:
         out = json.loads(capsys.readouterr().out)
         assert out["order"] == 2 and "/" in out["value"]
 
+    def test_no_arguments_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "exprs.json"
+        path.write_text(json.dumps({"exprs": [], "matrices": MOMENT_EXPR["matrices"]}))
+        assert main(["cumulant", "--exprs", str(path), "--N", "2"]) == 2
+        assert "at least one expression" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_noncross_clean(self, capsys):
@@ -155,6 +167,24 @@ class TestVerify:
         third = run_cli(args + ["--workers", "1"])
         assert first.returncode == 0
         assert first.stdout == second.stdout == third.stdout
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_oracle_count_exit_code(self, capsys, monkeypatch, count):
+        import haargenus.verify as verify
+
+        def battery(*args):
+            raise AssertionError("cases generated")
+
+        monkeypatch.setattr(verify, "oracle_battery", battery)
+        assert main(["verify", "--suite", "oracle", "--count", count]) == 2
+        assert "at least one case" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_mc_seed_range_exit_code(self, expr_path, seed):
+        result = run_cli(["verify", "--suite", "mc", "--expr", expr_path, "--N", "2",
+                          "--samples", "100", "--seed", seed])
+        assert result.returncode == 2
+        assert "seed" in result.stderr and "Traceback" not in result.stderr
 
     def test_mc_worker_count_exit_code(self, expr_path, capsys):
         for workers in ("0", "-2"):

@@ -6,10 +6,13 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from haargenus.errors import CapExceededError, PoleError, ValidationError
-from haargenus.expansion import (TERM_CAP, TraceExpression, _Gluings, asymptotic_moment,
-                                 center_slots, check_conjugated_color_consistency,
+from haargenus.expansion import (TERM_CAP, TraceExpression, _Gluings, _pairing_table,
+                                 asymptotic_moment, center_slots,
+                                 check_conjugated_color_consistency,
                                  concatenate, evaluate_moment, expand_moment,
                                  moment_symbolic, predicted_second_order_cov,
                                  to_unnormalized, trace_cumulant)
@@ -17,8 +20,8 @@ from haargenus.matrixlab import DenseMatrix, brute_force_moment, trace_along
 from haargenus.permap import (K_inverse, Premap, delta_eps_conjugate, euler_characteristic,
                               pairings_to_premap, particular_cycles)
 from haargenus.ratpoly import PolyFrac, format_polyfrac
-from haargenus.setpart import (SetPartition, enumerate_interval, enumerate_partitions,
-                               kernel_of, mobius)
+from haargenus.setpart import (SetPartition, enumerate_interval, enumerate_pairings,
+                               enumerate_partitions, kernel_of, mobius)
 from haargenus.weingarten import TableSet, pairing_join_diagram
 from oracles import join_trace_cumulant
 
@@ -152,6 +155,20 @@ def random_expression(rng, max_positions=8):
                            {k: rng.choice((0, 1, 2, -1, -3)) for k in range(1, n + 1)})
 
 
+def relabel_positions(expr, mapping):
+    """The same expression with position k renamed mapping[k]."""
+    return TraceExpression([[mapping[k] for k in c] for c in expr.cycles],
+                           {mapping[k]: v for k, v in expr.eps.items()},
+                           {mapping[k]: v for k, v in expr.color.items()},
+                           {mapping[k]: v for k, v in expr.slot.items()})
+
+
+def scattered(expr, rng):
+    """Relabel the positions of an expression onto random, gapped values."""
+    targets = rng.sample(range(1, 4 * expr.n + 1), expr.n)
+    return relabel_positions(expr, dict(zip(expr.positions, targets)))
+
+
 class TestGluingKernel:
     def test_against_premap_oracle(self):
         rng = random.Random(2024)
@@ -163,17 +180,58 @@ class TestGluingKernel:
             phi = expr.phi()
             for combo in rng.sample(combos, min(30, len(combos))):
                 chi, exponent, lambdas, vertex, labels = glu.term_for(combo)
-                arcs = {k: v for opt in combo for k, v in opt.arcs.items()}
-                expected = {k: v for opt in combo
-                            for k, v in pairings_to_premap(opt.p_plus, opt.p_minus)._map.items()}
+                arcs = glu.arcs(combo)
+                pairings = glu.pairings(combo)
+                expected = {k: v for p_plus, p_minus in pairings
+                            for k, v in pairings_to_premap(p_plus, p_minus)._map.items()}
                 assert arcs == expected
                 conj = delta_eps_conjugate(Premap(arcs), expr.eps)
                 assert chi == euler_characteristic(phi, conj)
                 assert exponent == chi - 2 * expr.num_traces
                 assert vertex == particular_cycles(K_inverse(phi, conj))
                 assert labels == expr.label_cycles(vertex)
-                assert lambdas == tuple(pairing_join_diagram(opt.p_plus, opt.p_minus)
-                                        for opt in combo)
+                assert lambdas == tuple(pairing_join_diagram(p_plus, p_minus)
+                                        for p_plus, p_minus in pairings)
+
+    def test_expand_moment_terms_on_scattered_positions(self):
+        # each colour's shared table, built on 1..m, is relabelled onto that
+        # colour's positions, which here interleave and leave gaps
+        rng = random.Random(60)
+        gapped = 0
+        for _ in range(15):
+            expr = scattered(random_expression(rng, max_positions=6), rng)
+            by_color = expr.positions_by_color()
+            gapped += any(pts[-1] - pts[0] >= len(pts) for pts in by_color.values())
+            phi = expr.phi()
+            terms = list(expand_moment(expr, TABLES))
+            per_colour = [[(p, q) for p in enumerate_pairings(pts) for q in enumerate_pairings(pts)]
+                          for pts in by_color.values()]
+            assert [t.pairings for t in terms] == list(itertools.product(*per_colour))
+            for t in terms:
+                alpha = Premap({k: v for p, q in t.pairings
+                                for k, v in pairings_to_premap(p, q)._map.items()})
+                assert t.arcs == alpha._map and t.alpha == alpha
+                conj = delta_eps_conjugate(alpha, expr.eps)
+                assert t.chi == euler_characteristic(phi, conj)
+                assert t.vertex_cycles == particular_cycles(K_inverse(phi, conj))
+                assert t.vertex_labels == expr.label_cycles(t.vertex_cycles)
+                assert t.lambdas == tuple(pairing_join_diagram(p, q) for p, q in t.pairings)
+        assert gapped >= 10
+
+    def test_pairing_table_one_entry_per_colour_size(self):
+        # the shared tables are keyed by colour size: a key per point set
+        # would keep one table per distinct set of positions
+        _pairing_table.cache_clear()
+        rng = random.Random(61)
+        sizes, point_sets = set(), set()
+        for _ in range(24):
+            expr = scattered(random_expression(rng), rng)
+            for pts in expr.positions_by_color().values():
+                sizes.add(len(pts))
+                point_sets.add(tuple(pts))
+            asymptotic_moment(expr, TABLES)
+        assert len(point_sets) > 2 * len(sizes)
+        assert _pairing_table.cache_info().currsize == len(sizes)
 
     def test_grouping_counts_the_stream(self):
         rng = random.Random(7)
@@ -194,7 +252,8 @@ class TestGluingKernel:
             for combo in rng.sample(list(glu.combos()), min(5, glu.total)):
                 blocks, rhos = glu.rho_choices(combo)
                 pi = SetPartition(blocks)
-                assert pi == SetPartition([b for opt in combo for b in opt.blocks])
+                assert pi == SetPartition([b for p_plus, p_minus in glu.pairings(combo)
+                                           for b in (p_plus | p_minus).blocks])
                 assert [SetPartition([[k for j in g for k in blocks[j]] for g in rho])
                         for rho in rhos] == list(enumerate_interval(pi, ker))
 
@@ -344,6 +403,17 @@ class TestTraceCumulant:
         assert trace_cumulant(ys, matrices=x, n=n, tables=TABLES) == \
             self._oracle(ys, x, n, 3)
 
+    def test_no_arguments_rejected(self):
+        with pytest.raises(ValidationError):
+            trace_cumulant([], matrices={1: DenseMatrix([[1]])}, n=1, tables=TABLES)
+
+    def test_exact_mode_rejects_float_trace_values(self):
+        y = TraceExpression.single_trace([(1, 1, 1), (1, -1, 2)])
+        with pytest.raises(ValidationError, match="rational"):
+            trace_cumulant([y, y], trace_value=lambda c: 0.5, n=3, tables=TABLES)
+        assert isinstance(trace_cumulant([y, y], trace_value=lambda c: 0.5, n=3, mode="float",
+                                         tables=TABLES), float)
+
     def test_multi_trace_rejected(self):
         e = TraceExpression([(1,), (2,)], {1: 1, 2: 1}, {1: 1, 2: 1}, {1: 1, 2: 1})
         with pytest.raises(ValidationError):
@@ -483,6 +553,216 @@ class TestCumulantAgainstJoins:
                 kw = dict(trace_value=lambda c: cast(tv(c)), kappa=lambda c: cast(kappa(c)),
                           n=n, mode=mode, tables=TABLES)
                 assert repr(trace_cumulant(exprs, **kw)) == repr(join_trace_cumulant(exprs, **kw))
+
+
+def random_cumulant_args(rng, slots, counts=((2,), (4,), (6,), (2, 2), (4, 2), (2, 4),
+                                             (2, 2, 2), (4, 2, 2))):
+    """1-3 single traces over 1-3 colours; slots are distinct labels (each
+    transposed or not) or drawn from a small alphabet with repeats."""
+    counts = rng.choice(counts)
+    colours = [c for c, m in zip(rng.sample([1, 2, 7], len(counts)), counts) for _ in range(m)]
+    rng.shuffle(colours)
+    total = len(colours)
+    cuts = sorted(rng.sample(range(1, total), rng.randint(0, min(2, total - 1))))
+    labels = iter(range(1, total + 1))
+    exprs = []
+    for a, b in zip([0] + cuts, cuts + [total]):
+        exprs.append(TraceExpression.single_trace(
+            [(colours.pop(), rng.choice((1, -1)),
+              next(labels) * rng.choice((1, -1)) if slots == "distinct"
+              else rng.choice((0, 1, -1, 2, -2)))
+             for _ in range(b - a)]))
+    return exprs
+
+
+class TestCumulantShapes:
+    """trace_cumulant scans connectivity once per gluing shape and memoises
+    the caller's callbacks; the oracle joins SetPartitions for every gluing."""
+
+    @pytest.mark.parametrize("slots", ["distinct", "alphabet"])
+    def test_against_joins_one_to_three_colours(self, slots):
+        rng = random.Random(53 if slots == "distinct" else 54)
+        for _ in range(8):
+            exprs = random_cumulant_args(rng, slots)
+            n = rng.randint(3, 4)
+            x = {l: rational_matrix(rng, n) for l in range(1, 9)}
+            for mode in ("exact", "float"):
+                got = trace_cumulant(exprs, matrices=x, n=n, mode=mode, tables=TABLES)
+                want = join_trace_cumulant(exprs, matrices=x, n=n, mode=mode, tables=TABLES)
+                assert repr(got) == repr(want)
+            block = {l: rational_matrix(rng, 2) for l in range(1, 9)}
+
+            def tv(cycle):
+                return _trace_value(cycle, block, 2)
+
+            assert trace_cumulant(exprs, symbolic=True, trace_value=tv, tables=TABLES) == \
+                join_trace_cumulant(exprs, symbolic=True, trace_value=tv, tables=TABLES)
+
+    @pytest.mark.parametrize("slots", ["distinct", "alphabet"])
+    def test_kappa_against_joins(self, slots):
+        rng = random.Random(55 if slots == "distinct" else 56)
+        for _ in range(6):
+            exprs = random_cumulant_args(rng, slots, counts=((2,), (4,), (2, 2), (4, 2),
+                                                             (2, 2, 2)))
+            n = rng.randint(4, 6)
+            block = {l: rational_matrix(rng, 2) for l in range(1, 7)}
+
+            def tv(cycle):
+                return _trace_value(cycle, block, 2)
+
+            def kappa(cycles):
+                return Fraction(len(cycles), 1 + sum(map(len, cycles))) * tv(cycles[0])
+
+            for mode, cast in (("exact", Fraction), ("float", float)):
+                kw = dict(trace_value=lambda c: cast(tv(c)), kappa=lambda c: cast(kappa(c)),
+                          n=n, mode=mode, tables=TABLES)
+                assert repr(trace_cumulant(exprs, **kw)) == repr(join_trace_cumulant(exprs, **kw))
+            kw = dict(trace_value=tv, kappa=kappa, symbolic=True, tables=TABLES)
+            assert trace_cumulant(exprs, **kw) == join_trace_cumulant(exprs, **kw)
+
+    def test_callbacks_called_once_per_argument(self):
+        rng = random.Random(57)
+        for slots in ("distinct", "alphabet"):
+            for _ in range(5):
+                exprs = random_cumulant_args(rng, slots, counts=((4,), (6,), (4, 2), (2, 2, 2)))
+                block = {l: rational_matrix(rng, 2) for l in range(1, 7)}
+                calls, kappa_calls = Counter(), Counter()
+
+                def tv(cycle):
+                    calls[cycle] += 1
+                    return _trace_value(cycle, block, 2)
+
+                def kappa(cycles):
+                    kappa_calls[cycles] += 1
+                    return Fraction(len(cycles), 1 + sum(map(len, cycles)))
+
+                trace_cumulant(exprs, symbolic=True, trace_value=tv, tables=TABLES)
+                assert calls and max(calls.values()) == 1
+                calls.clear()
+                trace_cumulant(exprs, trace_value=tv, kappa=kappa, n=4, tables=TABLES)
+                assert max(calls.values()) == 1
+                assert max(kappa_calls.values(), default=1) == 1
+
+
+# -- metamorphic properties ----------------------------------------------------
+
+META_N = 4
+META_MATRICES = {l: rational_matrix(random.Random(70 + l), META_N) for l in (1, 2)}
+META_BLOCKS = {l: rational_matrix(random.Random(80 + l), 2) for l in (1, 2)}
+
+
+def _block_trace(cycle):
+    return _trace_value(cycle, META_BLOCKS, 2)
+
+
+@st.composite
+def small_expressions(draw):
+    """1-3 traces over 1-3 colours on at most 6 positions."""
+    counts = draw(st.sampled_from([(2,), (4,), (6,), (2, 2), (4, 2), (2, 2, 2)]))
+    colours = draw(st.permutations([c for c, m in zip((1, 2, 5), counts) for _ in range(m)]))
+    n = len(colours)
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=2))) if n > 1 else []
+    eps = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    slots = draw(st.lists(st.sampled_from((0, 1, -1, 2, -2)), min_size=n, max_size=n))
+    return TraceExpression([range(a + 1, b + 1) for a, b in zip([0, *cuts], [*cuts, n])],
+                           dict(enumerate(eps, 1)), dict(enumerate(colours, 1)),
+                           dict(enumerate(slots, 1)))
+
+
+def single_traces(expr):
+    """The traces of an expression as single-trace expressions."""
+    return [TraceExpression.single_trace([(expr.color[k], expr.eps[k], expr.slot[k])
+                                          for k in c]) for c in expr.cycles]
+
+
+def rename_colours(expr, names):
+    return TraceExpression(expr.cycles, expr.eps, {k: names[c] for k, c in expr.color.items()},
+                           expr.slot)
+
+
+def rotate_trace(expr, t, shift):
+    cycles = list(expr.cycles)
+    shift %= len(cycles[t])
+    cycles[t] = cycles[t][shift:] + cycles[t][:shift]
+    return TraceExpression(cycles, expr.eps, expr.color, expr.slot)
+
+
+def transposed_reversal(expr, t):
+    """tr(O_1^e_1 X_1 ... O_m^e_m X_m) as the trace of its transpose,
+    tr(O_m^-e_m X_(m-1)^T ... O_1^-e_1 X_m^T), on the same positions."""
+    cyc = expr.cycles[t]
+    eps, color, slot = dict(expr.eps), dict(expr.color), dict(expr.slot)
+    for j, k in enumerate(cyc):
+        src = len(cyc) - 1 - j
+        eps[k] = -expr.eps[cyc[src]]
+        color[k] = expr.color[cyc[src]]
+        slot[k] = -expr.slot[cyc[src - 1]]
+    return TraceExpression(expr.cycles, eps, color, slot)
+
+
+def moment_values(expr):
+    return (evaluate_moment(expr, META_MATRICES, META_N, tables=TABLES).value,
+            moment_symbolic(expr, _block_trace, tables=TABLES))
+
+
+def cumulant_values(exprs):
+    return (trace_cumulant(exprs, matrices=META_MATRICES, n=META_N, tables=TABLES),
+            trace_cumulant(exprs, symbolic=True, trace_value=_block_trace, tables=TABLES))
+
+
+META_SETTINGS = settings(max_examples=15, deadline=None)
+
+
+class TestMetamorphic:
+    """Renaming colours or positions, or writing a trace or a product of
+    traces in another equal form, leaves every value unchanged."""
+
+    @META_SETTINGS
+    @given(small_expressions(), st.permutations([3, 4, 8]))
+    def test_rename_colours(self, expr, names):
+        names = dict(zip((1, 2, 5), names))
+        assert moment_values(rename_colours(expr, names)) == moment_values(expr)
+        args = single_traces(expr)
+        assert cumulant_values([rename_colours(e, names) for e in args]) == \
+            cumulant_values(args)
+
+    @META_SETTINGS
+    @given(small_expressions(), st.randoms(use_true_random=False))
+    def test_relabel_positions(self, expr, rng):
+        assert moment_values(scattered(expr, rng)) == moment_values(expr)
+        args = single_traces(expr)
+        assert cumulant_values([scattered(e, rng) for e in args]) == cumulant_values(args)
+
+    @META_SETTINGS
+    @given(small_expressions(), st.data())
+    def test_rotate_a_trace(self, expr, data):
+        t = data.draw(st.integers(0, expr.num_traces - 1))
+        shift = data.draw(st.integers(1, 5))
+        assert moment_values(rotate_trace(expr, t, shift)) == moment_values(expr)
+        args = single_traces(expr)
+        args_rotated = list(args)
+        args_rotated[t] = rotate_trace(args[t], 0, shift)
+        assert cumulant_values(args_rotated) == cumulant_values(args)
+
+    @META_SETTINGS
+    @given(small_expressions(), st.data())
+    def test_transposed_reversal(self, expr, data):
+        t = data.draw(st.integers(0, expr.num_traces - 1))
+        assert moment_values(transposed_reversal(expr, t)) == moment_values(expr)
+        args = single_traces(expr)
+        args_reversed = list(args)
+        args_reversed[t] = transposed_reversal(args[t], 0)
+        assert cumulant_values(args_reversed) == cumulant_values(args)
+
+    @META_SETTINGS
+    @given(small_expressions(), st.data())
+    def test_permute_traces_and_arguments(self, expr, data):
+        order = data.draw(st.permutations(range(expr.num_traces)))
+        permuted = TraceExpression([expr.cycles[i] for i in order], expr.eps, expr.color,
+                                   expr.slot)
+        assert moment_values(permuted) == moment_values(expr)
+        args = single_traces(expr)
+        assert cumulant_values([args[i] for i in order]) == cumulant_values(args)
 
 
 class TestColorConsistency:

@@ -286,6 +286,21 @@ class TestMonteCarlo:
             with pytest.raises(ValidationError):
                 mc_cumulant([expr] * 2, x, 2, samples=100, seed=1, order=2, workers=workers)
 
+    def test_seed_range_validated_before_sampling(self, no_sampling):
+        # a seed is one unsigned 64-bit word of the Philox key
+        x = {1: DenseMatrix.identity(2)}
+        expr = TraceExpression.single_trace([(1, 1, 1), (1, -1, 1)])
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ValidationError, match="seed"):
+                mc_moment(expr, x, 2, samples=100, seed=seed)
+            with pytest.raises(ValidationError, match="seed"):
+                mc_entry_moment(2, {(1, 1): 2}, samples=100, seed=seed)
+            with pytest.raises(ValidationError, match="seed"):
+                mc_cumulant([expr] * 2, x, 2, samples=100, seed=seed, order=2)
+            with pytest.raises(ValidationError, match="seed"):
+                sample_rng(seed, 0)
+        sample_rng(2 ** 64 - 1, 0)
+
     def test_entry_moment_inputs_validated_before_sampling(self, no_sampling):
         for powers in ({(0, 1): 2},        # row 0 would wrap to row N
                        {(4, 1): 2},        # out of range at N = 3
