@@ -12,6 +12,13 @@ Gaussian draws, makes one batched QR with the sign fix and evaluates the
 statistic on the stack.  Values are summed in sample order with
 compensated summation, so a result is reproducible bit for bit for a given
 seed and depends on neither the chunk size nor the worker count.
+
+`workers` caps the threads; they are used only when N >= MC_THREAD_MIN_N.
+Below that a chunk is mostly short numpy calls between Python steps (the
+rekey, a small draw, the QR wrapper), each holding the GIL, so threads pass
+the lock back and forth and lose: on a 2-vCPU host with BLAS on one thread,
+`mc_moment` (4 positions, 512 samples, one colour) took 1.1-1.6x as long on
+two threads as on one for N = 8-24, the same at N = 32 and 0.64x at 48.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from .setpart import enumerate_pairings
 
 RNG_NAME = "philox4x64"
 MC_CHUNK = 64
+MC_THREAD_MIN_N = 32  # smallest N whose chunks run on threads; see above
 
 
 class DenseMatrix:
@@ -312,9 +320,12 @@ def _haar_chunk(n: int, count: int, seed: int, start: int, stop: int) -> np.ndar
              "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
              "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
+    keys = np.empty((stop - start, 2), dtype=np.uint64)
+    keys[:, 0] = seed
+    keys[:, 1] = np.arange(start, stop, dtype=np.uint64)
     z = np.empty((stop - start, count, n, n))
-    for j, i in enumerate(range(start, stop)):
-        state["state"]["key"] = np.array([seed, i], dtype=np.uint64)
+    for j, key in enumerate(keys):
+        state["state"]["key"] = key
         bitgen.state = state
         rng.standard_normal((count, n, n), out=z[j])
     return _haar_from_gaussian(z)
@@ -393,17 +404,20 @@ def _kahan_total(chunks: Iterable[list[float]]) -> tuple[float, float, int]:
     return total, total2, count
 
 
-def _chunk_values(sample_chunk, samples: int, workers: int) -> list[list]:
+def _chunk_values(sample_chunk, n: int, samples: int, workers: int) -> list[list]:
     """Per-sample values from `sample_chunk(start, stop)` over the fixed grid of
-    MC_CHUNK-sample chunks, in chunk order, on up to `workers` threads.  A
-    sample's value depends only on its index, so neither the chunk size nor the
-    worker count changes any value."""
+    MC_CHUNK-sample chunks, in chunk order.  Chunks of N x N samples with
+    N >= MC_THREAD_MIN_N run on up to `workers` threads; smaller ones run on the
+    calling thread.  A sample's value depends only on its index, so neither the
+    chunk size nor the thread count changes any value."""
     if workers < 1:
         raise ValidationError(f"need at least one worker, got {workers}")
-    import os  # only to size the pool; kept out of the module's import time
-
     starts = range(0, samples, MC_CHUNK)
-    threads = min(workers, len(starts), os.cpu_count() or 1)
+    threads = 1
+    if n >= MC_THREAD_MIN_N:
+        import os  # only to size the pool; kept out of the module's import time
+
+        threads = min(workers, len(starts), os.cpu_count() or 1)
 
     def run(start: int) -> list:
         return sample_chunk(start, min(start + MC_CHUNK, samples))
@@ -414,14 +428,16 @@ def _chunk_values(sample_chunk, samples: int, workers: int) -> list[list]:
         return list(pool.map(run, starts))
 
 
-def _mean_estimate(sample_chunk, samples: int, seed: int, workers: int) -> McEstimate:
+def _mean_estimate(sample_chunk, n: int, samples: int, seed: int,
+                   workers: int) -> McEstimate:
     """Sample mean and its standard error, summed in fixed chunk order."""
-    if samples < 1:
-        raise ValidationError(f"need at least one sample, got {samples}")
+    if samples < 2:
+        raise ValidationError(f"need at least two samples for a standard error, "
+                              f"got {samples}")
     _check_seed(seed)
-    total, total2, count = _kahan_total(_chunk_values(sample_chunk, samples, workers))
+    total, total2, count = _kahan_total(_chunk_values(sample_chunk, n, samples, workers))
     mean = total / count
-    var = max(total2 / count - mean * mean, 0.0) * count / max(count - 1, 1)
+    var = max(total2 / count - mean * mean, 0.0) * count / (count - 1)
     return McEstimate(mean=mean, std_error=math.sqrt(var / count), samples=count, seed=seed)
 
 
@@ -435,7 +451,7 @@ def mc_moment(expr, matrices: Mapping[int, DenseMatrix], n: int, samples: int,
     def sample_chunk(start: int, stop: int) -> list[float]:
         return statistic(_haar_chunk(n, len(colors), seed, start, stop), column).tolist()
 
-    return _mean_estimate(sample_chunk, samples, seed, workers)
+    return _mean_estimate(sample_chunk, n, samples, seed, workers)
 
 
 def mc_entry_moment(n: int, powers: Mapping[tuple[int, int], int], samples: int,
@@ -460,7 +476,7 @@ def mc_entry_moment(n: int, powers: Mapping[tuple[int, int], int], samples: int,
             values = [v * e ** p for v, e in zip(values, o[:, r, c].tolist())]
         return values
 
-    return _mean_estimate(sample_chunk, samples, seed, workers)
+    return _mean_estimate(sample_chunk, n, samples, seed, workers)
 
 
 def _k_statistic(sums: dict, r: int) -> float:
@@ -504,7 +520,7 @@ def mc_cumulant(exprs: Sequence, matrices: Mapping[int, DenseMatrix], n: int,
 
     per_batch = [dict(count=0, x=0.0, y=0.0, z=0.0, xy=0.0, xz=0.0, yz=0.0, xyz=0.0)
                  for _ in range(batches)]
-    chunks = _chunk_values(sample_chunk, samples, workers)
+    chunks = _chunk_values(sample_chunk, n, samples, workers)
     for i, v in enumerate(itertools.chain.from_iterable(chunks)):
         b = per_batch[(i * batches) // samples]
         b["count"] += 1
@@ -517,12 +533,15 @@ def mc_cumulant(exprs: Sequence, matrices: Mapping[int, DenseMatrix], n: int,
             b["yz"] += v[1] * v[2]
             b["xyz"] += v[0] * v[1] * v[2]
 
+    read = ("count", "x", "y", "xy") + (("z", "xz", "yz", "xyz") if order == 3 else ())
+
     def merged(skip: int | None) -> dict:
+        """Sums over every batch but `skip`, of the keys `_k_statistic` reads."""
         out = dict(count=0, x=0.0, y=0.0, z=0.0, xy=0.0, xz=0.0, yz=0.0, xyz=0.0)
         for b_idx, b in enumerate(per_batch):
             if b_idx == skip:
                 continue
-            for key in out:
+            for key in read:
                 out[key] += b[key]
         return out
 

@@ -186,6 +186,13 @@ class TestVerify:
         assert result.returncode == 2
         assert "seed" in result.stderr and "Traceback" not in result.stderr
 
+    def test_mc_one_sample_exit_code(self, expr_path, capsys):
+        # one sample has no standard error, so no z-score to report
+        assert main(["verify", "--suite", "mc", "--expr", expr_path, "--N", "2",
+                     "--samples", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "two samples" in captured.err and captured.out == ""
+
     def test_mc_worker_count_exit_code(self, expr_path, capsys):
         for workers in ("0", "-2"):
             assert main(["verify", "--suite", "mc", "--expr", expr_path, "--N", "2",

@@ -220,6 +220,31 @@ def no_sampling(monkeypatch):
     monkeypatch.setattr(ml, "haar_orthogonal", sampled)
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replaces the thread pool with a stand-in that records each pool's size and
+    runs the chunks in the calling thread; starts no threads."""
+    import haargenus.matrixlab as ml
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(ml, "ThreadPoolExecutor", RecordingPool)
+    return sizes
+
+
 class TestMonteCarlo:
     def test_moment_concordance(self):
         rng = random.Random(6)
@@ -271,6 +296,11 @@ class TestMonteCarlo:
             mc_moment(expr, x, 2, samples=0, seed=1)
         with pytest.raises(ValidationError):
             mc_entry_moment(2, {(1, 1): 2}, samples=0, seed=1)
+        # one sample has no standard error
+        with pytest.raises(ValidationError, match="two samples"):
+            mc_moment(expr, x, 2, samples=1, seed=1)
+        with pytest.raises(ValidationError, match="two samples"):
+            mc_entry_moment(2, {(1, 1): 2}, samples=1, seed=1)
         for samples, order in [(0, 2), (2, 2), (3, 2), (5, 3)]:
             with pytest.raises(ValidationError):
                 mc_cumulant([expr] * order, x, 2, samples=samples, seed=1, order=order)
@@ -311,29 +341,13 @@ class TestMonteCarlo:
             with pytest.raises(ValidationError):
                 mc_entry_moment(3, powers, samples=64, seed=1)
 
-    def test_thread_pool_is_capped(self, monkeypatch):
+    def test_thread_pool_is_capped(self, monkeypatch, pool_sizes):
         import os
         import haargenus.matrixlab as ml
 
-        sizes = []
-
-        class RecordingPool:
-            """Runs the chunks in the calling thread; starts no threads."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(ml, "ThreadPoolExecutor", RecordingPool)
+        sizes = pool_sizes
         monkeypatch.setattr(ml, "MC_CHUNK", 8)
+        monkeypatch.setattr(ml, "MC_THREAD_MIN_N", 1)
         x = {1: DenseMatrix.identity(2)}
         expr = TraceExpression.single_trace([(1, 1, 1), (1, -1, 1)])
         reference = mc_moment(expr, x, 2, samples=40, seed=1)  # 5 chunks
@@ -346,6 +360,48 @@ class TestMonteCarlo:
             assert sizes == expected
             if samples == 40:
                 assert est == reference
+
+    def test_small_matrices_run_on_the_calling_thread(self, monkeypatch, pool_sizes):
+        # below MC_THREAD_MIN_N no estimator builds a pool, whatever `workers`
+        import os
+        import haargenus.matrixlab as ml
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(ml, "MC_CHUNK", 8)
+        for n, expected in [(ml.MC_THREAD_MIN_N - 1, []), (ml.MC_THREAD_MIN_N, [4])]:
+            x = {1: DenseMatrix(arr=np.eye(n))}
+            expr = TraceExpression.single_trace([(1, 1, 1), (1, -1, 1)])
+            for estimate in (lambda: mc_moment(expr, x, n, samples=40, seed=1, workers=4),
+                             lambda: mc_cumulant([expr] * 2, x, n, samples=40, seed=1,
+                                                 order=2, workers=4),
+                             lambda: mc_entry_moment(n, {(1, 1): 2}, samples=40, seed=1,
+                                                     workers=4)):
+                pool_sizes.clear()
+                estimate()
+                assert pool_sizes == expected, n
+
+    def test_threaded_reports_match_at_the_threshold(self):
+        # at MC_THREAD_MIN_N chunks run on real threads; 130 samples make 3 chunks
+        import haargenus.matrixlab as ml
+
+        n = ml.MC_THREAD_MIN_N
+        rng = np.random.default_rng(50)
+        x = {i: DenseMatrix(arr=rng.standard_normal((n, n))) for i in (1, 2, 3)}
+        ys = [TraceExpression.single_trace([(1, 1, 1), (1, -1, 2)]),
+              TraceExpression.single_trace([(1, 1, -2), (2, -1, 0), (2, 1, 3)]),
+              TraceExpression.single_trace([(2, -1, 1), (1, 1, 3)])]
+
+        def reports(workers):
+            return [json.dumps(r.to_json()) for r in (
+                mc_moment(ys[1], x, n, samples=130, seed=51, workers=workers),
+                mc_cumulant(ys, x, n, samples=130, seed=52, order=3, batches=7,
+                            workers=workers),
+                mc_entry_moment(n, {(1, 2): 3, (n, n): 2}, samples=130, seed=53,
+                                workers=workers))]
+
+        expected = reports(1)
+        for workers in (2, 3):
+            assert reports(workers) == expected, workers
 
     def test_smallest_jackknife_sample_counts(self):
         x = {1: DenseMatrix.identity(2)}

@@ -106,6 +106,66 @@ class TestPolyFrac:
         assert format_polyfrac(pf((5,), (3,))) == "5/3"
 
 
+def _random_polyfrac(rng):
+    """A fraction with small integer coefficients and shared linear factors
+    (N + r), so that reduction has common factors and content to cancel."""
+    def part():
+        p = poly([rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]) or (1,)
+        for _ in range(rng.randint(0, 2)):
+            p = pmul(p, (rng.randint(-3, 3), 1))
+        return pmul(p, (rng.choice([1, 2, 3]),))
+
+    common = (rng.randint(-3, 3), 1) if rng.random() < 0.5 else ONE
+    return pmul(part(), common), pmul(part(), common)
+
+
+class TestSympyOracle:
+    """PolyFrac arithmetic and analysis against sympy on seeded random fractions."""
+
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        n = sympy.Symbol("N")
+
+        def expr(num, den):
+            return sympy.Poly(list(reversed(num)), n).as_expr() / \
+                sympy.Poly(list(reversed(den)), n).as_expr()
+
+        def check(got, want):
+            want = sympy.cancel(want)
+            assert sympy.cancel(expr(got.num, got.den) - want) == 0
+            # lowest terms over Z[N], content included, denominator leading > 0
+            g = sympy.gcd(sympy.Poly(list(reversed(got.num)), n),
+                          sympy.Poly(list(reversed(got.den)), n))
+            assert got.num == () or g.degree() == 0 and abs(g.LC()) == 1
+            assert got.den[-1] > 0
+            wnum, wden = (sympy.Poly(p, n) for p in sympy.fraction(want))
+            assert got.poles() == sorted(int(r) for r in sympy.roots(wden) if r.is_integer)
+            for n0 in range(-4, 5):
+                if wden.eval(n0) == 0:
+                    with pytest.raises(PoleError):
+                        got.eval_at(n0)
+                else:
+                    assert got.eval_at(n0) == Fraction(str(wnum.eval(n0) / wden.eval(n0)))
+            limit = sympy.limit(want, n, sympy.oo)
+            if limit.is_infinite:
+                with pytest.raises(ValidationError):
+                    got.limit_at_infinity()
+            else:
+                assert got.limit_at_infinity() == Fraction(str(limit))
+
+        rng = random.Random(61)
+        for _ in range(15):
+            a, b = _random_polyfrac(rng), _random_polyfrac(rng)
+            x, y = PolyFrac(*a), PolyFrac(*b)
+            ex, ey = expr(*a), expr(*b)
+            check(x, ex)
+            check(x + y, ex + ey)
+            check(x - y, ex - ey)
+            check(x * y, ex * ey)
+            if y:
+                check(x / y, ex / ey)
+
+
 class TestLinearSolvers:
     def test_bareiss_against_fraction_solve(self):
         rng = random.Random(12)
