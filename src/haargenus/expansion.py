@@ -12,8 +12,9 @@ cumulant and by classical cumulants of the vertex traces, keeping only the
 gluings that connect everything.  Which (rho, tau) connect depends only on a
 gluing's shape (the traces each vertex cycle and each join block touch), so
 that scan runs once per shape and tau, on trace indices; SetPartitions are
-built only for a new relative cumulant.  A caller's `trace_value` and `kappa`
-are memoised per call.
+built only for a new relative cumulant, and each relative cumulant is kept on
+the TableSet across calls (evaluated at N once per call).  A caller's
+`trace_value` and `kappa` are memoised per call.
 
 All evaluators share one kernel, `_Gluings`.  Each colour's pairing pairs,
 with their premap arcs, join blocks and join diagrams, depend only on the
@@ -25,9 +26,12 @@ positions only where they are read.  `term_for` turns one choice per colour
 into chi, the N exponent, the join diagrams and the vertex cycles.  Moments
 consume `_Gluings.grouped` (gluing counts per vertex labels, exponent and
 diagrams, in first-seen order), so each Weingarten product is formed once per
-diagrams; numeric traces share one memo per call, and each Weingarten factor
-is evaluated once per N.  Only `expand_moment` builds `ExpansionTerm`s, and a
-term builds its `Premap` only when `alpha` is read.
+diagrams, and each Weingarten factor is evaluated once per N.  Numeric traces
+share one memo per call (`_TraceMemo`); in exact mode it is filled by
+`exact_traces` batches, once per moment and once per block of cumulant
+gluings, while float traces are computed one by one on lookup.  Only
+`expand_moment` builds `ExpansionTerm`s, and a term builds its `Premap` only
+when `alpha` is read.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import CapExceededError, PoleError, ValidationError
-from .matrixlab import DenseMatrix, trace_along
+from .matrixlab import DenseMatrix, exact_traces, trace_along
 from .permap import Premap, SignedPermutation
 from .ratpoly import PolyFrac, monomial
 from .setpart import PARTITION_CAP, SetPartition, YoungDiagram, enumerate_pairings, \
@@ -48,6 +52,7 @@ from .setpart import PARTITION_CAP, SetPartition, YoungDiagram, enumerate_pairin
 from .weingarten import TableSet, wg_cumulant
 
 TERM_CAP = 500_000
+GLUING_BLOCK = 4096  # gluings per batch of exact cumulant traces
 
 _DEFAULT_TABLES: TableSet | None = None
 
@@ -440,19 +445,36 @@ def _resolve_for_mode(matrices: Mapping[int, DenseMatrix], n: int, mode: str):
     return out
 
 
-def _cycle_traces(matrices: Mapping[int, DenseMatrix], n: int,
-                  mode: str) -> Callable[[tuple[int, ...]], object]:
-    """Normalized trace along one label cycle, memoised for one evaluation; the
-    empty cycle (identity factors only) has trace one."""
-    mats = _resolve_for_mode(matrices, n, mode)
-    mats[IDENTITY_SLOT] = DenseMatrix.identity(n, mode=mode)
-    one = 1.0 if mode == "float" else Fraction(1)
+class _TraceMemo(dict):
+    """Normalized traces along label cycles for one evaluation, keyed by cycle;
+    the empty cycle (identity factors only) has trace one.  Calling the memo
+    looks a cycle up and computes a missing one on its own; `fill` computes
+    every exact cycle it does not hold yet in one `exact_traces` batch."""
 
-    @functools.lru_cache(maxsize=None)
-    def trace(cycle: tuple[int, ...]):
-        return trace_along([cycle], mats, normalized=True) if cycle else one
+    def __init__(self, matrices: Mapping[int, DenseMatrix], n: int, mode: str):
+        super().__init__()
+        self.mats = _resolve_for_mode(matrices, n, mode)
+        self.mats[IDENTITY_SLOT] = DenseMatrix.identity(n, mode=mode)
+        self.exact = mode != "float"
+        self[()] = Fraction(1) if self.exact else 1.0
 
-    return trace
+    __call__ = dict.__getitem__
+
+    def __missing__(self, cycle: tuple[int, ...]):
+        value = self[cycle] = trace_along([cycle], self.mats, normalized=True)
+        return value
+
+    def fill(self, cycles: Iterable[tuple[int, ...]]) -> None:
+        """Compute the exact cycles not held yet, in one batch, in first-seen
+        order; float traces stay one by one, on lookup."""
+        if self.exact:
+            fresh = [c for c in dict.fromkeys(cycles) if c not in self]
+            self.update(zip(fresh, exact_traces(fresh, self.mats, normalized=True)))
+
+
+def _cycle_traces(matrices: Mapping[int, DenseMatrix], n: int, mode: str) -> _TraceMemo:
+    """The trace memo of one evaluation, callable on one label cycle."""
+    return _TraceMemo(matrices, n, mode)
 
 
 def _pattern_sum(terms: Iterable[tuple[tuple, Fraction]], trace, mode: str):
@@ -480,6 +502,8 @@ def evaluate_moment(expr: TraceExpression, matrices: Mapping[int, DenseMatrix],
     for (labels, exponent, lambdas), mult in glu.grouped().items():
         coeff = mult * glu.wg_at(lambdas, n) * Fraction(n) ** exponent
         coeff_by_pattern[labels] = coeff_by_pattern.get(labels, 0) + coeff
+    # after every coefficient, so a pole is still reported before a bad trace
+    trace.fill(itertools.chain.from_iterable(coeff_by_pattern))
     return MomentResult(value=_pattern_sum(coeff_by_pattern.items(), trace, mode),
                         term_count=glu.total)
 
@@ -491,8 +515,9 @@ class AsymptoticMoment:
     terms: tuple[tuple[Fraction, tuple[tuple[int, ...], ...]], ...]
 
     def evaluate(self, matrices: Mapping[int, DenseMatrix], n: int, mode: str = "exact"):
-        return _pattern_sum(((pattern, c) for c, pattern in self.terms),
-                            _cycle_traces(matrices, n, mode), mode)
+        trace = _cycle_traces(matrices, n, mode)
+        trace.fill(c for _, pattern in self.terms for c in pattern)
+        return _pattern_sum(((pattern, c) for c, pattern in self.terms), trace, mode)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -582,8 +607,10 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
     once per (shape, tau); exact and symbolic results sum the vertex-trace
     cumulants once per (chi, shape, tau) and expand them into one weight per
     (N exponent, relative cumulant) at the end, while float results add term
-    by term in gluing and rho order.  SetPartitions are built only for a new
-    relative cumulant, for `wg_cumulant`.
+    by term in gluing and rho order.  SetPartitions are built only for a
+    relative cumulant that the tables do not hold yet, for `wg_cumulant`;
+    each is evaluated at N on its first hit in the call.  Exact traces of the
+    built-in matrices are computed one block of GLUING_BLOCK gluings at a time.
 
     Deterministic slot matrices are the built-in path (higher vertex-trace
     cumulants vanish); pass `kappa` to supply them for random slots.  With
@@ -624,30 +651,43 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
                    for pts, opts in zip(glu.points, glu.choices) for opt in opts}
     order = glu.ker_order
     ground = expr.positions
-    c_cache: dict[tuple, PolyFrac] = {}
-    c_at_n: dict[tuple, Fraction] = {}
+    c_cache = tables.relative_cumulants
+    c_at_n: dict[tuple, Fraction | None] = {}  # this call's keys, at N unless symbolic
 
     def build_cumulants(combo: tuple[_Option, ...], hits: list[tuple[tuple, tuple]]) -> None:
-        """C_{pi,pi,rho} for each key of hits not built yet, on this gluing's blocks."""
+        """C_{pi,pi,rho} for each key of hits not met yet in this call, built on
+        this gluing's blocks unless the tables hold it, and evaluated at N."""
         blocks = None
         for key, rho in hits:
-            if key in c_cache:
+            if key in c_at_n:
                 continue
-            if blocks is None:
-                blocks, _ = glu.rho_choices(combo)
-            pi = SetPartition(blocks, ground=ground)
-            rho_part = SetPartition([[k for j in g for k in blocks[j]] for g in rho],
-                                    ground=ground)
-            c_cache[key] = wg_cumulant(tables, pi, pi, rho_part)
-            if not symbolic:
-                c_at_n[key] = c_cache[key].eval_at(n)
+            if key not in c_cache:
+                if blocks is None:
+                    blocks, _ = glu.rho_choices(combo)
+                pi = SetPartition(blocks, ground=ground)
+                rho_part = SetPartition([[k for j in g for k in blocks[j]] for g in rho],
+                                        ground=ground)
+                c_cache[key] = wg_cumulant(tables, pi, pi, rho_part)
+            c_at_n[key] = None if symbolic else c_cache[key].eval_at(n)
+
+    def gluings() -> Iterator[tuple[tuple[_Option, ...], tuple]]:
+        """Each gluing with its `term_for`.  Exact traces of the built-in
+        matrices are filled one block of gluings at a time; float traces and
+        a caller's `trace_value` or `kappa` keep their calls and their order."""
+        if trace_value is not None or kappa is not None or mode != "exact":
+            yield from ((combo, glu.term_for(combo)) for combo in glu.combos())
+            return
+        combos = glu.combos()
+        while block := list(itertools.islice(combos, GLUING_BLOCK)):
+            terms = [glu.term_for(combo) for combo in block]
+            tv.fill(c for term in terms for c in term[4])
+            yield from zip(block, terms)
 
     scans: dict[tuple, list[tuple[tuple, tuple]]] = {}  # (shape, tau) -> connecting rhos
     sums: dict[tuple, Fraction] = {}  # exact and symbolic: k_tau summed per (chi, shape, tau)
     floats: dict[tuple, list[float]] = {}  # float: each hit's coefficient per (chi, shape, tau)
     total_num = 0.0
-    for combo in glu.combos():
-        chi, _, _, vertex, labels = glu.term_for(combo)
+    for combo, (chi, _, _, vertex, labels) in gluings():
         shape = (tuple(frozenset(map(trace_of.__getitem__, c)) for c in vertex),
                  tuple(block_shape[id(combo[i])] for i in order))
         tau_choices = [tuple((i,) for i in range(len(vertex)))] if kappa is None \

@@ -1,9 +1,12 @@
 """Dense matrix arithmetic, Haar orthogonal sampling, Monte Carlo estimators,
 and the entrywise brute-force moment oracle.
 
-Exact matrices hold Fractions; traces along cycles of them run on Python
-ints (each matrix is scaled once to integer entries over one common
-denominator) and form one Fraction per cycle.  Float matrices use numpy.
+Exact matrices hold Fractions.  Traces along cycles of them run as one batch
+(`exact_traces`): each matrix is scaled once to integer entries over one
+common denominator, the cycles of one dimension and length multiply as
+stacks of integer matrices, in int64 where a bound proves that no partial
+sum overflows and on Python ints otherwise, and each cycle forms one
+Fraction.  Float matrices use numpy.
 
 The Monte Carlo estimators use per-sample Philox substreams on a fixed chunk
 grid: sample i draws from the counter-based stream keyed by (seed, i), and
@@ -28,7 +31,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -222,36 +224,76 @@ def resolve_slot(matrices: Mapping[int, DenseMatrix], label: int) -> DenseMatrix
     return base.transpose() if label < 0 else base
 
 
-def _exact_trace(cycle: Sequence[int], matrices: Mapping[int, DenseMatrix],
-                 normalized: bool) -> Fraction:
-    """Trace of the product of exact matrices along one cycle, on integers.
+INT64_LIMIT = 2 ** 63  # a group of cycles runs in int64 only if every bound is below this
 
-    Each factor is its integer form over its denominator, so the product runs
-    on ints and one Fraction is formed at the end (fraction-free, as in
-    Bareiss elimination).  A negative label reads the stored integers by
-    index: the transpose's rows are the matrix's columns.  The last factor is
-    folded into the trace as sum over i, j of P[i][j] B[j][i]."""
-    n = None
-    den = 1
-    factors = []  # (rows, cols) of each factor as it enters the product
-    for label in cycle:
-        m = _slot_matrix(matrices, label)
-        if m.mode != "exact":
-            raise ValidationError("mixed exact and float matrices")
-        if n is not None and m.n != n:
-            raise ValidationError(f"dimension mismatch: {n} vs {m.n}")
-        n = m.n
-        d, rows, cols = m.integer_form()
-        den *= d
-        factors.append((cols, rows) if label < 0 else (rows, cols))
-    prod = factors[0][0]
-    if len(factors) == 1:
-        t = sum(prod[i][i] for i in range(n))
-    else:
-        for _, cols in factors[1:-1]:
-            prod = [[sum(map(mul, row, col)) for col in cols] for row in prod]
-        t = sum(sum(map(mul, row, col)) for row, col in zip(prod, factors[-1][1]))
-    return Fraction(t, den * n if normalized else den)
+
+def exact_traces(cycles: Sequence[Sequence[int]], matrices: Mapping[int, DenseMatrix],
+                 normalized: bool = False) -> list[Fraction]:
+    """Trace of the product of exact matrices along each cycle, as one batch.
+
+    Each factor is its integer form over its denominator, so the products run
+    on integers and one Fraction is formed per cycle at the end (fraction-free,
+    as in Bareiss elimination); a negative label stacks the transpose.  Cycles
+    are grouped by dimension and length L; a group stacks each factor's
+    integers and runs L - 2 stacked products and one fold of the last factor
+    into the trace, sum over i, j of P[i][j] B[j][i].
+
+    No partial sum of a cycle exceeds N^L times the product of max(1, largest
+    |entry|) over its factors, so the cycles whose bound is below 2^63 run in
+    int64 and the others on Python ints (dtype object), by the same code.  No
+    value passes through a float."""
+    info: dict[int, tuple[int, int, int, int]] = {}  # label -> (n, den, max(1, |entry|), index)
+    stacks: dict[int, list] = {}  # n -> (integer rows, max(1, |entry|)) of each label of size n
+    groups: dict[tuple[int, int, bool], list[int]] = {}  # (n, L, fits int64) -> cycle indices
+    dens = []
+    for i, cyc in enumerate(cycles):
+        n = None
+        den = bound = 1
+        for label in cyc:
+            entry = info.get(label)
+            if entry is None:
+                m = _slot_matrix(matrices, label)
+                if m.mode != "exact":
+                    raise ValidationError("mixed exact and float matrices")
+                d, rows, cols = m.integer_form()
+                biggest = max(1, max((abs(v) for r in rows for v in r), default=0))
+                same_size = stacks.setdefault(m.n, [])
+                entry = info[label] = (m.n, d, biggest, len(same_size))
+                same_size.append((cols if label < 0 else rows, biggest))
+            if n is not None and entry[0] != n:
+                raise ValidationError(f"dimension mismatch: {n} vs {entry[0]}")
+            n = entry[0]
+            den *= entry[1]
+            bound *= entry[2]
+        if n is None:
+            raise ValidationError("a trace cycle needs at least one matrix")
+        dens.append(den * n if normalized else den)
+        groups.setdefault((n, len(cyc), n ** len(cyc) * bound < INT64_LIMIT), []).append(i)
+
+    out: list = [None] * len(dens)
+    bases: dict[tuple[int, bool], np.ndarray] = {}  # (n, fits) -> every label's integers
+    for (n, length, fits), members in groups.items():
+        base = bases.get((n, fits))
+        if base is None:
+            stack = stacks[n]
+            if fits:  # a label too large for int64 is never read by a group that fits
+                base = np.array([rows if biggest < INT64_LIMIT else [[0] * n] * n
+                                 for rows, biggest in stack], dtype=np.int64)
+            else:
+                base = np.array([rows for rows, _ in stack], dtype=object)
+            base = bases[n, fits] = base.reshape(len(stack), n, n)
+        index = np.array([[info[label][3] for label in cycles[i]] for i in members],
+                         dtype=np.intp)
+        prod = base[index[:, 0]]
+        if length == 1:
+            traces = prod.diagonal(axis1=1, axis2=2).sum(axis=1)
+        else:
+            for j in range(1, length - 1):
+                prod = prod @ base[index[:, j]]
+            traces = (prod * base[index[:, -1]].swapaxes(1, 2)).sum(axis=(1, 2))
+        for i, t in zip(members, traces.tolist()):
+            out[i] = Fraction(t, dens[i])
+    return out
 
 
 def trace_along(cycles: Iterable[Sequence[int]], matrices: Mapping[int, DenseMatrix],
@@ -259,12 +301,15 @@ def trace_along(cycles: Iterable[Sequence[int]], matrices: Mapping[int, DenseMat
     """Product over cycles of the trace of the matrix product along the cycle.
 
     Cycle entries are signed labels; the normalized variant divides by N once
-    per cycle.  Exact matrices multiply on integers (`_exact_trace`) and give
+    per cycle.  Exact cycles run as one batch of `exact_traces` and give
     Fractions; float matrices multiply in numpy."""
+    cycles = list(cycles)
+    exact = [_slot_matrix(matrices, cyc[0]).mode == "exact" for cyc in cycles]
+    values = iter(exact_traces([c for c, e in zip(cycles, exact) if e], matrices, normalized))
     total = None
-    for cyc in cycles:
-        if _slot_matrix(matrices, cyc[0]).mode == "exact":
-            t = _exact_trace(cyc, matrices, normalized)
+    for cyc, is_exact in zip(cycles, exact):
+        if is_exact:
+            t = next(values)
         else:
             prod = None
             for label in cyc:

@@ -235,6 +235,9 @@ class TableSet:
     def __init__(self, cap: int = WG_CAP):
         self.cap = cap
         self._wg_cache: dict[YoungDiagram, PolyFrac] = {}
+        # relative cumulants C_{pi,pi,rho} built by trace cumulants, keyed by the
+        # sizes of pi's blocks inside each block of rho, which determine them
+        self.relative_cumulants: dict[tuple, PolyFrac] = {}
 
     def table(self, n: int) -> WeingartenTable:
         return weingarten_table(n, cap=self.cap)

@@ -205,3 +205,41 @@ class TestVerify:
                      "--samples", "1000", "--seed", "1", "--out", str(out)]) == 0
         data = json.loads(out.read_text())
         assert {"exact", "mc_mean", "mc_se", "z_score"} <= set(data)
+
+
+class TestParserReuse:
+    """`main` parses with one parser per process; reuse must not change a run."""
+
+    def _runs(self, argvs, capsys):
+        out = []
+        for argv in argvs:
+            code = main(argv)
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    def test_same_reports_as_fresh_parsers(self, expr_path, capsys, monkeypatch):
+        from haargenus import cli
+
+        argvs = [["moment", "--expr", expr_path, "--N", "2"],
+                 ["expand", "--expr", expr_path],
+                 ["wg", "--n", "4", "--eval", "5"],
+                 ["moment", "--expr", expr_path, "--N", "2", "--mode", "float"],
+                 ["moment", "--expr", expr_path],
+                 ["wg", "--n", "4", "--lambda", "2,1"]]
+        assert cli._parser() is cli._parser()
+        reused = self._runs(argvs, capsys)
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = self._runs(argvs, capsys)
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 0, 0, 0, 2, 2]
+
+    def test_bad_flag_still_exits_2(self, expr_path, capsys):
+        assert main(["moment", "--expr", expr_path, "--N", "2"]) == 0
+        for argv in (["moment", "--expr", expr_path, "--bogus"], ["nosuchcommand"], []):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["wg", "--n", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 2

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import sys
@@ -22,8 +23,8 @@ from haargenus.permap import (K_inverse, Premap, delta_eps_conjugate, euler_char
 from haargenus.ratpoly import PolyFrac, format_polyfrac
 from haargenus.setpart import (SetPartition, enumerate_interval, enumerate_pairings,
                                enumerate_partitions, kernel_of, mobius)
-from haargenus.weingarten import TableSet, pairing_join_diagram
-from oracles import join_trace_cumulant
+from haargenus.weingarten import TableSet, pairing_join_diagram, wg_cumulant
+from oracles import fraction_trace_along, join_trace_cumulant
 
 TABLES = TableSet()
 
@@ -642,6 +643,117 @@ class TestCumulantShapes:
                 trace_cumulant(exprs, trace_value=tv, kappa=kappa, n=4, tables=TABLES)
                 assert max(calls.values()) == 1
                 assert max(kappa_calls.values(), default=1) == 1
+
+
+class TestBatchedTraces:
+    """In exact mode each evaluation fills its trace memo in `exact_traces`
+    batches; the values must equal Fraction products on the same cycles,
+    also where entries force the kernel off int64."""
+
+    @staticmethod
+    def _wide(rng, n):
+        span = rng.choice((3, 2**40))
+        return DenseMatrix([[Fraction(rng.randint(-span, span), rng.randint(1, 5))
+                             for _ in range(n)] for _ in range(n)])
+
+    def test_moments_and_limits(self, monkeypatch):
+        from haargenus import expansion
+
+        rng = random.Random(60)
+        batches = []
+        real = expansion.exact_traces
+        monkeypatch.setattr(expansion, "exact_traces",
+                            lambda cycles, *a, **kw: batches.append(list(cycles)) or real(cycles, *a, **kw))
+        for _ in range(10):
+            expr = concatenate(random_single_traces(rng))
+            n = rng.randint(3, 5)
+            x = {l: self._wide(rng, n) for l in (1, 2)}
+
+            def tv(cycle):
+                return fraction_trace_along([cycle], x, normalized=True) if cycle else 1
+
+            batches.clear()
+            got = evaluate_moment(expr, x, n, tables=TABLES).value
+            assert got == moment_symbolic(expr, tv, tables=TABLES).eval_at(n)
+            assert len(batches) == 1 and len(set(batches[0])) == len(batches[0])
+            limit = asymptotic_moment(expr, TABLES)
+            assert limit.evaluate(x, n) == sum(
+                (c * math.prod(map(tv, pattern)) for c, pattern in limit.terms), Fraction(0))
+
+    def test_cumulants_in_blocks(self, monkeypatch):
+        from haargenus import expansion
+
+        rng = random.Random(61)
+        for block in (3, expansion.GLUING_BLOCK):
+            monkeypatch.setattr(expansion, "GLUING_BLOCK", block)
+            for _ in range(6):
+                exprs = random_single_traces(rng)
+                n = rng.randint(3, 5)
+                x = {l: self._wide(rng, n) for l in (1, 2)}
+
+                def tv(cycle):
+                    return fraction_trace_along([cycle], x, normalized=True) if cycle else 1
+
+                got = trace_cumulant(exprs, matrices=x, n=n, tables=TABLES)
+                assert got == trace_cumulant(exprs, trace_value=tv, n=n, tables=TABLES)
+
+
+class TestRelativeCumulantCache:
+    """Trace cumulants keep each relative cumulant C_{pi,pi,rho} on the
+    TableSet, keyed by the sizes of pi's blocks inside each block of rho."""
+
+    def test_cached_values_equal_fresh_cumulants(self):
+        rng = random.Random(58)
+        tables = TableSet()
+        for _ in range(6):
+            exprs = random_cumulant_args(rng, "alphabet")
+            x = {l: rational_matrix(rng, 5) for l in (1, 2)}
+            trace_cumulant(exprs, matrices=x, n=5, tables=tables)
+        assert len(tables.relative_cumulants) > 3
+        fresh = TableSet()
+        for key, value in tables.relative_cumulants.items():
+            # the key fixes the cumulant: any pi and rho with these sizes give it
+            for shuffled in (False, True):
+                points = list(range(1, 1 + sum(map(sum, key))))
+                if shuffled:
+                    rng.shuffle(points)
+                it = iter(points)
+                pi_blocks, rho_blocks = [], []
+                for sizes in key:
+                    pi_blocks += [[next(it) for _ in range(size)] for size in sizes]
+                    rho_blocks.append([k for b in pi_blocks[-len(sizes):] for k in b])
+                pi, rho = SetPartition(pi_blocks), SetPartition(rho_blocks)
+                assert wg_cumulant(fresh, pi, pi, rho) == value
+
+    def test_reuse_across_calls_keeps_values_and_poles(self, monkeypatch):
+        from haargenus import expansion
+
+        built = []
+        real = expansion.wg_cumulant
+        monkeypatch.setattr(expansion, "wg_cumulant",
+                            lambda *args: built.append(args) or real(*args))
+        rng = random.Random(59)
+        exprs = random_cumulant_args(rng, "distinct", counts=((4, 2),))
+        x = {l: rational_matrix(rng, 4) for l in range(1, 7)}
+        tables = TableSet()
+        first = trace_cumulant(exprs, matrices=x, n=4, tables=tables)
+        count = len(built)
+        assert count
+        for mode in ("exact", "float"):
+            assert repr(trace_cumulant(exprs, matrices=x, n=4, mode=mode, tables=tables)) == \
+                repr(join_trace_cumulant(exprs, matrices=x, n=4, mode=mode, tables=TableSet()))
+        assert trace_cumulant(exprs, matrices=x, n=4, tables=tables) == first
+        assert len(built) == count
+        # a pole is raised at N on every call, with the text of fresh tables
+        exprs = [TraceExpression.single_trace([(1, 1, 1), (1, -1, 2)]),
+                 TraceExpression.single_trace([(1, 1, 2), (1, 1, 1)])]
+        ones = {1: DenseMatrix([[2]]), 2: DenseMatrix([[3]])}
+        texts = []
+        for tables in (TableSet(), tables, tables):
+            with pytest.raises(PoleError) as exc:
+                trace_cumulant(exprs, matrices=ones, n=1, tables=tables)
+            texts.append(str(exc.value))
+        assert texts[0] == texts[1] == texts[2] and "N=1" in texts[0]
 
 
 # -- metamorphic properties ----------------------------------------------------

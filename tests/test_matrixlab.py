@@ -9,9 +9,10 @@ import pytest
 
 from haargenus.errors import ValidationError
 from haargenus.expansion import TraceExpression, evaluate_moment
-from haargenus.matrixlab import (DenseMatrix, block_diagonal_repeat, brute_force_moment,
-                                 haar_orthogonal, mc_cumulant, mc_entry_moment,
-                                 mc_moment, sample_rng, trace_along)
+from haargenus.matrixlab import (INT64_LIMIT, DenseMatrix, block_diagonal_repeat,
+                                 brute_force_moment, exact_traces, haar_orthogonal,
+                                 mc_cumulant, mc_entry_moment, mc_moment, sample_rng,
+                                 trace_along)
 from haargenus.weingarten import TableSet
 from oracles import fraction_trace_along, trace_index_sum
 
@@ -169,6 +170,89 @@ class TestIntegerTraceKernel:
             for normalized in (False, True):
                 assert trace_along(cycles, x, normalized=normalized) == \
                     fraction_trace_along(cycles, x, normalized=normalized)
+
+
+def _wide_matrix(rng, n, span):
+    """Rational entries with numerators up to `span` and small denominators."""
+    return DenseMatrix([[Fraction(rng.randint(-span, span), rng.randint(1, 4))
+                         for _ in range(n)] for _ in range(n)])
+
+
+class TestBatchTraceKernel:
+    """`exact_traces` stacks the cycles of one dimension and length; it runs in
+    int64 only below the overflow bound and on Python ints otherwise.  Every
+    test holds a cycle whose trace does not fit int64 without that bound."""
+
+    def test_against_references(self):
+        rng = random.Random(44)
+        for n in range(1, 7):
+            for span in (5, 2**20, 2**40):
+                x = {l: _wide_matrix(rng, n, span) for l in (1, 2, 3)}
+                # mixed lengths 1..6, repeated and transposed labels, one batch
+                cycles = [tuple(rng.choice((1, -1)) * rng.choice((1, 2, 3))
+                                for _ in range(rng.randint(1, 6))) for _ in range(12)]
+                cycles += [(1, 1, 1, 1), (-2, 2, -2), (3,), (-3,)]
+                for normalized in (False, True):
+                    got = exact_traces(cycles, x, normalized)
+                    assert all(type(t) is Fraction for t in got)
+                    assert got == [fraction_trace_along([c], x, normalized) for c in cycles]
+                # the index sum keys points by signed label, so it needs them distinct
+                for c in ((1, -2, 3), (-1, 2), (2,), (1, 2, 3)):
+                    if n ** len(c) <= 216:
+                        assert exact_traces([c], x) == [trace_index_sum([c], x)]
+        x = {1: _wide_matrix(rng, 4, 2**40), 2: _wide_matrix(rng, 4, 2**40)}
+        cycles = [(1, 2, -1), (2, -2), (1,)]
+        assert exact_traces(cycles, x) == [fraction_trace_along([c], x) for c in cycles]
+        assert trace_along(cycles, x) == fraction_trace_along(cycles, x)
+
+    def test_bound_on_both_sides_of_int64(self):
+        top = INT64_LIMIT - 1
+        assert top == 2**63 - 1
+        one = {1: DenseMatrix([[top]]), 2: DenseMatrix([[-top]]), 3: DenseMatrix([[1]])}
+        # bound exactly 2^63 - 1: runs in int64 and the trace is the largest int64
+        assert exact_traces([(1,), (3, 1, 3), (2,)], one) == [top, top, -top]
+        # just above: 2^63 itself and (2^63 - 1)^2 overflow int64 and stay exact
+        two = {1: DenseMatrix([[2**62, 0], [0, 2**62]]), 4: DenseMatrix([[2**31, 1], [1, 2**31]])}
+        assert exact_traces([(1,), (1, 1), (4, 4, 4, 4)], two) == \
+            [2**63, 2**125, fraction_trace_along([(4, 4, 4, 4)], two)]
+        assert exact_traces([(1, 1), (2, 2)], one) == [top * top, top * top]
+        # the true trace of a 3 x 3 cycle overflows int64 although every entry fits
+        rng = random.Random(45)
+        x = {l: _wide_matrix(rng, 3, 2**30) for l in (1, 2)}
+        cycles = [(1, 2, 1), (1, -2, 2), (2,)]
+        got = exact_traces(cycles, x, normalized=True)
+        assert got == [fraction_trace_along([c], x, normalized=True) for c in cycles]
+        assert max(abs(t.numerator) for t in got) >= INT64_LIMIT
+
+    def test_empty_zero_and_one_by_one(self):
+        assert exact_traces([], {}) == []
+        assert trace_along([], {}) == Fraction(1)
+        big = 3**30
+        x = {1: DenseMatrix([[Fraction(big, 7)]]), 2: DenseMatrix([[Fraction(-big, 5)]])}
+        assert exact_traces([(1, -2, 1), (2,)], x, normalized=True) == \
+            [Fraction(big, 7) ** 2 * Fraction(-big, 5), Fraction(-big, 5)]
+        rng = random.Random(46)
+        z = {1: DenseMatrix.zeros(3), 2: _wide_matrix(rng, 3, 2**40)}
+        cycles = [(1,), (2, -1, 2), (2, 2, 2), (1, 1), (-2, 2)]
+        got = exact_traces(cycles, z)
+        assert got[:2] == [0, 0] and got[3] == 0
+        assert got == [fraction_trace_along([c], z) for c in cycles]
+
+    def test_bad_cycles_raise(self):
+        rng = random.Random(47)
+        good = {1: _wide_matrix(rng, 3, 2**40), 2: _wide_matrix(rng, 3, 2**40)}
+        cycles = [(1, 2, 1), (-2, 1)]
+        assert exact_traces(cycles, good) == [fraction_trace_along([c], good) for c in cycles]
+        bad = [({**good, 3: DenseMatrix([[1.0, 0.0, 0.0]] * 3)}, (1, 3)),  # mixed modes
+               ({**good, 3: _wide_matrix(rng, 2, 2**40)}, (1, -3)),  # dimension mismatch
+               (good, (1, 5)),  # no matrix for the label
+               (good, ())]  # no factor at all
+        for mats, cycle in bad:
+            with pytest.raises(ValidationError):
+                exact_traces(cycles + [cycle], mats)
+            if cycle:
+                with pytest.raises(ValidationError):
+                    trace_along([cycle] + cycles, mats)
 
 
 class TestHaar:
