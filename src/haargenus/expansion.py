@@ -52,7 +52,10 @@ from .setpart import PARTITION_CAP, SetPartition, YoungDiagram, enumerate_pairin
 from .weingarten import TableSet, wg_cumulant
 
 TERM_CAP = 500_000
-GLUING_BLOCK = 4096  # gluings per batch of exact cumulant traces
+# gluings per batch of cumulant traces: an untuned bound on the `term_for`
+# results held at once (expansions run up to TERM_CAP gluings); every
+# benchmark cumulant has a few hundred gluings and fits in one block
+GLUING_BLOCK = 4096
 
 _DEFAULT_TABLES: TableSet | None = None
 
@@ -671,16 +674,14 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
             c_at_n[key] = None if symbolic else c_cache[key].eval_at(n)
 
     def gluings() -> Iterator[tuple[tuple[_Option, ...], tuple]]:
-        """Each gluing with its `term_for`.  Exact traces of the built-in
-        matrices are filled one block of gluings at a time; float traces and
-        a caller's `trace_value` or `kappa` keep their calls and their order."""
-        if trace_value is not None or kappa is not None or mode != "exact":
-            yield from ((combo, glu.term_for(combo)) for combo in glu.combos())
-            return
+        """Each gluing with its `term_for`, one block at a time; the built-in
+        matrices' memo is filled with each block's cycles (a no-op in float
+        mode), and a caller's `trace_value` is left to be called on lookup."""
         combos = glu.combos()
         while block := list(itertools.islice(combos, GLUING_BLOCK)):
             terms = [glu.term_for(combo) for combo in block]
-            tv.fill(c for term in terms for c in term[4])
+            if trace_value is None:
+                tv.fill(c for term in terms for c in term[4])
             yield from zip(block, terms)
 
     scans: dict[tuple, list[tuple[tuple, tuple]]] = {}  # (shape, tau) -> connecting rhos

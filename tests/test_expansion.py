@@ -683,9 +683,12 @@ class TestBatchedTraces:
     def test_cumulants_in_blocks(self, monkeypatch):
         from haargenus import expansion
 
-        rng = random.Random(61)
+        # float and kappa sums run in gluing order, so the block size must not
+        # change them by one bit
+        reports = {}
         for block in (3, expansion.GLUING_BLOCK):
             monkeypatch.setattr(expansion, "GLUING_BLOCK", block)
+            rng = random.Random(61)
             for _ in range(6):
                 exprs = random_single_traces(rng)
                 n = rng.randint(3, 5)
@@ -694,8 +697,19 @@ class TestBatchedTraces:
                 def tv(cycle):
                     return fraction_trace_along([cycle], x, normalized=True) if cycle else 1
 
+                def kappa(cycles):
+                    return Fraction(len(cycles), 7) * tv(cycles[0])
+
                 got = trace_cumulant(exprs, matrices=x, n=n, tables=TABLES)
                 assert got == trace_cumulant(exprs, trace_value=tv, n=n, tables=TABLES)
+                reports.setdefault(block, []).extend([
+                    got,
+                    repr(trace_cumulant(exprs, matrices=x, n=n, mode="float", tables=TABLES)),
+                    trace_cumulant(exprs, matrices=x, n=n, kappa=kappa, tables=TABLES),
+                    repr(trace_cumulant(exprs, trace_value=lambda c: float(tv(c)),
+                                        kappa=lambda c: float(kappa(c)), n=n, mode="float",
+                                        tables=TABLES))])
+        assert reports[3] == reports[expansion.GLUING_BLOCK]
 
 
 class TestRelativeCumulantCache:
