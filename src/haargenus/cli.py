@@ -164,7 +164,7 @@ def cmd_moment(args) -> int:
     if args.asymptotic:
         limit = asymptotic_moment(expr, tables=tables, term_cap=args.cap_terms)
         report = {"meta": _metadata(args), "asymptotic": limit.to_json()}
-        if matrices and args.N:
+        if matrices and args.N is not None:
             report["evaluated"] = limit.evaluate(matrices, args.N, mode=args.mode)
         emit(report, args.out)
         return 0

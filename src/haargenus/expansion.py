@@ -26,10 +26,10 @@ positions only where they are read.  `term_for` turns one choice per colour
 into chi, the N exponent, the join diagrams and the vertex cycles.  Moments
 consume `_Gluings.grouped` (gluing counts per vertex labels, exponent and
 diagrams, in first-seen order), so each Weingarten product is formed once per
-diagrams, and each Weingarten factor is evaluated once per N.  Numeric traces
-share one memo per call (`_TraceMemo`); in exact mode it is filled by
-`exact_traces` batches, once per moment and once per block of cumulant
-gluings, while float traces are computed one by one on lookup.  Only
+diagrams, and each Weingarten factor is evaluated once per N.  Numeric traces,
+exact or float, share one memo per call (`_TraceMemo`), filled by
+`traces_along` batches: once per moment and once per block of cumulant
+gluings.  Only
 `expand_moment` builds `ExpansionTerm`s, and a term builds its `Premap` only
 when `alpha` is read.
 """
@@ -44,7 +44,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import CapExceededError, PoleError, ValidationError
-from .matrixlab import DenseMatrix, exact_traces, trace_along
+from .matrixlab import DenseMatrix, check_dimension, traces_along
 from .permap import Premap, SignedPermutation
 from .ratpoly import PolyFrac, monomial
 from .setpart import PARTITION_CAP, SetPartition, YoungDiagram, enumerate_pairings, \
@@ -437,47 +437,41 @@ class MomentResult:
         return {"value": val, "terms": self.term_count}
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("exact", "float"):
+        raise ValidationError(f"mode must be 'exact' or 'float', got {mode!r}")
+
+
 def _resolve_for_mode(matrices: Mapping[int, DenseMatrix], n: int, mode: str):
+    _check_mode(mode)
     out = {}
     for label, m in matrices.items():
         if m.n != n:
             raise ValidationError(f"matrix {label} is {m.n}x{m.n}, expected {n}x{n}")
-        if mode != "float" and m.mode != "exact":
+        if mode == "exact" and m.mode != "exact":
             raise ValidationError("exact mode requires exact (rational) matrices")
         out[label] = m.to_float() if mode == "float" else m
     return out
 
 
 class _TraceMemo(dict):
-    """Normalized traces along label cycles for one evaluation, keyed by cycle;
-    the empty cycle (identity factors only) has trace one.  Calling the memo
-    looks a cycle up and computes a missing one on its own; `fill` computes
-    every exact cycle it does not hold yet in one `exact_traces` batch."""
+    """Normalized traces along label cycles for one evaluation at N, exact or
+    float, keyed by cycle; the empty cycle (identity factors only) has trace
+    one.  `fill` computes the cycles not held yet in one `traces_along` batch;
+    calling the memo only looks a cycle up, so an evaluator fills it first."""
 
     def __init__(self, matrices: Mapping[int, DenseMatrix], n: int, mode: str):
         super().__init__()
+        check_dimension(n)
         self.mats = _resolve_for_mode(matrices, n, mode)
-        self.mats[IDENTITY_SLOT] = DenseMatrix.identity(n, mode=mode)
-        self.exact = mode != "float"
-        self[()] = Fraction(1) if self.exact else 1.0
+        self[()] = Fraction(1) if mode == "exact" else 1.0
 
     __call__ = dict.__getitem__
 
-    def __missing__(self, cycle: tuple[int, ...]):
-        value = self[cycle] = trace_along([cycle], self.mats, normalized=True)
-        return value
-
     def fill(self, cycles: Iterable[tuple[int, ...]]) -> None:
-        """Compute the exact cycles not held yet, in one batch, in first-seen
-        order; float traces stay one by one, on lookup."""
-        if self.exact:
-            fresh = [c for c in dict.fromkeys(cycles) if c not in self]
-            self.update(zip(fresh, exact_traces(fresh, self.mats, normalized=True)))
-
-
-def _cycle_traces(matrices: Mapping[int, DenseMatrix], n: int, mode: str) -> _TraceMemo:
-    """The trace memo of one evaluation, callable on one label cycle."""
-    return _TraceMemo(matrices, n, mode)
+        """Compute the cycles not held yet, in one batch, in first-seen order."""
+        fresh = [c for c in dict.fromkeys(cycles) if c not in self]
+        self.update(zip(fresh, traces_along(fresh, self.mats, normalized=True)))
 
 
 def _pattern_sum(terms: Iterable[tuple[tuple, Fraction]], trace, mode: str):
@@ -499,7 +493,7 @@ def evaluate_moment(expr: TraceExpression, matrices: Mapping[int, DenseMatrix],
     Groups gluings by their vertex trace pattern, so each distinct product of
     traces is evaluated once; coefficients are evaluated at N with pole
     detection."""
-    trace = _cycle_traces(matrices, n, mode)
+    trace = _TraceMemo(matrices, n, mode)
     glu = _Gluings(expr, tables or default_tables(), term_cap)
     coeff_by_pattern: dict[tuple, Fraction] = {}
     for (labels, exponent, lambdas), mult in glu.grouped().items():
@@ -518,7 +512,7 @@ class AsymptoticMoment:
     terms: tuple[tuple[Fraction, tuple[tuple[int, ...], ...]], ...]
 
     def evaluate(self, matrices: Mapping[int, DenseMatrix], n: int, mode: str = "exact"):
-        trace = _cycle_traces(matrices, n, mode)
+        trace = _TraceMemo(matrices, n, mode)
         trace.fill(c for _, pattern in self.terms for c in pattern)
         return _pattern_sum(((pattern, c) for c, pattern in self.terms), trace, mode)
 
@@ -612,7 +606,7 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
     (N exponent, relative cumulant) at the end, while float results add term
     by term in gluing and rho order.  SetPartitions are built only for a
     relative cumulant that the tables do not hold yet, for `wg_cumulant`;
-    each is evaluated at N on its first hit in the call.  Exact traces of the
+    each is evaluated at N on its first hit in the call.  Traces of the
     built-in matrices are computed one block of GLUING_BLOCK gluings at a time.
 
     Deterministic slot matrices are the built-in path (higher vertex-trace
@@ -622,6 +616,7 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
     rational.  A caller's `trace_value` and `kappa` are called once per
     distinct argument.
     """
+    _check_mode(mode)
     tables = tables or default_tables()
     if not exprs:
         raise ValidationError("trace_cumulant needs at least one expression")
@@ -635,11 +630,10 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
     elif trace_value is not None:
         # random-slot path: the caller supplies expected vertex traces (and
         # kappa for the higher vertex-trace cumulants)
-        if n is None:
-            raise ValidationError("numeric cumulants need N")
+        check_dimension(n)
     elif matrices is None or n is None:
         raise ValidationError("numeric cumulants need matrices and N")
-    tv = _cycle_traces(matrices, n, mode) if trace_value is None \
+    tv = _TraceMemo(matrices, n, mode) if trace_value is None \
         else functools.lru_cache(maxsize=None)(trace_value)
     if kappa is not None:
         kappa = functools.lru_cache(maxsize=None)(kappa)
@@ -675,8 +669,8 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
 
     def gluings() -> Iterator[tuple[tuple[_Option, ...], tuple]]:
         """Each gluing with its `term_for`, one block at a time; the built-in
-        matrices' memo is filled with each block's cycles (a no-op in float
-        mode), and a caller's `trace_value` is left to be called on lookup."""
+        matrices' memo is filled with each block's cycles, and a caller's
+        `trace_value` is left to be called on lookup."""
         combos = glu.combos()
         while block := list(itertools.islice(combos, GLUING_BLOCK)):
             terms = [glu.term_for(combo) for combo in block]

@@ -1,12 +1,14 @@
 """Dense matrix arithmetic, Haar orthogonal sampling, Monte Carlo estimators,
 and the entrywise brute-force moment oracle.
 
-Exact matrices hold Fractions.  Traces along cycles of them run as one batch
-(`exact_traces`): each matrix is scaled once to integer entries over one
-common denominator, the cycles of one dimension and length multiply as
-stacks of integer matrices, in int64 where a bound proves that no partial
-sum overflows and on Python ints otherwise, and each cycle forms one
-Fraction.  Float matrices use numpy.
+Exact matrices hold Fractions; float matrices hold numpy arrays.  Traces
+along label cycles run in one kernel for both modes, `traces_along`: the
+cycles of one dimension and length multiply as stacks.  Each exact matrix is
+scaled once to integer entries over one common denominator, its stacks
+multiply in int64 where a bound proves that no partial sum overflows and on
+Python ints otherwise, and each cycle forms one Fraction.  A float stack
+multiplies from the left and sums each trace as numpy sums one matrix's, so
+every float trace is the one of multiplying that cycle's matrices in turn.
 
 The Monte Carlo estimators use per-sample Philox substreams on a fixed chunk
 grid: sample i draws from the counter-based stream keyed by (seed, i), and
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -210,6 +213,12 @@ def block_diagonal_repeat(block: DenseMatrix, n: int) -> DenseMatrix:
     return DenseMatrix(rows)
 
 
+def check_dimension(n) -> None:
+    """N, the dimension of every matrix, must be a positive integer."""
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValidationError(f"N must be a positive integer, got {n!r}")
+
+
 def _slot_matrix(matrices: Mapping[int, DenseMatrix], label: int) -> DenseMatrix:
     """The stored matrix of a signed label, before any transpose."""
     base = matrices.get(abs(label))
@@ -224,28 +233,35 @@ def resolve_slot(matrices: Mapping[int, DenseMatrix], label: int) -> DenseMatrix
     return base.transpose() if label < 0 else base
 
 
-INT64_LIMIT = 2 ** 63  # a group of cycles runs in int64 only if every bound is below this
+INT64_LIMIT = 2 ** 63  # an exact cycle runs in int64 only if its bound is below this
 
 
-def exact_traces(cycles: Sequence[Sequence[int]], matrices: Mapping[int, DenseMatrix],
-                 normalized: bool = False) -> list[Fraction]:
-    """Trace of the product of exact matrices along each cycle, as one batch.
+def traces_along(cycles: Sequence[Sequence[int]], matrices: Mapping[int, DenseMatrix],
+                 normalized: bool = False) -> list:
+    """Trace of the product of the matrices along each cycle, as one batch.
 
-    Each factor is its integer form over its denominator, so the products run
-    on integers and one Fraction is formed per cycle at the end (fraction-free,
-    as in Bareiss elimination); a negative label stacks the transpose.  Cycles
-    are grouped by dimension and length L; a group stacks each factor's
-    integers and runs L - 2 stacked products and one fold of the last factor
-    into the trace, sum over i, j of P[i][j] B[j][i].
+    Entries are signed labels (negative: the transpose), and the matrices of
+    one call are all exact or all float.  Cycles are grouped by dimension N
+    and length L, and each group multiplies stacks of its factors; normalized
+    traces are divided by N.
 
-    No partial sum of a cycle exceeds N^L times the product of max(1, largest
-    |entry|) over its factors, so the cycles whose bound is below 2^63 run in
-    int64 and the others on Python ints (dtype object), by the same code.  No
-    value passes through a float."""
+    Exact: each factor is its integer form over its denominator, so one
+    Fraction is formed per cycle at the end (fraction-free, as in Bareiss
+    elimination), after L - 2 stacked products and one fold of the last
+    factor into the trace, sum over i, j of P[i][j] B[j][i].  No partial sum
+    exceeds N^L times the product of max(1, largest |entry|) over the factors,
+    so a cycle whose bound is below 2^63 runs in int64 and the others on
+    Python ints (dtype object), by the same code; no value passes through a
+    float.
+
+    Float: L - 1 stacked products from the left and `np.trace` of each: the
+    operations, in their order, of multiplying one cycle's matrices in turn
+    (einsum or the exact fold would sum in another order)."""
     info: dict[int, tuple[int, int, int, int]] = {}  # label -> (n, den, max(1, |entry|), index)
-    stacks: dict[int, list] = {}  # n -> (integer rows, max(1, |entry|)) of each label of size n
-    groups: dict[tuple[int, int, bool], list[int]] = {}  # (n, L, fits int64) -> cycle indices
+    stacks: dict[int, list] = {}  # n -> (factor, max(1, |entry|)) of each label of size n
+    groups: dict[tuple[int, int, bool], list[int]] = {}  # (n, L, int64 or float) -> cycle indices
     dens = []
+    mode = None
     for i, cyc in enumerate(cycles):
         n = None
         den = bound = 1
@@ -253,13 +269,19 @@ def exact_traces(cycles: Sequence[Sequence[int]], matrices: Mapping[int, DenseMa
             entry = info.get(label)
             if entry is None:
                 m = _slot_matrix(matrices, label)
-                if m.mode != "exact":
+                mode = mode or m.mode
+                if m.mode != mode:
                     raise ValidationError("mixed exact and float matrices")
-                d, rows, cols = m.integer_form()
-                biggest = max(1, max((abs(v) for r in rows for v in r), default=0))
+                if mode == "exact":
+                    d, rows, cols = m.integer_form()
+                    biggest = max(1, max((abs(v) for r in rows for v in r), default=0))
+                    factor = cols if label < 0 else rows
+                else:
+                    d = biggest = 1
+                    factor = m.as_numpy().T if label < 0 else m.as_numpy()
                 same_size = stacks.setdefault(m.n, [])
                 entry = info[label] = (m.n, d, biggest, len(same_size))
-                same_size.append((cols if label < 0 else rows, biggest))
+                same_size.append((factor, biggest))
             if n is not None and entry[0] != n:
                 raise ValidationError(f"dimension mismatch: {n} vs {entry[0]}")
             n = entry[0]
@@ -268,15 +290,18 @@ def exact_traces(cycles: Sequence[Sequence[int]], matrices: Mapping[int, DenseMa
         if n is None:
             raise ValidationError("a trace cycle needs at least one matrix")
         dens.append(den * n if normalized else den)
-        groups.setdefault((n, len(cyc), n ** len(cyc) * bound < INT64_LIMIT), []).append(i)
+        fits = mode == "float" or n ** len(cyc) * bound < INT64_LIMIT
+        groups.setdefault((n, len(cyc), fits), []).append(i)
 
     out: list = [None] * len(dens)
-    bases: dict[tuple[int, bool], np.ndarray] = {}  # (n, fits) -> every label's integers
+    bases: dict[tuple[int, bool], np.ndarray] = {}  # (n, fits) -> every label's stacked factor
     for (n, length, fits), members in groups.items():
         base = bases.get((n, fits))
         if base is None:
             stack = stacks[n]
-            if fits:  # a label too large for int64 is never read by a group that fits
+            if mode == "float":  # a C-contiguous copy of each factor, transposes included
+                base = np.array([arr for arr, _ in stack], dtype=float)
+            elif fits:  # a label too large for int64 is never read by a group that fits
                 base = np.array([rows if biggest < INT64_LIMIT else [[0] * n] * n
                                  for rows, biggest in stack], dtype=np.int64)
             else:
@@ -285,41 +310,26 @@ def exact_traces(cycles: Sequence[Sequence[int]], matrices: Mapping[int, DenseMa
         index = np.array([[info[label][3] for label in cycles[i]] for i in members],
                          dtype=np.intp)
         prod = base[index[:, 0]]
-        if length == 1:
+        if mode == "float":
+            for j in range(1, length):
+                prod = prod @ base[index[:, j]]
+            traces = np.trace(prod, axis1=1, axis2=2)
+        elif length == 1:
             traces = prod.diagonal(axis1=1, axis2=2).sum(axis=1)
         else:
             for j in range(1, length - 1):
                 prod = prod @ base[index[:, j]]
             traces = (prod * base[index[:, -1]].swapaxes(1, 2)).sum(axis=(1, 2))
         for i, t in zip(members, traces.tolist()):
-            out[i] = Fraction(t, dens[i])
+            out[i] = t / dens[i] if mode == "float" else Fraction(t, dens[i])
     return out
 
 
 def trace_along(cycles: Iterable[Sequence[int]], matrices: Mapping[int, DenseMatrix],
                 normalized: bool = False):
-    """Product over cycles of the trace of the matrix product along the cycle.
-
-    Cycle entries are signed labels; the normalized variant divides by N once
-    per cycle.  Exact cycles run as one batch of `exact_traces` and give
-    Fractions; float matrices multiply in numpy."""
-    cycles = list(cycles)
-    exact = [_slot_matrix(matrices, cyc[0]).mode == "exact" for cyc in cycles]
-    values = iter(exact_traces([c for c, e in zip(cycles, exact) if e], matrices, normalized))
-    total = None
-    for cyc, is_exact in zip(cycles, exact):
-        if is_exact:
-            t = next(values)
-        else:
-            prod = None
-            for label in cyc:
-                m = resolve_slot(matrices, label)
-                prod = m if prod is None else prod @ m
-            t = prod.normalized_trace() if normalized else prod.trace()
-        total = t if total is None else total * t
-    if total is None:
-        return Fraction(1)
-    return total
+    """Product over cycles of their traces from `traces_along`, left to right;
+    Fraction(1) for no cycle."""
+    return math.prod(traces_along(list(cycles), matrices, normalized), start=Fraction(1))
 
 
 # -- Haar sampling ------------------------------------------------------------
@@ -401,6 +411,7 @@ def _expr_sampler(expr, matrices: Mapping[int, DenseMatrix], n: int):
     """Compile an expression into a function of a stack of O samples, shape
     (samples, colours, n, n), and a colour -> column map, that returns each
     sample's product of normalized traces."""
+    check_dimension(n)  # before np.eye(n)
     mats = {}
     for k in expr.positions:
         label = expr.slot[k]
@@ -455,6 +466,7 @@ def _chunk_values(sample_chunk, n: int, samples: int, workers: int) -> list[list
     N >= MC_THREAD_MIN_N run on up to `workers` threads; smaller ones run on the
     calling thread.  A sample's value depends only on its index, so neither the
     chunk size nor the thread count changes any value."""
+    check_dimension(n)
     if workers < 1:
         raise ValidationError(f"need at least one worker, got {workers}")
     starts = range(0, samples, MC_CHUNK)

@@ -1,8 +1,9 @@
 """Reference implementations that the tests compare the library against.
 
 They are written for plainness, not speed: the literal index sum for traces,
-Gauss-Jordan elimination over PolyFrac, Fraction matrix products, and the
-SetPartition-join form of the trace-cumulant sum.
+Gauss-Jordan elimination over PolyFrac, traces of matrix products taken one
+cycle and one DenseMatrix product at a time, and the SetPartition-join form
+of the trace-cumulant sum.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from haargenus.expansion import TERM_CAP, _Gluings, _cycle_traces, concatenate, default_tables
+from haargenus.expansion import TERM_CAP, _Gluings, _TraceMemo, concatenate, default_tables
 from haargenus.matrixlab import DenseMatrix, resolve_slot
 from haargenus.ratpoly import PolyFrac
 from haargenus.setpart import SetPartition, enumerate_interval, enumerate_partitions, kernel_of
@@ -40,10 +41,14 @@ def trace_index_sum(cycles: Iterable[Sequence[int]], matrices: Mapping[int, Dens
     return total
 
 
-def fraction_trace_along(cycles: Iterable[Sequence[int]],
-                         matrices: Mapping[int, DenseMatrix], normalized: bool = False):
-    """Product over cycles of traces of Fraction matrix products, transposing
-    each negative label into a new matrix."""
+def dense_trace_along(cycles: Iterable[Sequence[int]],
+                      matrices: Mapping[int, DenseMatrix], normalized: bool = False):
+    """Product over cycles of traces of DenseMatrix products, one cycle and one
+    product at a time, transposing each negative label into a new matrix.
+
+    Exact matrices give Fractions.  Float matrices give the numpy 2-D product
+    chain and trace of each cycle, in cycle order: the float reference for the
+    batched `traces_along`."""
     total = Fraction(1)
     for cyc in cycles:
         prod = None
@@ -83,8 +88,12 @@ def join_trace_cumulant(exprs, *, matrices=None, n=None, mode="exact", trace_val
     tables = tables or default_tables()
     expr = concatenate(exprs)
     r = len(exprs)
-    tv = trace_value if trace_value is not None else _cycle_traces(matrices, n, mode)
     glu = _Gluings(expr, tables, TERM_CAP)
+    if trace_value is None:
+        tv = _TraceMemo(matrices, n, mode)
+        tv.fill(c for combo in glu.combos() for c in glu.term_for(combo)[4])
+    else:
+        tv = trace_value
     phi_part = expr.phi().orbit_partition()
     ker_w = kernel_of(expr.color)
     ground = expr.positions

@@ -359,6 +359,55 @@ def test_criterion_11_asymptotic_freeness():
                f"across colours; p != q limit is 0")
 
 
+def test_criterion_11_spokes_beyond_two():
+    """Second-order spokes of cyclically alternating centred words of p = q =
+    3 and 4 letters, with transposed slots, and of one p != q pair: the exact
+    limit of k2 equals the spoke prediction, and each word's first-order
+    limit is 0.  Letters of distinct colours keep the expansions small."""
+    rng = random.Random(11)
+    block_size = 3
+    blocks = center_slots({i: rational_matrix(rng, block_size, span=2) for i in range(1, 9)})
+
+    def tv(cycle):
+        return trace_along([cycle], blocks, normalized=True) if cycle else Fraction(1)
+
+    def phi(x, y):
+        """First-order value of the product of two (colour, slot) letters: zero
+        across colours, since free centred letters multiply to zero."""
+        (cx, sx), (cy, sy) = x, y
+        return tv((sx, sy)) if cx == cy else Fraction(0)
+
+    cases = [  # (colours, slots) of each word
+        (([1, 2, 3], [1, -2, 3]), ([1, 2, 3], [4, 5, -6])),  # only the transposed spoke
+        (([1, 2, 3], [1, 2, -3]), ([1, 3, 2], [-4, 5, 6])),  # only the direct spoke
+        (([1, 2, 3, 4], [1, -2, 3, 4]), ([1, 2, 3, 4], [5, 6, -7, 8])),
+        (([1, 2, 3, 4], [-1, 2, 3, 4]), ([1, 4, 3, 2], [5, -6, 7, 8])),
+        (([1, 2, 3], [1, -2, 3]), ([1, 2, 3, 4], [5, 6, -7, 8])),  # p != q
+    ]
+    limits, transposed = [], []
+    for (c1, s1), (c2, s2) in cases:
+        y1 = TraceExpression.conjugated_word(c1, s1)
+        y2 = TraceExpression.conjugated_word(c2, s2)
+        for word in (y1, y2):
+            assert asymptotic_moment(word, tables=TABLES).evaluate(blocks, block_size) == 0
+        x, y = list(zip(c1, s1)), list(zip(c2, s2))
+        p, q = len(x), len(y)
+        direct = [[phi(a, b) for b in y] for a in x]
+        flipped = [[phi(a, (cb, -sb)) for cb, sb in y] for a in x]
+        predicted = predicted_second_order_cov(direct, flipped, p, q)
+        k2 = trace_cumulant([y1, y2], symbolic=True, trace_value=tv, tables=TABLES)
+        assert k2.limit_at_infinity() == predicted, (c1, s1, c2, s2)
+        limits.append(predicted)
+        if p == q:
+            zero = [[0] * q for _ in range(p)]
+            transposed.append(predicted_second_order_cov(zero, flipped, p, q))
+    assert transposed[0] != 0 and transposed[0] == limits[0]  # the transposed spoke alone
+    assert transposed[1] == 0 and limits[1] != 0  # the direct spoke alone
+    assert limits[-1] == 0
+    report(11, f"spoke limits {[str(v) for v in limits]} for p = q = 3, 4 with "
+               f"transposed slots and for p = 3, q = 4; first-order limits 0")
+
+
 def _reconstruct_rational(points, d_num, d_den):
     """Exact rational-function reconstruction with denominator normalized
     monic; needs d_num + d_den + 1 points."""

@@ -101,6 +101,32 @@ class TestBadInput:
         assert main(["moment", "--expr", str(path), "--N", "2"]) == 2
         assert str(path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_nonpositive_dimension_exit_code(self, tmp_path, capsys, n):
+        # identity factors only: no matrix dimension can reject N first
+        epath = tmp_path / "expr.json"
+        epath.write_text(json.dumps({"traces": [[]]}))
+        apath = tmp_path / "limit.json"
+        apath.write_text(json.dumps({"traces": [[]], "matrices": {"1": [["1"]]}}))
+        cpath = tmp_path / "exprs.json"
+        cpath.write_text(json.dumps({"exprs": [{"traces": [[]]}, {"traces": [[]]}]}))
+        for argv in (["moment", "--expr", str(epath), "--N", n],
+                     ["moment", "--expr", str(epath), "--N", n, "--mode", "float"],
+                     ["moment", "--expr", str(apath), "--N", n, "--asymptotic"],
+                     ["cumulant", "--exprs", str(cpath), "--N", n],
+                     ["verify", "--suite", "mc", "--expr", str(epath), "--N", n,
+                      "--samples", "64"]):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert "N must be a positive integer" in captured.err and captured.out == ""
+
+    def test_zero_dimension_no_traceback(self, tmp_path):
+        path = tmp_path / "expr.json"
+        path.write_text(json.dumps({"traces": [[]]}))
+        result = run_cli(["moment", "--expr", str(path), "--N", "0"])
+        assert result.returncode == 2
+        assert "positive integer" in result.stderr and "Traceback" not in result.stderr
+
 
 class TestMatricesFlag:
     def test_override_file(self, tmp_path, capsys):

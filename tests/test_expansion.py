@@ -24,7 +24,7 @@ from haargenus.ratpoly import PolyFrac, format_polyfrac
 from haargenus.setpart import (SetPartition, enumerate_interval, enumerate_pairings,
                                enumerate_partitions, kernel_of, mobius)
 from haargenus.weingarten import TableSet, pairing_join_diagram, wg_cumulant
-from oracles import fraction_trace_along, join_trace_cumulant
+from oracles import dense_trace_along, join_trace_cumulant
 
 TABLES = TableSet()
 
@@ -646,8 +646,8 @@ class TestCumulantShapes:
 
 
 class TestBatchedTraces:
-    """In exact mode each evaluation fills its trace memo in `exact_traces`
-    batches; the values must equal Fraction products on the same cycles,
+    """Each evaluation, exact or float, fills its trace memo in `traces_along`
+    batches; exact values must equal Fraction products on the same cycles,
     also where entries force the kernel off int64."""
 
     @staticmethod
@@ -661,8 +661,8 @@ class TestBatchedTraces:
 
         rng = random.Random(60)
         batches = []
-        real = expansion.exact_traces
-        monkeypatch.setattr(expansion, "exact_traces",
+        real = expansion.traces_along
+        monkeypatch.setattr(expansion, "traces_along",
                             lambda cycles, *a, **kw: batches.append(list(cycles)) or real(cycles, *a, **kw))
         for _ in range(10):
             expr = concatenate(random_single_traces(rng))
@@ -670,11 +670,14 @@ class TestBatchedTraces:
             x = {l: self._wide(rng, n) for l in (1, 2)}
 
             def tv(cycle):
-                return fraction_trace_along([cycle], x, normalized=True) if cycle else 1
+                return dense_trace_along([cycle], x, normalized=True) if cycle else 1
 
             batches.clear()
             got = evaluate_moment(expr, x, n, tables=TABLES).value
             assert got == moment_symbolic(expr, tv, tables=TABLES).eval_at(n)
+            assert len(batches) == 1 and len(set(batches[0])) == len(batches[0])
+            batches.clear()
+            evaluate_moment(expr, x, n, mode="float", tables=TABLES)
             assert len(batches) == 1 and len(set(batches[0])) == len(batches[0])
             limit = asymptotic_moment(expr, TABLES)
             assert limit.evaluate(x, n) == sum(
@@ -695,7 +698,7 @@ class TestBatchedTraces:
                 x = {l: self._wide(rng, n) for l in (1, 2)}
 
                 def tv(cycle):
-                    return fraction_trace_along([cycle], x, normalized=True) if cycle else 1
+                    return dense_trace_along([cycle], x, normalized=True) if cycle else 1
 
                 def kappa(cycles):
                     return Fraction(len(cycles), 7) * tv(cycles[0])
@@ -930,3 +933,48 @@ class TestCentering:
         assert once[1].normalized_trace() == 0
         twice = center_slots(once)
         assert twice[1] == once[1]
+
+
+class TestDimensionAndMode:
+    """N must be a positive integer and mode "exact" or "float" at every
+    numeric entry point; both are checked before any work."""
+
+    # tr(O O^T) has identity slots only, so no matrix can reject a bad N first
+    BARE = TraceExpression.single_trace([(1, 1, 0), (1, -1, 0)])
+
+    @pytest.mark.parametrize("n", [0, -2, 2.0, None])
+    def test_bad_dimension_raises(self, n):
+        from haargenus.matrixlab import mc_cumulant, mc_entry_moment, mc_moment
+
+        e = self.BARE
+        calls = [
+            lambda: evaluate_moment(e, {}, n, tables=TABLES),
+            lambda: evaluate_moment(e, {}, n, mode="float", tables=TABLES),
+            lambda: asymptotic_moment(e, TABLES).evaluate({}, n),
+            lambda: trace_cumulant([e], matrices={}, n=n, tables=TABLES),
+            lambda: trace_cumulant([e, e], trace_value=lambda c: Fraction(1), n=n,
+                                   tables=TABLES),
+            lambda: mc_moment(e, {}, n, 64, 1),
+            lambda: mc_cumulant([e, e], {}, n, 64, 1, 2),
+            lambda: mc_entry_moment(n, {}, 64, 1),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError):
+                call()
+
+    def test_unknown_mode_raises(self):
+        e = TraceExpression.single_trace([(1, 1, 1), (1, -1, 2)])
+        x = {1: DenseMatrix([[1, 2], [3, 4]]), 2: DenseMatrix([[0, 1], [5, 1]])}
+        assert trace_cumulant([e, e], matrices=x, n=2, tables=TABLES) == \
+            trace_cumulant([e, e], matrices=x, n=2, mode="exact", tables=TABLES)
+        for mode in ("Float", "EXACT", "symbolic", ""):
+            calls = [
+                lambda: evaluate_moment(e, x, 2, mode=mode, tables=TABLES),
+                lambda: asymptotic_moment(e, TABLES).evaluate(x, 2, mode=mode),
+                lambda: trace_cumulant([e, e], matrices=x, n=2, mode=mode, tables=TABLES),
+                lambda: trace_cumulant([e, e], trace_value=lambda c: Fraction(1), n=2,
+                                       mode=mode, tables=TABLES),
+            ]
+            for call in calls:
+                with pytest.raises(ValidationError, match="mode"):
+                    call()

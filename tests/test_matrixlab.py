@@ -10,11 +10,11 @@ import pytest
 from haargenus.errors import ValidationError
 from haargenus.expansion import TraceExpression, evaluate_moment
 from haargenus.matrixlab import (INT64_LIMIT, DenseMatrix, block_diagonal_repeat,
-                                 brute_force_moment, exact_traces, haar_orthogonal,
-                                 mc_cumulant, mc_entry_moment, mc_moment, sample_rng,
-                                 trace_along)
+                                 brute_force_moment, haar_orthogonal, mc_cumulant,
+                                 mc_entry_moment, mc_moment, sample_rng, trace_along,
+                                 traces_along)
 from haargenus.weingarten import TableSet
-from oracles import fraction_trace_along, trace_index_sum
+from oracles import dense_trace_along, trace_index_sum
 
 
 def rational_matrix(rng, n, span=3):
@@ -104,9 +104,12 @@ class TestTraceAlong:
 
     def test_mixed_modes_rejected(self):
         x = {1: DenseMatrix([[1, 2], [3, 4]]), 2: DenseMatrix([[1.0, 0.0], [0.0, 1.0]])}
-        for cycle in ((1, 2), (2, 1)):
+        # within a cycle, or across the cycles of one call
+        for cycles in ([(1, 2)], [(2, 1)], [(1,), (2,)], [(2,), (1,)], [(1, 1), (-2,)]):
             with pytest.raises(ValidationError):
-                trace_along([cycle], x)
+                trace_along(cycles, x)
+            with pytest.raises(ValidationError):
+                traces_along(cycles, x)
         with pytest.raises(ValidationError):
             trace_along([(1, 3)], {1: x[1], 3: DenseMatrix([[1]])})
 
@@ -141,7 +144,7 @@ class TestIntegerTraceKernel:
             for normalized in (False, True):
                 got = trace_along(cycles, x, normalized=normalized)
                 assert type(got) is Fraction
-                assert got == fraction_trace_along(cycles, x, normalized=normalized)
+                assert got == dense_trace_along(cycles, x, normalized=normalized)
             # the index sum keys points by signed label, so it needs them distinct
             points = [l for c in cycles for l in c]
             if len(set(points)) == len(points) and n ** len(points) <= 1024:
@@ -169,7 +172,7 @@ class TestIntegerTraceKernel:
             cycles = _signed_cycles(rng, (1, 2), 5)
             for normalized in (False, True):
                 assert trace_along(cycles, x, normalized=normalized) == \
-                    fraction_trace_along(cycles, x, normalized=normalized)
+                    dense_trace_along(cycles, x, normalized=normalized)
 
 
 def _wide_matrix(rng, n, span):
@@ -179,7 +182,7 @@ def _wide_matrix(rng, n, span):
 
 
 class TestBatchTraceKernel:
-    """`exact_traces` stacks the cycles of one dimension and length; it runs in
+    """`traces_along` stacks the cycles of one dimension and length; it runs in
     int64 only below the overflow bound and on Python ints otherwise.  Every
     test holds a cycle whose trace does not fit int64 without that bound."""
 
@@ -193,66 +196,88 @@ class TestBatchTraceKernel:
                                 for _ in range(rng.randint(1, 6))) for _ in range(12)]
                 cycles += [(1, 1, 1, 1), (-2, 2, -2), (3,), (-3,)]
                 for normalized in (False, True):
-                    got = exact_traces(cycles, x, normalized)
+                    got = traces_along(cycles, x, normalized)
                     assert all(type(t) is Fraction for t in got)
-                    assert got == [fraction_trace_along([c], x, normalized) for c in cycles]
+                    assert got == [dense_trace_along([c], x, normalized) for c in cycles]
                 # the index sum keys points by signed label, so it needs them distinct
                 for c in ((1, -2, 3), (-1, 2), (2,), (1, 2, 3)):
                     if n ** len(c) <= 216:
-                        assert exact_traces([c], x) == [trace_index_sum([c], x)]
+                        assert traces_along([c], x) == [trace_index_sum([c], x)]
         x = {1: _wide_matrix(rng, 4, 2**40), 2: _wide_matrix(rng, 4, 2**40)}
         cycles = [(1, 2, -1), (2, -2), (1,)]
-        assert exact_traces(cycles, x) == [fraction_trace_along([c], x) for c in cycles]
-        assert trace_along(cycles, x) == fraction_trace_along(cycles, x)
+        assert traces_along(cycles, x) == [dense_trace_along([c], x) for c in cycles]
+        assert trace_along(cycles, x) == dense_trace_along(cycles, x)
 
     def test_bound_on_both_sides_of_int64(self):
         top = INT64_LIMIT - 1
         assert top == 2**63 - 1
         one = {1: DenseMatrix([[top]]), 2: DenseMatrix([[-top]]), 3: DenseMatrix([[1]])}
         # bound exactly 2^63 - 1: runs in int64 and the trace is the largest int64
-        assert exact_traces([(1,), (3, 1, 3), (2,)], one) == [top, top, -top]
+        assert traces_along([(1,), (3, 1, 3), (2,)], one) == [top, top, -top]
         # just above: 2^63 itself and (2^63 - 1)^2 overflow int64 and stay exact
         two = {1: DenseMatrix([[2**62, 0], [0, 2**62]]), 4: DenseMatrix([[2**31, 1], [1, 2**31]])}
-        assert exact_traces([(1,), (1, 1), (4, 4, 4, 4)], two) == \
-            [2**63, 2**125, fraction_trace_along([(4, 4, 4, 4)], two)]
-        assert exact_traces([(1, 1), (2, 2)], one) == [top * top, top * top]
+        assert traces_along([(1,), (1, 1), (4, 4, 4, 4)], two) == \
+            [2**63, 2**125, dense_trace_along([(4, 4, 4, 4)], two)]
+        assert traces_along([(1, 1), (2, 2)], one) == [top * top, top * top]
         # the true trace of a 3 x 3 cycle overflows int64 although every entry fits
         rng = random.Random(45)
         x = {l: _wide_matrix(rng, 3, 2**30) for l in (1, 2)}
         cycles = [(1, 2, 1), (1, -2, 2), (2,)]
-        got = exact_traces(cycles, x, normalized=True)
-        assert got == [fraction_trace_along([c], x, normalized=True) for c in cycles]
+        got = traces_along(cycles, x, normalized=True)
+        assert got == [dense_trace_along([c], x, normalized=True) for c in cycles]
         assert max(abs(t.numerator) for t in got) >= INT64_LIMIT
 
     def test_empty_zero_and_one_by_one(self):
-        assert exact_traces([], {}) == []
+        assert traces_along([], {}) == []
         assert trace_along([], {}) == Fraction(1)
         big = 3**30
         x = {1: DenseMatrix([[Fraction(big, 7)]]), 2: DenseMatrix([[Fraction(-big, 5)]])}
-        assert exact_traces([(1, -2, 1), (2,)], x, normalized=True) == \
+        assert traces_along([(1, -2, 1), (2,)], x, normalized=True) == \
             [Fraction(big, 7) ** 2 * Fraction(-big, 5), Fraction(-big, 5)]
         rng = random.Random(46)
         z = {1: DenseMatrix.zeros(3), 2: _wide_matrix(rng, 3, 2**40)}
         cycles = [(1,), (2, -1, 2), (2, 2, 2), (1, 1), (-2, 2)]
-        got = exact_traces(cycles, z)
+        got = traces_along(cycles, z)
         assert got[:2] == [0, 0] and got[3] == 0
-        assert got == [fraction_trace_along([c], z) for c in cycles]
+        assert got == [dense_trace_along([c], z) for c in cycles]
 
     def test_bad_cycles_raise(self):
         rng = random.Random(47)
         good = {1: _wide_matrix(rng, 3, 2**40), 2: _wide_matrix(rng, 3, 2**40)}
         cycles = [(1, 2, 1), (-2, 1)]
-        assert exact_traces(cycles, good) == [fraction_trace_along([c], good) for c in cycles]
+        assert traces_along(cycles, good) == [dense_trace_along([c], good) for c in cycles]
         bad = [({**good, 3: DenseMatrix([[1.0, 0.0, 0.0]] * 3)}, (1, 3)),  # mixed modes
                ({**good, 3: _wide_matrix(rng, 2, 2**40)}, (1, -3)),  # dimension mismatch
                (good, (1, 5)),  # no matrix for the label
                (good, ())]  # no factor at all
         for mats, cycle in bad:
             with pytest.raises(ValidationError):
-                exact_traces(cycles + [cycle], mats)
-            if cycle:
-                with pytest.raises(ValidationError):
-                    trace_along([cycle] + cycles, mats)
+                traces_along(cycles + [cycle], mats)
+            with pytest.raises(ValidationError):
+                trace_along([cycle] + cycles, mats)
+
+
+class TestFloatTraceKernel:
+    """Float cycles run in the same batch kernel as exact ones; every trace
+    must equal, by repr, the per-cycle DenseMatrix product chain."""
+
+    def test_against_per_cycle_reference(self):
+        rng = np.random.default_rng(48)
+        pick = random.Random(48)
+        for n in range(1, 34):
+            x = {l: DenseMatrix(arr=rng.standard_normal((n, n)) / math.sqrt(n))
+                 for l in (1, 2, 3)}
+            # lengths 1..6, repeated and transposed labels, one batch
+            cycles = [tuple(pick.choice((1, -1)) * pick.choice((1, 2, 3))
+                            for _ in range(length))
+                      for length in range(1, 7) for _ in range(3)]
+            cycles += [(1, 1, 1, 1), (-2, 2, -2), (3,), (-3,), (1, -1, 2, -2, 3, -3)]
+            for normalized in (False, True):
+                got = traces_along(cycles, x, normalized)
+                assert all(type(t) is float for t in got)
+                assert list(map(repr, got)) == \
+                    [repr(dense_trace_along([c], x, normalized)) for c in cycles]
+            assert repr(trace_along(cycles, x)) == repr(dense_trace_along(cycles, x))
 
 
 class TestHaar:
