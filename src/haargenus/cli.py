@@ -19,7 +19,7 @@ from . import __version__
 from .errors import CapExceededError, PoleError, ValidationError, VerificationFailure
 from .expansion import (TraceExpression, asymptotic_moment, evaluate_moment,
                         expand_moment, trace_cumulant)
-from .matrixlab import DenseMatrix, RNG_NAME
+from .matrixlab import DenseMatrix, RNG_NAME, check_dimension
 from .ratpoly import format_polyfrac
 from .setpart import YoungDiagram
 from .verify import mc_suite, noncross_suite, oracle_suite
@@ -117,6 +117,8 @@ def _diagram(text: str, n: int) -> YoungDiagram:
 
 
 def cmd_wg(args) -> int:
+    if args.eval is not None:
+        check_dimension(args.eval)
     lam = None if args.lam is None else _diagram(args.lam, args.n)
     table = weingarten_table(args.n, cap=args.cap)
     if args.golden_out:

@@ -28,10 +28,19 @@ consume `_Gluings.grouped` (gluing counts per vertex labels, exponent and
 diagrams, in first-seen order), so each Weingarten product is formed once per
 diagrams, and each Weingarten factor is evaluated once per N.  Numeric traces,
 exact or float, share one memo per call (`_TraceMemo`), filled by
-`traces_along` batches: once per moment and once per block of cumulant
-gluings.  Only
-`expand_moment` builds `ExpansionTerm`s, and a term builds its `Premap` only
-when `alpha` is read.
+`trace_numerators` batches: once per moment and once per block of cumulant
+gluings.
+
+Exact sums run on integers.  A gluing's vertex cycles hold each position
+exactly once, so the product of their trace denominators is D N^v for every
+gluing, where D is the product of the positions' matrix denominators and v,
+the number of vertex cycles, is fixed by the N exponent and the diagrams.  So
+an exact moment sums gluing count times product of integer trace numerators
+per (exponent, diagrams) and forms one Fraction per group; an exact cumulant
+on the built-in matrices without `kappa` does the same per (chi, shape).
+A caller's `trace_value` or `kappa`, symbolic results and float mode stay on
+Fractions or floats.  Only `expand_moment` builds `ExpansionTerm`s, and a term
+builds its `Premap` only when `alpha` is read.
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import CapExceededError, PoleError, ValidationError
-from .matrixlab import DenseMatrix, check_dimension, traces_along
+from .matrixlab import DenseMatrix, check_dimension, trace_numerators
 from .permap import Premap, SignedPermutation
 from .ratpoly import PolyFrac, monomial
 from .setpart import PARTITION_CAP, SetPartition, YoungDiagram, enumerate_pairings, \
@@ -455,23 +464,48 @@ def _resolve_for_mode(matrices: Mapping[int, DenseMatrix], n: int, mode: str):
 
 
 class _TraceMemo(dict):
-    """Normalized traces along label cycles for one evaluation at N, exact or
-    float, keyed by cycle; the empty cycle (identity factors only) has trace
-    one.  `fill` computes the cycles not held yet in one `traces_along` batch;
-    calling the memo only looks a cycle up, so an evaluator fills it first."""
+    """Traces along label cycles for one evaluation at N, keyed by cycle.
+
+    Exact: the integer numerator T of each normalized trace T / dens[cycle],
+    as `trace_numerators` returns them; the empty cycle (identity factors
+    only) has T = N over N.  A gluing's vertex cycles hold each position
+    once, so their dens multiply to the same product for every gluing with
+    as many cycles, and sums of products of numerators stay on ints.  Float:
+    the normalized trace.  `value` gives the normalized trace in both modes,
+    a Fraction or a float.  `fill` computes the cycles not held yet in one
+    `trace_numerators` batch; a lookup only reads the memo, so an evaluator
+    fills it first."""
 
     def __init__(self, matrices: Mapping[int, DenseMatrix], n: int, mode: str):
         super().__init__()
         check_dimension(n)
         self.mats = _resolve_for_mode(matrices, n, mode)
-        self[()] = Fraction(1) if mode == "exact" else 1.0
+        self.exact = mode == "exact"
+        self.dens = {(): n}
+        self[()] = n if self.exact else 1.0
 
-    __call__ = dict.__getitem__
+    @property
+    def value(self) -> Callable[[tuple[int, ...]], Fraction | float]:
+        """The normalized trace of a filled cycle, as a function that forms
+        each exact Fraction once; made on each read, since a function kept on
+        the memo would be a reference cycle that only the garbage collector
+        frees."""
+        return functools.lru_cache(maxsize=None)(self._fraction) if self.exact \
+            else self.__getitem__
+
+    def _fraction(self, cycle: tuple[int, ...]) -> Fraction:
+        return Fraction(self[cycle], self.dens[cycle])
 
     def fill(self, cycles: Iterable[tuple[int, ...]]) -> None:
         """Compute the cycles not held yet, in one batch, in first-seen order."""
         fresh = [c for c in dict.fromkeys(cycles) if c not in self]
-        self.update(zip(fresh, traces_along(fresh, self.mats, normalized=True)))
+        nums, dens = trace_numerators(fresh, self.mats, normalized=True)
+        if self.exact:
+            self.update(zip(fresh, nums))
+            self.dens.update(zip(fresh, dens))
+        else:
+            self.update(zip(fresh, (t / d for t, d in zip(nums, dens))))
+
 
 
 def _pattern_sum(terms: Iterable[tuple[tuple, Fraction]], trace, mode: str):
@@ -490,19 +524,38 @@ def evaluate_moment(expr: TraceExpression, matrices: Mapping[int, DenseMatrix],
                     term_cap: int = TERM_CAP) -> MomentResult:
     """Exact (or float) value of the expected product of normalized traces.
 
-    Groups gluings by their vertex trace pattern, so each distinct product of
-    traces is evaluated once; coefficients are evaluated at N with pole
-    detection."""
-    trace = _TraceMemo(matrices, n, mode)
+    Coefficients are evaluated at N with pole detection, all of them before
+    any trace, so a pole is reported before a bad trace.  Exact: the
+    products of trace numerators, times the gluing counts, are summed as ints
+    per (exponent, diagrams), and each sum forms one Fraction over the
+    product of trace denominators that the group's gluings share
+    (`_TraceMemo`), weighted by wg(lambdas, N) N^exponent.  Float: the coefficients are
+    summed per vertex trace pattern, so each distinct product of traces is
+    evaluated once."""
+    memo = _TraceMemo(matrices, n, mode)
     glu = _Gluings(expr, tables or default_tables(), term_cap)
-    coeff_by_pattern: dict[tuple, Fraction] = {}
-    for (labels, exponent, lambdas), mult in glu.grouped().items():
-        coeff = mult * glu.wg_at(lambdas, n) * Fraction(n) ** exponent
-        coeff_by_pattern[labels] = coeff_by_pattern.get(labels, 0) + coeff
-    # after every coefficient, so a pole is still reported before a bad trace
-    trace.fill(itertools.chain.from_iterable(coeff_by_pattern))
-    return MomentResult(value=_pattern_sum(coeff_by_pattern.items(), trace, mode),
-                        term_count=glu.total)
+    groups = glu.grouped()
+    if not memo.exact:
+        coeff_by_pattern: dict[tuple, Fraction] = {}
+        for (labels, exponent, lambdas), mult in groups.items():
+            coeff = mult * glu.wg_at(lambdas, n) * Fraction(n) ** exponent
+            coeff_by_pattern[labels] = coeff_by_pattern.get(labels, 0) + coeff
+        memo.fill(itertools.chain.from_iterable(coeff_by_pattern))
+        return MomentResult(value=_pattern_sum(coeff_by_pattern.items(), memo.value, mode),
+                            term_count=glu.total)
+    wg = {lambdas: glu.wg_at(lambdas, n) for _, _, lambdas in groups}
+    memo.fill(itertools.chain.from_iterable(labels for labels, _, _ in groups))
+    # (exponent, lambdas, cycles) -> [sum of mult * prod T, the shared prod of dens]
+    sums: dict[tuple, list[int]] = {}
+    for (labels, exponent, lambdas), mult in groups.items():
+        group = sums.get((exponent, lambdas, len(labels)))
+        if group is None:
+            group = sums[exponent, lambdas, len(labels)] = \
+                [0, math.prod(map(memo.dens.__getitem__, labels))]
+        group[0] += mult * math.prod(map(memo.__getitem__, labels))
+    value = sum((wg[lambdas] * Fraction(n) ** exponent * Fraction(s, den)
+                 for (exponent, lambdas, _), (s, den) in sums.items()), Fraction(0))
+    return MomentResult(value=value, term_count=glu.total)
 
 
 @dataclass
@@ -512,9 +565,9 @@ class AsymptoticMoment:
     terms: tuple[tuple[Fraction, tuple[tuple[int, ...], ...]], ...]
 
     def evaluate(self, matrices: Mapping[int, DenseMatrix], n: int, mode: str = "exact"):
-        trace = _TraceMemo(matrices, n, mode)
-        trace.fill(c for _, pattern in self.terms for c in pattern)
-        return _pattern_sum(((pattern, c) for c, pattern in self.terms), trace, mode)
+        memo = _TraceMemo(matrices, n, mode)
+        memo.fill(c for _, pattern in self.terms for c in pattern)
+        return _pattern_sum(((pattern, c) for c, pattern in self.terms), memo.value, mode)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -604,7 +657,10 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
     once per (shape, tau); exact and symbolic results sum the vertex-trace
     cumulants once per (chi, shape, tau) and expand them into one weight per
     (N exponent, relative cumulant) at the end, while float results add term
-    by term in gluing and rho order.  SetPartitions are built only for a
+    by term in gluing and rho order.  On the built-in exact matrices without
+    `kappa` those sums are ints, of products of trace numerators, and each
+    weight forms one Fraction over the product of trace denominators that
+    its gluings share.  SetPartitions are built only for a
     relative cumulant that the tables do not hold yet, for `wg_cumulant`;
     each is evaluated at N on its first hit in the call.  Traces of the
     built-in matrices are computed one block of GLUING_BLOCK gluings at a time.
@@ -633,11 +689,17 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
         check_dimension(n)
     elif matrices is None or n is None:
         raise ValidationError("numeric cumulants need matrices and N")
-    tv = _TraceMemo(matrices, n, mode) if trace_value is None \
-        else functools.lru_cache(maxsize=None)(trace_value)
+    memo = _TraceMemo(matrices, n, mode) if trace_value is None else None
     if kappa is not None:
         kappa = functools.lru_cache(maxsize=None)(kappa)
     exact = symbolic or mode == "exact"
+    # the built-in exact path sums products of trace numerators as ints; a
+    # caller's values and kappa stay Fractions
+    integer = memo is not None and memo.exact and kappa is None
+    if memo is None:
+        tv = functools.lru_cache(maxsize=None)(trace_value)
+    else:
+        tv = memo.__getitem__ if integer else memo.value
 
     glu = _Gluings(expr, tables, term_cap)
     trace_of = {s * k: t for t, cyc in enumerate(expr.cycles) for k in cyc for s in (1, -1)}
@@ -674,12 +736,13 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
         combos = glu.combos()
         while block := list(itertools.islice(combos, GLUING_BLOCK)):
             terms = [glu.term_for(combo) for combo in block]
-            if trace_value is None:
-                tv.fill(c for term in terms for c in term[4])
+            if memo is not None:
+                memo.fill(c for term in terms for c in term[4])
             yield from zip(block, terms)
 
     scans: dict[tuple, list[tuple[tuple, tuple]]] = {}  # (shape, tau) -> connecting rhos
-    sums: dict[tuple, Fraction] = {}  # exact and symbolic: k_tau summed per (chi, shape, tau)
+    sums: dict[tuple, Fraction | int] = {}  # exact and symbolic: k_tau summed per (chi, shape, tau)
+    dens: dict[tuple, int] = {}  # integer sums: the same key -> the gluings' product of dens
     floats: dict[tuple, list[float]] = {}  # float: each hit's coefficient per (chi, shape, tau)
     total_num = 0.0
     for combo, (chi, _, _, vertex, labels) in gluings():
@@ -688,7 +751,7 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
         tau_choices = [tuple((i,) for i in range(len(vertex)))] if kappa is None \
             else _block_partitions((len(vertex),))
         for t, tau_blocks in enumerate(tau_choices):
-            k_tau = Fraction(1)
+            k_tau = 1 if integer else Fraction(1)
             for blk in tau_blocks:
                 k_tau *= tv(labels[blk[0]]) if len(blk) == 1 else \
                     kappa(tuple(labels[i] for i in blk))
@@ -699,13 +762,15 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
                 hits = scans[shape, t] = _connecting_rhos(r, *shape, tau_blocks)
             entry = (chi, shape, t)
             if exact:
-                if not symbolic and not isinstance(k_tau, Fraction):
+                if not (symbolic or integer or isinstance(k_tau, Fraction)):
                     raise ValidationError("exact cumulants need rational vertex-trace "
                                           f"values, got {k_tau!r}")
                 if entry not in sums:
                     build_cumulants(combo, hits)
-                    sums[entry] = Fraction(0)
-                sums[entry] += Fraction(k_tau)
+                    sums[entry] = 0
+                    if integer:
+                        dens[entry] = math.prod(map(memo.dens.__getitem__, labels))
+                sums[entry] += k_tau if integer else Fraction(k_tau)
             else:
                 coeffs = floats.get(entry)
                 if coeffs is None:
@@ -716,15 +781,17 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
                     total_num = total_num + coeff * k_tau
     if not exact:
         return total_num
-    weights: dict[tuple, Fraction] = {}  # per (N exponent, key), in first-hit order
+    # per (N exponent, key, denominator of an integer sum), in first-hit order
+    weights: dict[tuple, Fraction | int] = {}
     for (chi, shape, t), k_sum in sums.items():
+        den = dens.get((chi, shape, t), 1)
         for key, _ in scans[shape, t]:
-            weights[chi - r, key] = weights.get((chi - r, key), 0) + k_sum
+            weights[chi - r, key, den] = weights.get((chi - r, key, den), 0) + k_sum
     if symbolic:
         return sum((c_cache[key] * _scaled_n_power(e, w)
-                    for (e, key), w in weights.items() if w), PolyFrac(0))
-    return sum((c_at_n[key] * Fraction(n) ** e * w for (e, key), w in weights.items()),
-               Fraction(0))
+                    for (e, key, _), w in weights.items() if w), PolyFrac(0))
+    return sum((c_at_n[key] * Fraction(n) ** e * (Fraction(w, den) if integer else w)
+                for (e, key, den), w in weights.items()), Fraction(0))
 
 
 def _scaled_n_power(k: int, c: Fraction) -> PolyFrac:

@@ -2,13 +2,15 @@
 and the entrywise brute-force moment oracle.
 
 Exact matrices hold Fractions; float matrices hold numpy arrays.  Traces
-along label cycles run in one kernel for both modes, `traces_along`: the
+along label cycles run in one kernel for both modes, `trace_numerators`: the
 cycles of one dimension and length multiply as stacks.  Each exact matrix is
 scaled once to integer entries over one common denominator, its stacks
 multiply in int64 where a bound proves that no partial sum overflows and on
-Python ints otherwise, and each cycle forms one Fraction.  A float stack
-multiplies from the left and sums each trace as numpy sums one matrix's, so
-every float trace is the one of multiplying that cycle's matrices in turn.
+Python ints otherwise, and each cycle's trace is an integer numerator over
+the product of its factors' denominators; `traces_along` forms one Fraction
+per cycle from them.  A float stack multiplies from the left and sums each
+trace as numpy sums one matrix's, so every float trace is the one of
+multiplying that cycle's matrices in turn.
 
 The Monte Carlo estimators use per-sample Philox substreams on a fixed chunk
 grid: sample i draws from the counter-based stream keyed by (seed, i), and
@@ -236,27 +238,30 @@ def resolve_slot(matrices: Mapping[int, DenseMatrix], label: int) -> DenseMatrix
 INT64_LIMIT = 2 ** 63  # an exact cycle runs in int64 only if its bound is below this
 
 
-def traces_along(cycles: Sequence[Sequence[int]], matrices: Mapping[int, DenseMatrix],
-                 normalized: bool = False) -> list:
-    """Trace of the product of the matrices along each cycle, as one batch.
+def trace_numerators(cycles: Sequence[Sequence[int]], matrices: Mapping[int, DenseMatrix],
+                     normalized: bool = False) -> tuple[list, list[int]]:
+    """(numerators, denominators) of the trace of the product of the matrices
+    along each cycle, as one batch: cycle i's trace is nums[i] / dens[i].
 
     Entries are signed labels (negative: the transpose), and the matrices of
     one call are all exact or all float.  Cycles are grouped by dimension N
-    and length L, and each group multiplies stacks of its factors; normalized
-    traces are divided by N.
+    and length L, and each group multiplies stacks of its factors.  A cycle's
+    denominator is the product of its factors' denominators, times N when
+    normalized.
 
-    Exact: each factor is its integer form over its denominator, so one
-    Fraction is formed per cycle at the end (fraction-free, as in Bareiss
-    elimination), after L - 2 stacked products and one fold of the last
-    factor into the trace, sum over i, j of P[i][j] B[j][i].  No partial sum
-    exceeds N^L times the product of max(1, largest |entry|) over the factors,
-    so a cycle whose bound is below 2^63 runs in int64 and the others on
-    Python ints (dtype object), by the same code; no value passes through a
-    float.
+    Exact: each factor is its integer form over its denominator (fraction-free,
+    as in Bareiss elimination), so each numerator is a Python int, not reduced
+    against its denominator.  A cycle takes L - 2 stacked products and one
+    fold of the last factor into the trace, sum over i, j of P[i][j] B[j][i].
+    No partial sum exceeds N^L times the product of max(1, largest |entry|)
+    over the factors, so a cycle whose bound is below 2^63 runs in int64 and
+    the others on Python ints (dtype object), by the same code; no value
+    passes through a float.
 
-    Float: L - 1 stacked products from the left and `np.trace` of each: the
-    operations, in their order, of multiplying one cycle's matrices in turn
-    (einsum or the exact fold would sum in another order)."""
+    Float: the numerator is the trace, from L - 1 stacked products from the
+    left and `np.trace` of each: the operations, in their order, of
+    multiplying one cycle's matrices in turn (einsum or the exact fold would
+    sum in another order); the denominator is 1, or N when normalized."""
     info: dict[int, tuple[int, int, int, int]] = {}  # label -> (n, den, max(1, |entry|), index)
     stacks: dict[int, list] = {}  # n -> (factor, max(1, |entry|)) of each label of size n
     groups: dict[tuple[int, int, bool], list[int]] = {}  # (n, L, int64 or float) -> cycle indices
@@ -293,7 +298,7 @@ def traces_along(cycles: Sequence[Sequence[int]], matrices: Mapping[int, DenseMa
         fits = mode == "float" or n ** len(cyc) * bound < INT64_LIMIT
         groups.setdefault((n, len(cyc), fits), []).append(i)
 
-    out: list = [None] * len(dens)
+    nums: list = [None] * len(dens)
     bases: dict[tuple[int, bool], np.ndarray] = {}  # (n, fits) -> every label's stacked factor
     for (n, length, fits), members in groups.items():
         base = bases.get((n, fits))
@@ -321,8 +326,17 @@ def traces_along(cycles: Sequence[Sequence[int]], matrices: Mapping[int, DenseMa
                 prod = prod @ base[index[:, j]]
             traces = (prod * base[index[:, -1]].swapaxes(1, 2)).sum(axis=(1, 2))
         for i, t in zip(members, traces.tolist()):
-            out[i] = t / dens[i] if mode == "float" else Fraction(t, dens[i])
-    return out
+            nums[i] = t
+    return nums, dens
+
+
+def traces_along(cycles: Sequence[Sequence[int]], matrices: Mapping[int, DenseMatrix],
+                 normalized: bool = False) -> list:
+    """Trace of the product of the matrices along each cycle, as one batch
+    (`trace_numerators`): an exact cycle forms one Fraction, a float cycle
+    divides its trace by N when normalized."""
+    nums, dens = trace_numerators(cycles, matrices, normalized)
+    return [t / d if isinstance(t, float) else Fraction(t, d) for t, d in zip(nums, dens)]
 
 
 def trace_along(cycles: Iterable[Sequence[int]], matrices: Mapping[int, DenseMatrix],

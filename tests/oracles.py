@@ -90,8 +90,9 @@ def join_trace_cumulant(exprs, *, matrices=None, n=None, mode="exact", trace_val
     r = len(exprs)
     glu = _Gluings(expr, tables, TERM_CAP)
     if trace_value is None:
-        tv = _TraceMemo(matrices, n, mode)
-        tv.fill(c for combo in glu.combos() for c in glu.term_for(combo)[4])
+        memo = _TraceMemo(matrices, n, mode)
+        memo.fill(c for combo in glu.combos() for c in glu.term_for(combo)[4])
+        tv = memo.value
     else:
         tv = trace_value
     phi_part = expr.phi().orbit_partition()

@@ -45,6 +45,13 @@ class TestWg:
         assert out["entries"]["1,1"]["Wg_at_N"] == "11/1080"
         assert out["entries"]["2"]["Wg_at_N"] == "-1/1080"
 
+    @pytest.mark.parametrize("n, code", [("-1", 2), ("0", 2), ("1", 4), ("2", 0)])
+    def test_eval_dimension_exit_code(self, capsys, n, code):
+        # N must be a positive integer; N = 1 is a pole of the n = 4 table
+        assert main(["wg", "--n", "4", "--eval", n]) == code
+        err = capsys.readouterr().err
+        assert ("N must be a positive integer" in err) == (code == 2)
+
     def test_cap_exit_code(self):
         assert main(["wg", "--n", "12"]) == 3
 

@@ -3,6 +3,7 @@ import math
 import os
 import random
 import sys
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -646,9 +647,9 @@ class TestCumulantShapes:
 
 
 class TestBatchedTraces:
-    """Each evaluation, exact or float, fills its trace memo in `traces_along`
-    batches; exact values must equal Fraction products on the same cycles,
-    also where entries force the kernel off int64."""
+    """Each evaluation, exact or float, fills its trace memo in
+    `trace_numerators` batches; exact values must equal Fraction products on
+    the same cycles, also where entries force the kernel off int64."""
 
     @staticmethod
     def _wide(rng, n):
@@ -661,8 +662,8 @@ class TestBatchedTraces:
 
         rng = random.Random(60)
         batches = []
-        real = expansion.traces_along
-        monkeypatch.setattr(expansion, "traces_along",
+        real = expansion.trace_numerators
+        monkeypatch.setattr(expansion, "trace_numerators",
                             lambda cycles, *a, **kw: batches.append(list(cycles)) or real(cycles, *a, **kw))
         for _ in range(10):
             expr = concatenate(random_single_traces(rng))
@@ -682,6 +683,19 @@ class TestBatchedTraces:
             limit = asymptotic_moment(expr, TABLES)
             assert limit.evaluate(x, n) == sum(
                 (c * math.prod(map(tv, pattern)) for c, pattern in limit.terms), Fraction(0))
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_memo_freed_without_the_collector(self, mode):
+        # a reference cycle would keep every trace of an evaluation alive
+        # until the next garbage collection
+        from haargenus.expansion import _TraceMemo
+
+        memo = _TraceMemo({1: DenseMatrix.identity(2, mode)}, 2, mode)
+        memo.fill([(1,), (1, -1)])
+        assert memo.value((1, -1)) == 1
+        ref = weakref.ref(memo)
+        del memo
+        assert ref() is None
 
     def test_cumulants_in_blocks(self, monkeypatch):
         from haargenus import expansion
@@ -892,6 +906,89 @@ class TestMetamorphic:
         assert moment_values(permuted) == moment_values(expr)
         args = single_traces(expr)
         assert cumulant_values([args[i] for i in order]) == cumulant_values(args)
+
+
+@st.composite
+def integer_sum_matrices(draw, n):
+    """Exact matrices for labels 1 and 2 at N = n, over different denominators
+    (3 and 4): small entries, entries of at least 2^40 (so stacks run on
+    Python ints), or strictly upper triangular ones, whose traces along cycles
+    of their own label are zero."""
+    out = {}
+    for label, den in ((1, 3), (2, 4)):
+        kind = draw(st.sampled_from(("small", "wide", "nilpotent")))
+        if kind == "wide":
+            entry = st.integers(2**40, 2**41).map(lambda v: v * (-1) ** (v % 3))
+        else:
+            entry = st.integers(-3, 3)
+        out[label] = DenseMatrix([[Fraction(draw(entry), den)
+                                   if kind != "nilpotent" or j > i else 0
+                                   for j in range(n)] for i in range(n)])
+    return out
+
+
+class TestIntegerSums:
+    """Exact moments and built-in cumulants sum products of trace numerators
+    as ints and divide once per group; they must equal the Fraction-level
+    references, whatever the denominators, identity and transposed slots,
+    zero traces and int64 or Python-int stacks."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(small_expressions(), st.sampled_from((3, 4)), st.data())
+    def test_moment_matches_references(self, expr, n, data):
+        x = data.draw(integer_sum_matrices(n))
+        got = evaluate_moment(expr, x, n, tables=TABLES).value
+        assert got == moment_symbolic(expr, lambda c: _trace_value(c, x, n),
+                                      tables=TABLES).eval_at(n)
+        if expr.n <= 4 and n == 3:
+            assert got == brute_force_moment(expr, x, n, TABLES)
+
+    @settings(max_examples=25, deadline=None)
+    @given(small_expressions(), st.sampled_from((3, 4)), st.data())
+    def test_cumulant_matches_joins(self, expr, n, data):
+        x = data.draw(integer_sum_matrices(n))
+        args = single_traces(expr)
+        assert trace_cumulant(args, matrices=x, n=n, tables=TABLES) == \
+            join_trace_cumulant(args, matrices=x, n=n, tables=TABLES)
+
+        # kappa keeps the built-in path on Fractions
+        def kappa(cycles):
+            return Fraction(len(cycles), 7) * _trace_value(cycles[0], x, n)
+
+        assert trace_cumulant(args, matrices=x, n=n, kappa=kappa, tables=TABLES) == \
+            join_trace_cumulant(args, matrices=x, n=n, kappa=kappa, tables=TABLES)
+
+
+class TestErrorOrder:
+    """A slot label with no matrix, at a pole N and at a regular one."""
+
+    # one colour on four positions, so N = 1 is a pole; label 2 has no matrix
+    EXPR = TraceExpression.single_trace([(1, 1, 1), (1, -1, 0), (1, 1, 2), (1, -1, 0)])
+    ARGS = [TraceExpression.single_trace([(1, 1, 1), (1, -1, 0)]),
+            TraceExpression.single_trace([(1, 1, 2), (1, -1, 0)])]
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_moment_reports_the_pole_first(self, mode):
+        # every coefficient is evaluated before any trace
+        with pytest.raises(PoleError, match="N=1"):
+            evaluate_moment(self.EXPR, {1: DenseMatrix.identity(1)}, 1, mode=mode,
+                            tables=TABLES)
+        with pytest.raises(ValidationError, match="no matrix for label 2"):
+            evaluate_moment(self.EXPR, {1: DenseMatrix.identity(2)}, 2, mode=mode,
+                            tables=TABLES)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("kappa", [None, lambda cycles: Fraction(0)])
+    def test_cumulant_pole_and_missing_matrix(self, mode, kappa):
+        # which of the two a cumulant reports at a pole N with a matrix
+        # missing is not settled, so each is checked on its own
+        one = DenseMatrix.identity(1)
+        with pytest.raises(PoleError, match="N=1"):
+            trace_cumulant(self.ARGS, matrices={1: one, 2: one}, n=1, mode=mode,
+                           kappa=kappa, tables=TABLES)
+        with pytest.raises(ValidationError, match="no matrix for label 2"):
+            trace_cumulant(self.ARGS, matrices={1: DenseMatrix.identity(2)}, n=2,
+                           mode=mode, kappa=kappa, tables=TABLES)
 
 
 class TestColorConsistency:

@@ -12,7 +12,7 @@ from haargenus.expansion import TraceExpression, evaluate_moment
 from haargenus.matrixlab import (INT64_LIMIT, DenseMatrix, block_diagonal_repeat,
                                  brute_force_moment, haar_orthogonal, mc_cumulant,
                                  mc_entry_moment, mc_moment, sample_rng, trace_along,
-                                 traces_along)
+                                 trace_numerators, traces_along)
 from haargenus.weingarten import TableSet
 from oracles import dense_trace_along, trace_index_sum
 
@@ -199,6 +199,12 @@ class TestBatchTraceKernel:
                     got = traces_along(cycles, x, normalized)
                     assert all(type(t) is Fraction for t in got)
                     assert got == [dense_trace_along([c], x, normalized) for c in cycles]
+                    # unreduced int numerators over the product of the factors' scales
+                    nums, dens = trace_numerators(cycles, x, normalized)
+                    assert all(type(t) is int for t in nums)
+                    assert dens == [math.prod(x[abs(l)].integer_form()[0] for l in c) *
+                                    (n if normalized else 1) for c in cycles]
+                    assert [Fraction(t, d) for t, d in zip(nums, dens)] == got
                 # the index sum keys points by signed label, so it needs them distinct
                 for c in ((1, -2, 3), (-1, 2), (2,), (1, 2, 3)):
                     if n ** len(c) <= 216:
