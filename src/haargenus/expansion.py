@@ -16,14 +16,18 @@ built only for a new relative cumulant, and each relative cumulant is kept on
 the TableSet across calls (evaluated at N once per call).  A caller's
 `trace_value` and `kappa` are memoised per call.
 
-All evaluators share one kernel, `_Gluings`.  Each colour's pairing pairs,
-with their premap arcs, join blocks and join diagrams, depend only on the
-colour's size, so they are built once per size on the points 1..m
-(`_pairing_table`) and shared by every expression; the colour's positions, in
-increasing order, relabel them monotonically, and the kernel builds only
-K^{-1} per expression.  Pairings, arcs and blocks are relabelled onto the
-positions only where they are read.  `term_for` turns one choice per colour
-into chi, the N exponent, the join diagrams and the vertex cycles.  Moments
+All evaluators share one kernel, `_Gluings`.  A pair of pairings (p_plus,
+p_minus) glues a colour by the premap that takes each positive point to minus
+its p_plus partner and each negative point to its p_minus partner, so its
+arcs, and K^{-1} with them, split into a half from p_plus and a half from
+p_minus.  These depend only on the colour's size, so they are built once per
+size on the points 1..m (`_pairing_table`) and shared by every expression:
+two halves per pairing, and per pair only the join blocks (from
+`weingarten.join_blocks`) and diagram.  The colour's positions, in increasing
+order, relabel 1..m monotonically: the kernel builds the 2 (m-1)!! halves of
+K^{-1} per expression, and relabels pairings, arcs and blocks only where they
+are read.  `term_for` joins one pair's halves per colour into K^{-1} and turns
+it into chi, the N exponent, the join diagrams and the vertex cycles.  Moments
 consume `_Gluings.grouped` (gluing counts per vertex labels, exponent and
 diagrams, in first-seen order), so each Weingarten product is formed once per
 diagrams, and each Weingarten factor is evaluated once per N.  Numeric traces,
@@ -58,7 +62,7 @@ from .permap import Premap, SignedPermutation
 from .ratpoly import PolyFrac, monomial
 from .setpart import PARTITION_CAP, SetPartition, YoungDiagram, enumerate_pairings, \
     enumerate_partitions
-from .weingarten import TableSet, wg_cumulant
+from .weingarten import TableSet, join_blocks, pairing_partners, wg_cumulant
 
 TERM_CAP = 500_000
 # gluings per batch of cumulant traces: an untuned bound on the `term_for`
@@ -222,20 +226,12 @@ class ExpansionTerm:
 
 class _Pair(NamedTuple):
     """A pair of pairings (p_plus, p_minus) of the points 1..m, with what every
-    gluing through it needs that does not depend on the expression."""
+    gluing through it needs that depends on both pairings."""
 
     plus: int  # index of p_plus in the table's pairings
     minus: int  # index of p_minus
-    arcs: tuple[tuple[int, int], ...]  # x -> a for the premap p_minus d p_plus on +/-(1..m)
     blocks: tuple[tuple[int, ...], ...]  # blocks of the join p_plus v p_minus
     lam: YoungDiagram  # diagram of that join
-
-
-class _Option(NamedTuple):
-    """One pair of pairings of one colour of an expression."""
-
-    pair: _Pair  # on 1..m, where point i stands for the colour's i-th least position
-    kinv: dict[int, int]  # K^{-1} = phi_-^{-1} (d_eps a d_eps) phi_+ where phi_+ lands in +/-pts
 
 
 def _particular_cycles(premap: Mapping[int, int],
@@ -258,26 +254,25 @@ def _particular_cycles(premap: Mapping[int, int],
 
 
 @functools.lru_cache(maxsize=None)
-def _pairing_table(m: int) -> tuple[tuple[SetPartition, ...], tuple[_Pair, ...]]:
-    """The pairings of 1..m and every pair of them (p_plus major), built once
-    per colour size and shared by every expression.  A colour's positions in
-    increasing order relabel 1..m monotonically, which keeps the order of the
-    pairings, of the arcs' cycles and of the blocks."""
-    points = range(1, m + 1)
-    pairings = tuple(enumerate_pairings(points))
-    pairs = []
-    for i, p_plus in enumerate(pairings):
-        for j, p_minus in enumerate(pairings):
-            arcs = {}
-            for a, b in map(sorted, p_plus.blocks):
-                arcs[a], arcs[b] = -b, -a
-            for a, b in map(sorted, p_minus.blocks):
-                arcs[-a], arcs[-b] = b, a
-            # the join blocks are the point sets of the mirror pairs of arcs
-            blocks = tuple(tuple(map(abs, c)) for c in _particular_cycles(arcs, points))
-            pairs.append(_Pair(i, j, tuple(arcs.items()), blocks,
-                               YoungDiagram(len(b) // 2 for b in blocks)))
-    return pairings, tuple(pairs)
+def _pairing_table(m: int) -> tuple[tuple[SetPartition, ...], tuple, tuple, tuple[_Pair, ...]]:
+    """(pairings, plus, minus, pairs) on the points 1..m, built once per colour
+    size: plus[i] and minus[i] are the arcs x -> -p(x) and -x -> p(x) of the
+    i-th pairing p, its halves of a premap as p_plus and as p_minus, and pairs
+    holds every pair of indices (p_plus major) with its join blocks and
+    diagram.  A colour's positions in increasing order relabel 1..m
+    monotonically, which keeps the order of the pairings, arcs and blocks."""
+    pairings = tuple(enumerate_pairings(range(1, m + 1)))
+    ends = [tuple(map(sorted, p.blocks)) for p in pairings]
+    plus = tuple(tuple(arc for a, b in e for arc in ((a, -b), (b, -a))) for e in ends)
+    minus = tuple(tuple(arc for a, b in e for arc in ((-a, b), (-b, a))) for e in ends)
+    partners = pairing_partners(m)
+    pairs, diagrams = [], {}  # one YoungDiagram object per join diagram
+    for i, p_plus in enumerate(partners):
+        for j, p_minus in enumerate(partners):
+            blocks = tuple(tuple(k + 1 for k in b) for b in join_blocks(p_plus, p_minus))
+            lam = YoungDiagram(len(b) // 2 for b in blocks)
+            pairs.append(_Pair(i, j, blocks, diagrams.setdefault(lam, lam)))
+    return pairings, plus, minus, tuple(pairs)
 
 
 @functools.lru_cache(maxsize=None)
@@ -296,8 +291,9 @@ def _block_partitions(counts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], .
 
 class _Gluings:
     """The gluing kernel: each colour's pairing pairs, read from the shared
-    table of its size with K^{-1} built on the real points, combined per
-    gluing into chi, the N exponent, the join diagrams and the vertex cycles.
+    table of its size with each pairing's half of K^{-1} built on the real
+    points, combined per gluing into chi, the N exponent, the join diagrams
+    and the vertex cycles.
     Pairings, arcs and blocks are relabelled onto the real points only where
     they are read (`pairings`, `arcs`, `rho_choices`)."""
 
@@ -320,7 +316,9 @@ class _Gluings:
                 y = expr.eps[k] * x  # x -> y under d_eps
                 src[x] = phi_inv(y) if y > 0 else y
                 dst[x] = -phi_inv(-y) if y < 0 else y
-        self.choices: list[list[_Option]] = [[]] if odd else []  # no gluing when odd
+        self.choices: list[Sequence[_Pair]] = [[]] if odd else []  # no gluing when odd
+        # per colour, each pairing's half of K^{-1} as p_plus and as p_minus
+        self.kinv: list[tuple[list[dict[int, int]], list[dict[int, int]]]] = []
         # per colour, (0, least position, ...): point i of the table is points[i]
         self.points: list[tuple[int, ...]] = []
         # choices run over colours in sorted order; ker(colour) orders them by least position
@@ -333,62 +331,65 @@ class _Gluings:
             signed = [(s * i, s * k) for i, k in enumerate(pts, 1) for s in (1, -1)]
             src_c = {i: src[k] for i, k in signed}
             dst_c = {i: dst[k] for i, k in signed}
-            self.choices.append([
-                _Option(pair, {src_c[x]: dst_c[a] for x, a in pair.arcs})
-                for pair in _pairing_table(len(pts))[1]])
+            _, plus, minus, pairs = _pairing_table(len(pts))
+            self.kinv.append(tuple([{src_c[x]: dst_c[a] for x, a in half} for half in halves]
+                                   for halves in (plus, minus)))
+            self.choices.append(pairs)
         self._labels = {s * k: expr.vertex_label(s * k)
                         for k in expr.positions for s in (1, -1)}
         self._wg: dict[tuple[YoungDiagram, ...], PolyFrac] = {}
         self._wg_at: dict[tuple[tuple[YoungDiagram, ...], int], Fraction] = {}
         self._pairings: list[list[SetPartition]] | None = None
 
-    def combos(self) -> Iterator[tuple[_Option, ...]]:
+    def combos(self) -> Iterator[tuple[_Pair, ...]]:
         return itertools.product(*self.choices)
 
-    def term_for(self, combo: tuple[_Option, ...]) -> tuple:
+    def term_for(self, combo: tuple[_Pair, ...]) -> tuple:
         """(chi, exponent, lambdas, vertex cycles, vertex labels) of one gluing.
 
         The vertex cycles are the particular cycles of K^{-1}."""
         kinv: dict[int, int] = {}
         pairs = 0  # mirror pairs of cycles of the premap a
-        for opt in combo:
-            kinv.update(opt.kinv)
-            pairs += len(opt.pair.blocks)
+        for (plus, minus), pair in zip(self.kinv, combo):
+            kinv.update(plus[pair.plus])
+            kinv.update(minus[pair.minus])
+            pairs += len(pair.blocks)
         vertex = _particular_cycles(kinv, self.expr.positions)
         label = self._labels
         labels = tuple(tuple(l for l in map(label.__getitem__, c) if l != IDENTITY_SLOT)
                        for c in vertex)
         chi = self.expr.num_traces + pairs + len(vertex) - self.expr.n
-        return (chi, chi - 2 * self.expr.num_traces, tuple(opt.pair.lam for opt in combo),
+        return (chi, chi - 2 * self.expr.num_traces, tuple(pair.lam for pair in combo),
                 tuple(vertex), labels)
 
-    def pairings(self, combo: tuple[_Option, ...]) -> tuple[tuple[SetPartition, SetPartition], ...]:
+    def pairings(self, combo: tuple[_Pair, ...]) -> tuple[tuple[SetPartition, SetPartition], ...]:
         """Each colour's (p_plus, p_minus) on its positions; each colour's
         pairings are relabelled once per kernel, on the first read."""
         if self._pairings is None:
             self._pairings = [[SetPartition([[pts[i] for i in b] for b in p.blocks])
                                for p in _pairing_table(len(pts) - 1)[0]]
                               for pts in self.points]
-        return tuple((real[opt.pair.plus], real[opt.pair.minus])
-                     for real, opt in zip(self._pairings, combo))
+        return tuple((real[pair.plus], real[pair.minus])
+                     for real, pair in zip(self._pairings, combo))
 
-    def arcs(self, combo: tuple[_Option, ...]) -> dict[int, int]:
+    def arcs(self, combo: tuple[_Pair, ...]) -> dict[int, int]:
         """The arcs of the gluing's premap on the signed positions."""
         out = {}
-        for pts, opt in zip(self.points, combo):
-            for x, a in opt.pair.arcs:
+        for pts, pair in zip(self.points, combo):
+            _, plus, minus, _ = _pairing_table(len(pts) - 1)
+            for x, a in plus[pair.plus] + minus[pair.minus]:
                 out[pts[x] if x > 0 else -pts[-x]] = pts[a] if a > 0 else -pts[-a]
         return out
 
-    def rho_choices(self, combo: tuple[_Option, ...]) -> tuple[list[tuple[int, ...]], tuple]:
+    def rho_choices(self, combo: tuple[_Pair, ...]) -> tuple[list[tuple[int, ...]], tuple]:
         """The blocks of pi (the join of the gluing's pairings) on the
         positions, colour by colour, and every rho in [pi, ker(colour)] as
         groups of block indices, in the order `enumerate_interval(pi,
         ker(colour))` yields them."""
         order = self.ker_order
         blocks = [tuple(map(self.points[i].__getitem__, b))
-                  for i in order for b in combo[i].pair.blocks]
-        return blocks, _block_partitions(tuple(len(combo[i].pair.blocks) for i in order))
+                  for i in order for b in combo[i].blocks]
+        return blocks, _block_partitions(tuple(len(combo[i].blocks) for i in order))
 
     def wg_factor(self, lambdas: tuple[YoungDiagram, ...]) -> PolyFrac:
         """Product of the normalized Weingarten values, once per distinct lambdas."""
@@ -703,17 +704,17 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
 
     glu = _Gluings(expr, tables, term_cap)
     trace_of = {s * k: t for t, cyc in enumerate(expr.cycles) for k in cyc for s in (1, -1)}
-    # the (size, traces) of each block of each option's join; options hold
-    # dicts and do not hash, so they are keyed by identity
-    block_shape = {id(opt): tuple((len(b), frozenset(trace_of[pts[i]] for i in b))
-                                  for b in opt.pair.blocks)
-                   for pts, opts in zip(glu.points, glu.choices) for opt in opts}
+    # per colour, the (size, traces) of each block of each pair's join, keyed
+    # by identity; colours of one size share their pairs, so each has its own dict
+    block_shape = [{id(pair): tuple((len(b), frozenset(trace_of[pts[i]] for i in b))
+                                    for b in pair.blocks) for pair in pairs}
+                   for pts, pairs in zip(glu.points, glu.choices)]
     order = glu.ker_order
     ground = expr.positions
     c_cache = tables.relative_cumulants
     c_at_n: dict[tuple, Fraction | None] = {}  # this call's keys, at N unless symbolic
 
-    def build_cumulants(combo: tuple[_Option, ...], hits: list[tuple[tuple, tuple]]) -> None:
+    def build_cumulants(combo: tuple[_Pair, ...], hits: list[tuple[tuple, tuple]]) -> None:
         """C_{pi,pi,rho} for each key of hits not met yet in this call, built on
         this gluing's blocks unless the tables hold it, and evaluated at N."""
         blocks = None
@@ -729,7 +730,7 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
                 c_cache[key] = wg_cumulant(tables, pi, pi, rho_part)
             c_at_n[key] = None if symbolic else c_cache[key].eval_at(n)
 
-    def gluings() -> Iterator[tuple[tuple[_Option, ...], tuple]]:
+    def gluings() -> Iterator[tuple[tuple[_Pair, ...], tuple]]:
         """Each gluing with its `term_for`, one block at a time; the built-in
         matrices' memo is filled with each block's cycles, and a caller's
         `trace_value` is left to be called on lookup."""
@@ -747,7 +748,7 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
     total_num = 0.0
     for combo, (chi, _, _, vertex, labels) in gluings():
         shape = (tuple(frozenset(map(trace_of.__getitem__, c)) for c in vertex),
-                 tuple(block_shape[id(combo[i])] for i in order))
+                 tuple(block_shape[i][id(combo[i])] for i in order))
         tau_choices = [tuple((i,) for i in range(len(vertex)))] if kappa is None \
             else _block_partitions((len(vertex),))
         for t, tau_blocks in enumerate(tau_choices):

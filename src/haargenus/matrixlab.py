@@ -41,8 +41,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .weingarten import TableSet, pairing_join_diagram
-from .setpart import enumerate_pairings
+from .weingarten import TableSet
+from .setpart import enumerate_pairings, join_of_pairings_diagram
 
 RNG_NAME = "philox4x64"
 MC_CHUNK = 64
@@ -681,7 +681,7 @@ def brute_force_moment(expr, matrices: Mapping[int, DenseMatrix], n: int,
         pairs = []
         for p_plus in enumerate_pairings(pts):
             for p_minus in enumerate_pairings(pts):
-                lam = pairing_join_diagram(p_plus, p_minus)
+                lam = join_of_pairings_diagram(p_plus, p_minus)
                 if lam not in wg_at_n:
                     wg_at_n[lam] = tables.table(2 * lam.n).wg_unnormalized(lam).eval_at(n)
                 plus_map = {k: next(iter(b - {k})) for b in p_plus.blocks for k in b}

@@ -6,7 +6,9 @@ is a nonzero polynomial, so no pseudoinverse is needed symbolically; fixed-N
 poles surface at evaluation time).  Since the value depends only on the Young
 diagram of the join, the table is solved per diagram class from a small exact
 polynomial linear system instead of inverting the full (n-1)!! x (n-1)!! Gram
-matrix.
+matrix (Collins-Matsumoto 2009).  Every join of two pairings, here and in the
+gluing kernel's pairing tables, is one alternating walk over partner arrays
+(`join_blocks`); `setpart.join_of_pairings_diagram` stays apart, for oracles.
 """
 
 from __future__ import annotations
@@ -15,10 +17,13 @@ import json
 import math
 import os
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import CapExceededError, ValidationError
-from .ratpoly import ONE, Poly, PolyFrac, bareiss_solve, monomial, padd
+from .ratpoly import ONE, ZERO, Poly, PolyFrac, bareiss_solve, exact_div, monomial, padd, \
+    pmul, poly_gcd, pshift
 from .setpart import SetPartition, YoungDiagram, enumerate_pairings, mobius, \
     enumerate_interval, young_diagrams
 
@@ -42,45 +47,51 @@ def _partner_tuple(p: SetPartition, order: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _join_profile(p1: tuple[int, ...], p2: tuple[int, ...]) -> tuple[int, ...]:
-    """Sorted block sizes of the join of two partner arrays (union-find)."""
-    n = len(p1)
-    parent = list(range(n))
+def pairing_partners(n: int) -> list[tuple[int, ...]]:
+    """The pairings of 1..n as partner arrays on 0..n-1, in `enumerate_pairings` order."""
+    order = range(1, n + 1)
+    return [_partner_tuple(p, order) for p in enumerate_pairings(order)]
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for i in range(n):
-        for j in (p1[i], p2[i]):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    sizes: dict[int, int] = {}
-    for i in range(n):
-        r = find(i)
-        sizes[r] = sizes.get(r, 0) + 1
-    return tuple(sorted(sizes.values(), reverse=True))
+def join_blocks(p1: Sequence[int], p2: Sequence[int]) -> list[tuple[int, ...]]:
+    """The blocks of the join of two pairings given as partner arrays.
+
+    Each block is the alternating walk i, p1[i], p2[p1[i]], p1[p2[p1[i]]], ...
+    from its least point i, up to where p2 leads back to i; the blocks come in
+    order of their least points."""
+    seen = [False] * len(p1)
+    blocks = []
+    for i in range(len(p1)):
+        if seen[i]:
+            continue
+        block = []
+        j = i
+        while True:
+            a = p1[j]
+            block += (j, a)
+            seen[j] = seen[a] = True
+            j = p2[a]
+            if j == i:
+                break
+        blocks.append(tuple(block))
+    return blocks
+
+
+def _join_diagram(p1: Sequence[int], p2: Sequence[int]) -> YoungDiagram:
+    return YoungDiagram(len(b) // 2 for b in join_blocks(p1, p2))
 
 
 def pairing_join_diagram(p: SetPartition, q: SetPartition) -> YoungDiagram:
     order = sorted(p.ground)
-    profile = _join_profile(_partner_tuple(p, order), _partner_tuple(q, order))
-    return YoungDiagram([s // 2 for s in profile])
+    return _join_diagram(_partner_tuple(p, order), _partner_tuple(q, order))
 
 
 def gram_matrix(n: int, cap: int = WG_CAP) -> tuple[list[SetPartition], list[list[Poly]]]:
     """All pairings of [n] and the matrix of monomials N^{#(p v q)}."""
     _check_size(n, cap)
-    pairings = list(enumerate_pairings(range(1, n + 1)))
-    order = list(range(1, n + 1))
-    partners = [_partner_tuple(p, order) for p in pairings]
-    rows = []
-    for a in partners:
-        rows.append([monomial(len(_join_profile(a, b))) for b in partners])
-    return pairings, rows
+    partners = pairing_partners(n)
+    rows = [[monomial(len(join_blocks(a, b))) for b in partners] for a in partners]
+    return list(enumerate_pairings(range(1, n + 1))), rows
 
 
 def _check_size(n: int, cap: int) -> None:
@@ -142,28 +153,36 @@ class WeingartenTable:
         return cls(int(data["n"]), entries)
 
 
+def _class_rows(n: int) -> Iterator[tuple[YoungDiagram, dict[tuple[YoungDiagram, int], int]]]:
+    """Per diagram lam, the row of G . W = Id at (reference, representative of
+    lam): how many pairings sigma of 1..n give each (diagram of sigma v
+    representative, #(reference v sigma)), with one reference join per sigma."""
+    order = range(1, n + 1)
+    sigmas = pairing_partners(n)
+    ref = _partner_tuple(SetPartition([(k, k + 1) for k in range(1, n + 1, 2)]), order)
+    exps = [len(join_blocks(ref, sigma)) for sigma in sigmas]
+    for lam in young_diagrams(n // 2):
+        rep = _partner_tuple(_class_representative(lam), order)
+        counts: dict[tuple[YoungDiagram, int], int] = {}
+        for sigma, e in zip(sigmas, exps):
+            key = (_join_diagram(sigma, rep), e)
+            counts[key] = counts.get(key, 0) + 1
+        yield lam, counts
+
+
 def compute_table(n: int, cap: int = WG_CAP) -> WeingartenTable:
     """Solve the per-diagram-class linear system for the size-n table."""
     _check_size(n, cap)
-    order = list(range(1, n + 1))
-    reference = SetPartition([(k, k + 1) for k in range(1, n + 1, 2)])
-    ref = _partner_tuple(reference, order)
-    sigmas = [_partner_tuple(p, order) for p in enumerate_pairings(order)]
     diagrams = list(young_diagrams(n // 2))
     index = {lam: i for i, lam in enumerate(diagrams)}
-    rows: list[list[Poly]] = []
-    rhs: list[Poly] = []
     ones = YoungDiagram([1] * (n // 2))
-    for lam in diagrams:
-        rep = _partner_tuple(_class_representative(lam), order)
-        row = [() for _ in diagrams]
-        for sigma in sigmas:
-            mu = YoungDiagram([s // 2 for s in _join_profile(sigma, rep)])
-            col = index[mu]
-            row[col] = padd(row[col], monomial(len(_join_profile(ref, sigma))))
+    rows: list[list[Poly]] = []
+    for _, counts in _class_rows(n):
+        row = [ZERO] * len(diagrams)
+        for (mu, e), c in counts.items():
+            row[index[mu]] = padd(row[index[mu]], monomial(e, c))
         rows.append(row)
-        rhs.append(ONE if lam == ones else ())
-    solution = bareiss_solve(rows, rhs)
+    solution = bareiss_solve(rows, [ONE if lam == ones else ZERO for lam in diagrams])
     return WeingartenTable(n, dict(zip(diagrams, solution)))
 
 
@@ -290,14 +309,9 @@ def wg_cumulant_order_check(value: PolyFrac, rho: SetPartition, sigma: SetPartit
 
 def _full_symbolic_product_check(n: int, table: WeingartenTable) -> bool:
     """Every entry of G . W computed as polynomials over a common denominator."""
-    from .ratpoly import ZERO, padd, pmul, pshift, poly_gcd, exact_div
-
-    order = list(range(1, n + 1))
-    partners = [_partner_tuple(p, order) for p in enumerate_pairings(order)]
+    partners = pairing_partners(n)
     m = len(partners)
-    classes = [[YoungDiagram([s // 2 for s in _join_profile(a, b)]) for b in partners]
-               for a in partners]
-    exps = [[len(_join_profile(a, b)) for b in partners] for a in partners]
+    classes = [[_join_diagram(a, b) for b in partners] for a in partners]
     den = ONE
     for lam in table.entries:
         g = poly_gcd(den, table.entries[lam].den)
@@ -308,7 +322,7 @@ def _full_symbolic_product_check(n: int, table: WeingartenTable) -> bool:
         for j in range(m):
             acc = ZERO
             for k in range(m):
-                acc = padd(acc, pshift(nums[classes[k][j]], exps[i][k]))
+                acc = padd(acc, pshift(nums[classes[k][j]], classes[i][k].num_rows))
             expected = den if i == j else ZERO
             if acc != expected:
                 return False
@@ -321,17 +335,10 @@ def _orbit_symbolic_check(n: int, table: WeingartenTable) -> bool:
     Simultaneous relabeling fixes every entry of G . W and classifies pairs
     by the diagram of their join, so one representative entry per diagram
     covers the whole product."""
-    order = list(range(1, n + 1))
-    reference = SetPartition([(k, k + 1) for k in range(1, n + 1, 2)])
-    ref = _partner_tuple(reference, order)
-    partners = [_partner_tuple(p, order) for p in enumerate_pairings(order)]
     ones = YoungDiagram([1] * (n // 2))
-    for lam in young_diagrams(n // 2):
-        rep = _partner_tuple(_class_representative(lam), order)
-        total = PolyFrac(0)
-        for sigma in partners:
-            mu = YoungDiagram([s // 2 for s in _join_profile(sigma, rep)])
-            total = total + PolyFrac(monomial(len(_join_profile(ref, sigma)))) * table.entries[mu]
+    for lam, counts in _class_rows(n):
+        total = sum((PolyFrac(monomial(e, c)) * table.entries[mu]
+                     for (mu, e), c in counts.items()), PolyFrac(0))
         if total != PolyFrac(1 if lam == ones else 0):
             return False
     return True
@@ -339,28 +346,19 @@ def _orbit_symbolic_check(n: int, table: WeingartenTable) -> bool:
 
 def _fixed_n_full_check(n: int, table: WeingartenTable, n0: int) -> bool:
     """Full (m x m) G(n0) . W(n0) = Id over exact rationals at one dimension."""
-    order = list(range(1, n + 1))
-    partners = [_partner_tuple(p, order) for p in enumerate_pairings(order)]
+    partners = pairing_partners(n)
     m = len(partners)
     values = {lam: table.entries[lam].eval_at(n0) for lam in table.entries}
-    import numpy as _np
-
-    den = 1
-    for v in values.values():
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    wint = _np.empty((m, m), dtype=object)
-    gint = _np.empty((m, m), dtype=object)
-    classes_cache: dict[tuple, YoungDiagram] = {}
+    den = math.lcm(*(v.denominator for v in values.values()))
+    scaled = {lam: int(v * den) for lam, v in values.items()}
+    wint = np.empty((m, m), dtype=object)
+    gint = np.empty((m, m), dtype=object)
     for i, a in enumerate(partners):
         for j, b in enumerate(partners):
-            prof = _join_profile(a, b)
-            lam = classes_cache.setdefault(prof, YoungDiagram([s // 2 for s in prof]))
-            wint[i, j] = int(values[lam] * den)
-            gint[i, j] = n0 ** len(prof)
-    prod = gint @ wint
-    ident = _np.array([[den if i == j else 0 for j in range(m)] for i in range(m)],
-                      dtype=object)
-    return bool((prod == ident).all())
+            lam = _join_diagram(a, b)
+            wint[i, j] = scaled[lam]
+            gint[i, j] = n0 ** lam.num_rows
+    return bool((gint @ wint == den * np.identity(m, dtype=object)).all())
 
 
 def verify_gram_identity(n: int, table: WeingartenTable | None = None,

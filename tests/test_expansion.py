@@ -1,8 +1,11 @@
+import functools
+import gc
 import itertools
 import math
 import os
 import random
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -23,8 +26,8 @@ from haargenus.permap import (K_inverse, Premap, delta_eps_conjugate, euler_char
                               pairings_to_premap, particular_cycles)
 from haargenus.ratpoly import PolyFrac, format_polyfrac
 from haargenus.setpart import (SetPartition, enumerate_interval, enumerate_pairings,
-                               enumerate_partitions, kernel_of, mobius)
-from haargenus.weingarten import TableSet, pairing_join_diagram, wg_cumulant
+                               enumerate_partitions, join_of_pairings_diagram, kernel_of, mobius)
+from haargenus.weingarten import TableSet, wg_cumulant
 from oracles import dense_trace_along, join_trace_cumulant
 
 TABLES = TableSet()
@@ -192,7 +195,7 @@ class TestGluingKernel:
                 assert exponent == chi - 2 * expr.num_traces
                 assert vertex == particular_cycles(K_inverse(phi, conj))
                 assert labels == expr.label_cycles(vertex)
-                assert lambdas == tuple(pairing_join_diagram(p_plus, p_minus)
+                assert lambdas == tuple(join_of_pairings_diagram(p_plus, p_minus)
                                         for p_plus, p_minus in pairings)
 
     def test_expand_moment_terms_on_scattered_positions(self):
@@ -217,7 +220,7 @@ class TestGluingKernel:
                 assert t.chi == euler_characteristic(phi, conj)
                 assert t.vertex_cycles == particular_cycles(K_inverse(phi, conj))
                 assert t.vertex_labels == expr.label_cycles(t.vertex_cycles)
-                assert t.lambdas == tuple(pairing_join_diagram(p, q) for p, q in t.pairings)
+                assert t.lambdas == tuple(join_of_pairings_diagram(p, q) for p, q in t.pairings)
         assert gapped >= 10
 
     def test_pairing_table_one_entry_per_colour_size(self):
@@ -234,6 +237,23 @@ class TestGluingKernel:
             asymptotic_moment(expr, TABLES)
         assert len(point_sets) > 2 * len(sizes)
         assert _pairing_table.cache_info().currsize == len(sizes)
+
+    def test_pairing_table_memory(self):
+        # a table lives as long as the process, so what it keeps per pair
+        # (11,025 pairs at m = 8) counts; premap arcs stored per pair kept
+        # 18.1 MB.  A fresh cache, as after `cache_clear()`, leaves the
+        # module's own cache as it was.
+        fresh = functools.lru_cache(maxsize=None)(_pairing_table.__wrapped__)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            fresh(8)
+            gc.collect()
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fresh.cache_info().currsize == 1
+        assert kept < 9e6
 
     def test_grouping_counts_the_stream(self):
         rng = random.Random(7)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -11,8 +12,9 @@ from haargenus.setpart import (SetPartition, YoungDiagram, enumerate_interval,
                                enumerate_pairings, enumerate_partitions, mobius,
                                young_diagrams)
 from haargenus.weingarten import (TableSet, WeingartenTable, catalan, compute_table,
-                                  gram_matrix, golden_path, leading_order, load_golden,
-                                  pairing_join_diagram, verify_gram_identity,
+                                  gram_matrix, golden_path, join_blocks, leading_order,
+                                  load_golden, pairing_join_diagram, pairing_partners,
+                                  verify_gram_identity,
                                   weingarten_table, wg_cumulant,
                                   wg_cumulant_order_check, wg_limit, wg_normalized,
                                   write_golden, _class_representative)
@@ -21,6 +23,26 @@ from oracles import polyfrac_solve
 
 def lam(*rows):
     return YoungDiagram(rows)
+
+
+class TestJoinWalk:
+    def test_matches_setpartition_join(self):
+        # every pair of pairings of 1..m: 1, 9, 225 and 11,025 pairs
+        for m in (2, 4, 6, 8):
+            pairings = list(enumerate_pairings(range(1, m + 1)))
+            partners = pairing_partners(m)
+            assert [SetPartition((i + 1, a[i] + 1) for i in range(m) if i < a[i])
+                    for a in partners] == pairings
+            for (p, a), (q, b) in itertools.product(zip(pairings, partners), repeat=2):
+                blocks = join_blocks(a, b)
+                assert SetPartition([[k + 1 for k in blk] for blk in blocks]) == p.join(q)
+                assert sum(map(len, blocks)) == m  # no point twice
+                firsts = [blk[0] for blk in blocks]
+                assert firsts == sorted(firsts) and all(blk[0] == min(blk) for blk in blocks)
+                for blk in blocks:
+                    # i, a[i], b[a[i]], ... and b leads back to i
+                    steps = [(a, b)[t % 2][x] for t, x in enumerate(blk)]
+                    assert steps == list(blk[1:]) + [blk[0]]
 
 
 class TestGramMatrix:
@@ -249,7 +271,7 @@ class TestCumulants:
 
 class TestGolden:
     def test_packaged_files_match_regeneration(self, tmp_path):
-        for n in (2, 4, 6, 8):
+        for n in (2, 4, 6, 8, 10):
             with open(golden_path(n)) as fh:
                 packaged = json.load(fh)
             regen = write_golden(n, str(tmp_path / f"wg_n{n}.json"))
