@@ -57,7 +57,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import CapExceededError, PoleError, ValidationError
-from .matrixlab import DenseMatrix, check_dimension, trace_numerators
+from .matrixlab import DenseMatrix, _slot_matrix, check_dimension, trace_numerators
 from .permap import Premap, SignedPermutation
 from .ratpoly import PolyFrac, monomial
 from .setpart import PARTITION_CAP, SetPartition, YoungDiagram, enumerate_pairings, \
@@ -475,12 +475,18 @@ class _TraceMemo(dict):
     the normalized trace.  `value` gives the normalized trace in both modes,
     a Fraction or a float.  `fill` computes the cycles not held yet in one
     `trace_numerators` batch; a lookup only reads the memo, so an evaluator
-    fills it first."""
+    fills it first.  `labels` are the slot labels the evaluation will read
+    (0, the identity, needs no matrix); one with no matrix fails here, before
+    any enumeration or coefficient."""
 
-    def __init__(self, matrices: Mapping[int, DenseMatrix], n: int, mode: str):
+    def __init__(self, matrices: Mapping[int, DenseMatrix], n: int, mode: str,
+                 labels: Iterable[int]):
         super().__init__()
         check_dimension(n)
         self.mats = _resolve_for_mode(matrices, n, mode)
+        for label in labels:
+            if label:
+                _slot_matrix(self.mats, label)
         self.exact = mode == "exact"
         self.dens = {(): n}
         self[()] = n if self.exact else 1.0
@@ -525,15 +531,15 @@ def evaluate_moment(expr: TraceExpression, matrices: Mapping[int, DenseMatrix],
                     term_cap: int = TERM_CAP) -> MomentResult:
     """Exact (or float) value of the expected product of normalized traces.
 
-    Coefficients are evaluated at N with pole detection, all of them before
-    any trace, so a pole is reported before a bad trace.  Exact: the
+    A slot label with no matrix fails first; then coefficients are evaluated
+    at N with pole detection, all of them before any trace.  Exact: the
     products of trace numerators, times the gluing counts, are summed as ints
     per (exponent, diagrams), and each sum forms one Fraction over the
     product of trace denominators that the group's gluings share
     (`_TraceMemo`), weighted by wg(lambdas, N) N^exponent.  Float: the coefficients are
     summed per vertex trace pattern, so each distinct product of traces is
     evaluated once."""
-    memo = _TraceMemo(matrices, n, mode)
+    memo = _TraceMemo(matrices, n, mode, expr.slot.values())
     glu = _Gluings(expr, tables or default_tables(), term_cap)
     groups = glu.grouped()
     if not memo.exact:
@@ -566,8 +572,9 @@ class AsymptoticMoment:
     terms: tuple[tuple[Fraction, tuple[tuple[int, ...], ...]], ...]
 
     def evaluate(self, matrices: Mapping[int, DenseMatrix], n: int, mode: str = "exact"):
-        memo = _TraceMemo(matrices, n, mode)
-        memo.fill(c for _, pattern in self.terms for c in pattern)
+        cycles = [c for _, pattern in self.terms for c in pattern]
+        memo = _TraceMemo(matrices, n, mode, itertools.chain.from_iterable(cycles))
+        memo.fill(cycles)
         return _pattern_sum(((pattern, c) for c, pattern in self.terms), memo.value, mode)
 
     def is_zero(self) -> bool:
@@ -667,7 +674,8 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
     built-in matrices are computed one block of GLUING_BLOCK gluings at a time.
 
     Deterministic slot matrices are the built-in path (higher vertex-trace
-    cumulants vanish); pass `kappa` to supply them for random slots.  With
+    cumulants vanish), and a slot label with no matrix fails before any
+    enumeration; pass `kappa` to supply them for random slots.  With
     symbolic=True the result is a PolyFrac in N and `trace_value` must return
     exact N-free values for label cycles; in exact mode they must be
     rational.  A caller's `trace_value` and `kappa` are called once per
@@ -690,7 +698,7 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
         check_dimension(n)
     elif matrices is None or n is None:
         raise ValidationError("numeric cumulants need matrices and N")
-    memo = _TraceMemo(matrices, n, mode) if trace_value is None else None
+    memo = _TraceMemo(matrices, n, mode, expr.slot.values()) if trace_value is None else None
     if kappa is not None:
         kappa = functools.lru_cache(maxsize=None)(kappa)
     exact = symbolic or mode == "exact"

@@ -16,9 +16,11 @@ The Monte Carlo estimators use per-sample Philox substreams on a fixed chunk
 grid: sample i draws from the counter-based stream keyed by (seed, i), and
 each chunk of MC_CHUNK samples rekeys one generator per sample, stacks the
 Gaussian draws, makes one batched QR with the sign fix and evaluates the
-statistic on the stack.  Values are summed in sample order with
-compensated summation, so a result is reproducible bit for bit for a given
-seed and depends on neither the chunk size nor the worker count.
+statistic on the stack, one numpy array of per-sample values per chunk.
+Every total, batch total and jackknife sum is `math.fsum`, which rounds the
+exact sum once, so it does not depend on the order of the values: a result
+is reproducible bit for bit for a given seed and depends on neither the
+chunk size nor the worker count.
 
 `workers` caps the threads; they are used only when N >= MC_THREAD_MIN_N.
 Below that a chunk is mostly short numpy calls between Python steps (the
@@ -33,6 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -455,42 +458,30 @@ def _expr_sampler(expr, matrices: Mapping[int, DenseMatrix], n: int):
     return statistic, colors
 
 
-def _kahan_total(chunks: Iterable[list[float]]) -> tuple[float, float, int]:
-    """Compensated sum and sum of squares in fixed chunk order."""
-    total = comp = 0.0
-    total2 = comp2 = 0.0
-    count = 0
-    for values in chunks:
-        for v in values:
-            y = v - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-            y2 = v * v - comp2
-            t2 = total2 + y2
-            comp2 = (t2 - total2) - y2
-            total2 = t2
-        count += len(values)
-    return total, total2, count
+def _check_count(what: str, value) -> None:
+    """A sample or batch count: an integer of at least two, since a standard
+    error needs two."""
+    if not isinstance(value, numbers.Integral) or value < 2:
+        raise ValidationError(f"need an integer count of at least two {what} for a "
+                              f"standard error, got {value!r}")
 
 
-def _chunk_values(sample_chunk, n: int, samples: int, workers: int) -> list[list]:
+def _chunk_values(sample_chunk, n: int, samples: int, workers: int) -> list[np.ndarray]:
     """Per-sample values from `sample_chunk(start, stop)` over the fixed grid of
-    MC_CHUNK-sample chunks, in chunk order.  Chunks of N x N samples with
-    N >= MC_THREAD_MIN_N run on up to `workers` threads; smaller ones run on the
-    calling thread.  A sample's value depends only on its index, so neither the
-    chunk size nor the thread count changes any value."""
+    MC_CHUNK-sample chunks, one array per chunk, in chunk order.  Chunks of
+    N x N samples with N >= MC_THREAD_MIN_N run on up to `workers` threads;
+    smaller ones run on the calling thread.  A sample's value depends only on
+    its index, so neither the chunk size nor the thread count changes any
+    value."""
     check_dimension(n)
     if workers < 1:
         raise ValidationError(f"need at least one worker, got {workers}")
     starts = range(0, samples, MC_CHUNK)
     threads = 1
     if n >= MC_THREAD_MIN_N:
-        import os  # only to size the pool; kept out of the module's import time
-
         threads = min(workers, len(starts), os.cpu_count() or 1)
 
-    def run(start: int) -> list:
+    def run(start: int) -> np.ndarray:
         return sample_chunk(start, min(start + MC_CHUNK, samples))
 
     if threads <= 1:
@@ -501,15 +492,15 @@ def _chunk_values(sample_chunk, n: int, samples: int, workers: int) -> list[list
 
 def _mean_estimate(sample_chunk, n: int, samples: int, seed: int,
                    workers: int) -> McEstimate:
-    """Sample mean and its standard error, summed in fixed chunk order."""
-    if samples < 2:
-        raise ValidationError(f"need at least two samples for a standard error, "
-                              f"got {samples}")
+    """Sample mean and its standard error from the exactly rounded sums
+    `math.fsum` of the values and of their squares, which no order of the
+    values changes."""
+    _check_count("samples", samples)
     _check_seed(seed)
-    total, total2, count = _kahan_total(_chunk_values(sample_chunk, n, samples, workers))
-    mean = total / count
-    var = max(total2 / count - mean * mean, 0.0) * count / (count - 1)
-    return McEstimate(mean=mean, std_error=math.sqrt(var / count), samples=count, seed=seed)
+    values = np.concatenate(_chunk_values(sample_chunk, n, samples, workers))
+    mean = math.fsum(values) / samples
+    var = max(math.fsum(values * values) / samples - mean * mean, 0.0) * samples / (samples - 1)
+    return McEstimate(mean=mean, std_error=math.sqrt(var / samples), samples=samples, seed=seed)
 
 
 def mc_moment(expr, matrices: Mapping[int, DenseMatrix], n: int, samples: int,
@@ -519,8 +510,8 @@ def mc_moment(expr, matrices: Mapping[int, DenseMatrix], n: int, samples: int,
     statistic, colors = _expr_sampler(expr, matrices, n)
     column = {c: j for j, c in enumerate(colors)}
 
-    def sample_chunk(start: int, stop: int) -> list[float]:
-        return statistic(_haar_chunk(n, len(colors), seed, start, stop), column).tolist()
+    def sample_chunk(start: int, stop: int) -> np.ndarray:
+        return statistic(_haar_chunk(n, len(colors), seed, start, stop), column)
 
     return _mean_estimate(sample_chunk, n, samples, seed, workers)
 
@@ -539,12 +530,12 @@ def mc_entry_moment(n: int, powers: Mapping[tuple[int, int], int], samples: int,
                                   f"got {p!r}")
         entries.append((key[0] - 1, key[1] - 1, p))
 
-    def sample_chunk(start: int, stop: int) -> list[float]:
+    def sample_chunk(start: int, stop: int) -> np.ndarray:
         o = _haar_chunk(n, 1, seed, start, stop)[:, 0]
-        values = [1.0] * (stop - start)
+        values = np.ones(stop - start)
         for r, c, p in entries:
             # a scalar pow per entry: ndarray ** p rounds differently for p >= 3
-            values = [v * e ** p for v, e in zip(values, o[:, r, c].tolist())]
+            values *= [e ** p for e in o[:, r, c].tolist()]
         return values
 
     return _mean_estimate(sample_chunk, n, samples, seed, workers)
@@ -567,12 +558,19 @@ def mc_cumulant(exprs: Sequence, matrices: Mapping[int, DenseMatrix], n: int,
                 samples: int, seed: int, order: int, workers: int = 1,
                 batches: int = 20) -> McEstimate:
     """k-statistic estimate of the joint cumulant of unnormalized traces,
-    with standard error from a jackknife over `batches` sample batches."""
+    with standard error from a jackknife over `batches` sample batches.
+
+    Batch b holds the samples i with (i * batches) // samples == b, the
+    indices ceil(b * samples / batches) up to ceil((b + 1) * samples /
+    batches).  Each power sum is `math.fsum` of one column of per-sample
+    products, and a leave-one-out sum is the full sum minus its batch's."""
     if order not in (2, 3):
         raise ValidationError("unsupported cumulant order (use 2 or 3)")
     if len(exprs) != order:
         raise ValidationError("need exactly one expression per argument")
-    batches = max(2, min(batches, samples // 2))
+    _check_count("samples", samples)
+    _check_count("batches", batches)
+    batches = min(batches, samples // 2)
     # the smallest leave-one-out set drops the largest batch, ceil(samples / batches)
     if samples + (-samples // batches) < order:
         raise ValidationError(
@@ -582,44 +580,27 @@ def mc_cumulant(exprs: Sequence, matrices: Mapping[int, DenseMatrix], n: int,
     all_colors = sorted({c for _, cols in compiled for c in cols})
     column = {c: j for j, c in enumerate(all_colors)}
 
-    def sample_chunk(start: int, stop: int) -> list[tuple[float, ...]]:
+    def sample_chunk(start: int, stop: int) -> np.ndarray:
         o = _haar_chunk(n, len(all_colors), seed, start, stop)
-        # traces are unnormalized: one factor of N per trace cycle
-        per_expr = [(stat(o, column) * n ** len(e.cycles)).tolist()
-                    for e, (stat, _) in zip(exprs, compiled)]
-        return list(zip(*per_expr))
+        # traces are unnormalized: one factor of N per trace cycle; one row per sample
+        return np.column_stack([stat(o, column) * n ** len(e.cycles)
+                                for e, (stat, _) in zip(exprs, compiled)])
 
-    per_batch = [dict(count=0, x=0.0, y=0.0, z=0.0, xy=0.0, xz=0.0, yz=0.0, xyz=0.0)
-                 for _ in range(batches)]
-    chunks = _chunk_values(sample_chunk, n, samples, workers)
-    for i, v in enumerate(itertools.chain.from_iterable(chunks)):
-        b = per_batch[(i * batches) // samples]
-        b["count"] += 1
-        b["x"] += v[0]
-        b["y"] += v[1]
-        b["xy"] += v[0] * v[1]
-        if order == 3:
-            b["z"] += v[2]
-            b["xz"] += v[0] * v[2]
-            b["yz"] += v[1] * v[2]
-            b["xyz"] += v[0] * v[1] * v[2]
-
-    read = ("count", "x", "y", "xy") + (("z", "xz", "yz", "xyz") if order == 3 else ())
-
-    def merged(skip: int | None) -> dict:
-        """Sums over every batch but `skip`, of the keys `_k_statistic` reads."""
-        out = dict(count=0, x=0.0, y=0.0, z=0.0, xy=0.0, xz=0.0, yz=0.0, xyz=0.0)
-        for b_idx, b in enumerate(per_batch):
-            if b_idx == skip:
-                continue
-            for key in read:
-                out[key] += b[key]
-        return out
-
-    full = _k_statistic(merged(None), order)
-    leave_outs = [_k_statistic(merged(b), order) for b in range(batches)]
-    lo_mean = sum(leave_outs) / batches
-    se = math.sqrt((batches - 1) / batches * sum((v - lo_mean) ** 2 for v in leave_outs))
+    values = np.concatenate(_chunk_values(sample_chunk, n, samples, workers))
+    x, y = values[:, 0], values[:, 1]
+    columns = {"x": x, "y": y, "xy": x * y}
+    if order == 3:
+        z = values[:, 2]
+        columns.update(z=z, xz=x * z, yz=y * z, xyz=x * y * z)
+    total = {key: math.fsum(col) for key, col in columns.items()}
+    full = _k_statistic(dict(total, count=samples), order)
+    edges = [-(-b * samples // batches) for b in range(batches + 1)]
+    leave_outs = []
+    for lo, hi in zip(edges, edges[1:]):
+        rest = {key: total[key] - math.fsum(col[lo:hi]) for key, col in columns.items()}
+        leave_outs.append(_k_statistic(dict(rest, count=samples - (hi - lo)), order))
+    lo_mean = math.fsum(leave_outs) / batches
+    se = math.sqrt((batches - 1) / batches * math.fsum((v - lo_mean) ** 2 for v in leave_outs))
     return McEstimate(mean=full, std_error=se, samples=samples, seed=seed)
 
 

@@ -90,7 +90,7 @@ def join_trace_cumulant(exprs, *, matrices=None, n=None, mode="exact", trace_val
     r = len(exprs)
     glu = _Gluings(expr, tables, TERM_CAP)
     if trace_value is None:
-        memo = _TraceMemo(matrices, n, mode)
+        memo = _TraceMemo(matrices, n, mode, expr.slot.values())
         memo.fill(c for combo in glu.combos() for c in glu.term_for(combo)[4])
         tv = memo.value
     else:

@@ -76,10 +76,17 @@ class TestMoment:
         out = json.loads(capsys.readouterr().out)
         assert out["asymptotic"] == [{"coefficient": "1", "traces": [[1], [2]]}]
 
-    def test_pole_exit_code(self, tmp_path):
+    def test_pole_exit_code(self, tmp_path, capsys):
         path = tmp_path / "quad.json"
         path.write_text(json.dumps(QUAD_EXPR))
         assert main(["moment", "--expr", str(path), "--N", "1"]) == 4
+        # a slot with no matrix is bad input, reported before the pole
+        missing = json.loads(json.dumps(QUAD_EXPR))
+        missing["traces"][0][2]["slot"] = 2
+        path.write_text(json.dumps(missing))
+        capsys.readouterr()
+        assert main(["moment", "--expr", str(path), "--N", "1"]) == 2
+        assert "no matrix for label 2" in capsys.readouterr().err
 
     def test_cap_exit_code(self, tmp_path):
         path = tmp_path / "quad.json"

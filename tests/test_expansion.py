@@ -710,7 +710,7 @@ class TestBatchedTraces:
         # until the next garbage collection
         from haargenus.expansion import _TraceMemo
 
-        memo = _TraceMemo({1: DenseMatrix.identity(2, mode)}, 2, mode)
+        memo = _TraceMemo({1: DenseMatrix.identity(2, mode)}, 2, mode, [1])
         memo.fill([(1,), (1, -1)])
         assert memo.value((1, -1)) == 1
         ref = weakref.ref(memo)
@@ -980,35 +980,51 @@ class TestIntegerSums:
 
 
 class TestErrorOrder:
-    """A slot label with no matrix, at a pole N and at a regular one."""
+    """A slot label with no matrix is bad input: it fails before any
+    enumeration or coefficient, so at a pole N too; with every matrix present
+    the pole is reported."""
 
     # one colour on four positions, so N = 1 is a pole; label 2 has no matrix
     EXPR = TraceExpression.single_trace([(1, 1, 1), (1, -1, 0), (1, 1, 2), (1, -1, 0)])
     ARGS = [TraceExpression.single_trace([(1, 1, 1), (1, -1, 0)]),
             TraceExpression.single_trace([(1, 1, 2), (1, -1, 0)])]
 
+    @staticmethod
+    def no_enumeration(monkeypatch):
+        import haargenus.expansion as ex
+
+        def enumerated(*args):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(ex, "_Gluings", enumerated)
+
     @pytest.mark.parametrize("mode", ["exact", "float"])
-    def test_moment_reports_the_pole_first(self, mode):
-        # every coefficient is evaluated before any trace
+    def test_moment_reports_the_missing_matrix_first(self, mode, monkeypatch):
+        one = DenseMatrix.identity(1)
         with pytest.raises(PoleError, match="N=1"):
-            evaluate_moment(self.EXPR, {1: DenseMatrix.identity(1)}, 1, mode=mode,
-                            tables=TABLES)
-        with pytest.raises(ValidationError, match="no matrix for label 2"):
-            evaluate_moment(self.EXPR, {1: DenseMatrix.identity(2)}, 2, mode=mode,
-                            tables=TABLES)
+            evaluate_moment(self.EXPR, {1: one, 2: one}, 1, mode=mode, tables=TABLES)
+        limit = asymptotic_moment(self.EXPR, TABLES)
+        assert limit.terms
+        self.no_enumeration(monkeypatch)
+        for n in (1, 2):
+            with pytest.raises(ValidationError, match="no matrix for label 2"):
+                evaluate_moment(self.EXPR, {1: DenseMatrix.identity(n)}, n, mode=mode,
+                                tables=TABLES)
+            with pytest.raises(ValidationError, match="no matrix for label 2"):
+                limit.evaluate({1: DenseMatrix.identity(n)}, n, mode=mode)
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     @pytest.mark.parametrize("kappa", [None, lambda cycles: Fraction(0)])
-    def test_cumulant_pole_and_missing_matrix(self, mode, kappa):
-        # which of the two a cumulant reports at a pole N with a matrix
-        # missing is not settled, so each is checked on its own
+    def test_cumulant_pole_and_missing_matrix(self, mode, kappa, monkeypatch):
         one = DenseMatrix.identity(1)
         with pytest.raises(PoleError, match="N=1"):
             trace_cumulant(self.ARGS, matrices={1: one, 2: one}, n=1, mode=mode,
                            kappa=kappa, tables=TABLES)
-        with pytest.raises(ValidationError, match="no matrix for label 2"):
-            trace_cumulant(self.ARGS, matrices={1: DenseMatrix.identity(2)}, n=2,
-                           mode=mode, kappa=kappa, tables=TABLES)
+        self.no_enumeration(monkeypatch)
+        for n in (1, 2):
+            with pytest.raises(ValidationError, match="no matrix for label 2"):
+                trace_cumulant(self.ARGS, matrices={1: DenseMatrix.identity(n)}, n=n,
+                               mode=mode, kappa=kappa, tables=TABLES)
 
 
 class TestColorConsistency:

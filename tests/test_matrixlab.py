@@ -419,6 +419,16 @@ class TestMonteCarlo:
         for samples, order in [(0, 2), (2, 2), (3, 2), (5, 3)]:
             with pytest.raises(ValidationError):
                 mc_cumulant([expr] * order, x, 2, samples=samples, seed=1, order=order)
+        # counts are integers, and a jackknife needs two batches
+        with pytest.raises(ValidationError, match="two samples .*got 40.0$"):
+            mc_moment(expr, x, 2, samples=40.0, seed=1)
+        with pytest.raises(ValidationError, match="two samples .*got 40.0$"):
+            mc_entry_moment(2, {(1, 1): 2}, samples=40.0, seed=1)
+        with pytest.raises(ValidationError, match="two samples .*got 40.0$"):
+            mc_cumulant([expr] * 2, x, 2, samples=40.0, seed=1, order=2)
+        for batches in (2.5, 1, 0, -3):
+            with pytest.raises(ValidationError, match=f"two batches .*got {batches!r}$"):
+                mc_cumulant([expr] * 2, x, 2, samples=40, seed=1, order=2, batches=batches)
 
     def test_worker_count_validated_before_sampling(self, no_sampling):
         x = {1: DenseMatrix.identity(2)}
@@ -601,21 +611,22 @@ def _golden_reports():
     ]
 
 
-# reports of _golden_reports() recorded with the per-sample sampler (one
-# generator and one QR per sample); a change in the streams, the QR or the
-# sums shows here
+# reports of _golden_reports(), recorded from the chunk kernel's per-sample
+# values (which equal the per-sample sampler's, one generator and one QR per
+# sample) summed by math.fsum; a change in the streams, the QR, the statistic
+# or the estimators' arithmetic shows here
 GOLDEN_REPORTS = [
     '{"mean": -0.03504831768100131, "std_error": 0.04150463408018027, "samples": 300, '
     '"seed": 3, "generator": "philox4x64"}',
     '{"mean": 0.33167118424688974, "std_error": 0.10358192095836102, "samples": 130, '
     '"seed": 4, "generator": "philox4x64"}',
-    '{"mean": 1.120773078351476, "std_error": 3.3512419643566203, "samples": 300, '
+    '{"mean": 1.1207730783514758, "std_error": 3.35124196435662, "samples": 300, '
     '"seed": 5, "generator": "philox4x64"}',
-    '{"mean": -21.09509868721344, "std_error": 15.154558137554869, "samples": 257, '
+    '{"mean": -21.095098687213437, "std_error": 15.154558137554869, "samples": 257, '
     '"seed": 6, "generator": "philox4x64"}',
-    '{"mean": -0.0008208846306460883, "std_error": 0.005797095055251769, "samples": 300, '
+    '{"mean": -0.0008208846306460885, "std_error": 0.005797095055251769, "samples": 300, '
     '"seed": 7, "generator": "philox4x64"}',
-    '{"mean": 0.0009386162062044521, "std_error": 0.0006860521289212626, "samples": 200, '
+    '{"mean": 0.0009386162062044522, "std_error": 0.0006860521289212626, "samples": 200, '
     '"seed": 8, "generator": "philox4x64"}',
     '{"mean": 0.13987131917302192, "std_error": 0.030802037836308478, "samples": 65, '
     '"seed": 9, "generator": "philox4x64"}',
@@ -713,6 +724,83 @@ class TestChunkKernel:
             monkeypatch.setattr(ml, "MC_CHUNK", chunk)
             for workers in (1, 2, 3):
                 assert reports(workers) == expected, (chunk, workers)
+
+    @staticmethod
+    def _summation_case():
+        rng = random.Random(60)
+        n = 5
+        x = {i: rational_matrix(rng, n) for i in (1, 2, 3)}
+        ys = [TraceExpression.single_trace([(1, 1, 1), (1, -1, 2)]),
+              TraceExpression.single_trace([(1, 1, -2), (2, -1, 0), (2, 1, 3)]),
+              TraceExpression.single_trace([(2, -1, 1), (1, 1, 3)])]
+        return n, x, ys
+
+    def test_totals_are_exactly_rounded(self, monkeypatch):
+        # every total is the float nearest the rational sum of the per-sample
+        # values, or of their float products, that _chunk_values returned
+        import haargenus.matrixlab as ml
+        chunks = []
+
+        def recording(*args):
+            out = chunk_values(*args)
+            chunks.extend(out)
+            return out
+
+        chunk_values = ml._chunk_values
+        monkeypatch.setattr(ml, "_chunk_values", recording)
+
+        def total(values):
+            return float(sum(map(Fraction, values.tolist())))
+
+        n, x, ys = self._summation_case()
+        samples = 300
+        for estimate in (lambda: mc_moment(ys[1], x, n, samples=samples, seed=61),
+                         lambda: mc_entry_moment(n, {(1, 2): 3, (4, 4): 2}, samples=samples,
+                                                 seed=62)):
+            chunks.clear()
+            est = estimate()
+            values = np.concatenate(chunks)
+            assert len(values) == samples
+            mean = total(values) / samples
+            var = max(total(values * values) / samples - mean * mean, 0.0) * \
+                samples / (samples - 1)
+            assert (est.mean, est.std_error) == (mean, math.sqrt(var / samples))
+        for order in (2, 3):
+            chunks.clear()
+            est = mc_cumulant(ys[:order], x, n, samples=samples, seed=63, order=order)
+            v = np.concatenate(chunks)
+            assert v.shape == (samples, order)
+            cols = {"x": v[:, 0], "y": v[:, 1], "xy": v[:, 0] * v[:, 1]}
+            if order == 3:
+                cols.update(z=v[:, 2], xz=v[:, 0] * v[:, 2], yz=v[:, 1] * v[:, 2],
+                            xyz=v[:, 0] * v[:, 1] * v[:, 2])
+            sums = {key: total(col) for key, col in cols.items()}
+            assert est.mean == ml._k_statistic(dict(sums, count=samples), order)
+
+    def test_reports_independent_of_sample_order(self, monkeypatch):
+        # the same per-sample values in another order give the same moment
+        # reports and the same cumulant mean; the jackknife's batches, and so
+        # the cumulant's standard error, follow the order
+        import haargenus.matrixlab as ml
+        chunk_values = ml._chunk_values
+        n, x, ys = self._summation_case()
+
+        def reports():
+            return [mc_moment(ys[1], x, n, samples=300, seed=61),
+                    mc_entry_moment(n, {(1, 2): 3, (4, 4): 2}, samples=300, seed=62),
+                    mc_cumulant(ys, x, n, samples=300, seed=63, order=3)]
+
+        expected = reports()
+        # summed in sample order, each of the three changes under one of these
+        for order_seed in range(4):
+            def permuted(*args):
+                values = np.concatenate(chunk_values(*args))
+                return [values[np.random.default_rng(order_seed).permutation(len(values))]]
+
+            monkeypatch.setattr(ml, "_chunk_values", permuted)
+            got = reports()
+            assert got[:2] == expected[:2], order_seed
+            assert got[2].mean == expected[2].mean, order_seed
 
     @pytest.mark.slow
     def test_scipy_ortho_group_oracle(self):

@@ -1,4 +1,4 @@
-"""One hash per benchmark query of what the library returns, to compare two
+"""One line per benchmark query of what the library returns, to compare two
 checkouts bit for bit.
 
     python3 tools/result_digest.py --seeds 1 7 11 --rounds 0 1 2 > new.txt
@@ -12,9 +12,12 @@ The result hash covers the returned value: exact values by `str`, floats by
 `repr`, PolyFracs by their formatted string, CLI stdout and exit code, and
 the type and text of an exception such as a `PoleError`.  The eval_at hash
 covers the sequence of `PolyFrac.eval_at` calls the query made: each
-PolyFrac, its N and what it returned or raised.  `--root` picks the checkout
-whose `src/` and `perfbench/` are imported (default: this one), so one copy of
-the script digests both sides.  Queries run in one process, in order, as in a
+PolyFrac, its N and what it returned or raised.  For every `monte_carlo`
+query it prints `workload seed round index template mean=<repr>
+std_error=<repr>`, unhashed, so that a shift in the last digits of an
+estimate shows in `diff` (the hashes instead if the query raised).
+`--root` picks the checkout whose `src/` and `perfbench/` are imported
+(default: this one), so one copy of the script digests both sides.  Queries run in one process, in order, as in a
 benchmark run.
 """
 
@@ -28,7 +31,7 @@ import sys
 import tempfile
 from fractions import Fraction
 
-WORKLOADS = ("exact_moments", "symbolic_expansions")
+WORKLOADS = ("exact_moments", "symbolic_expansions", "monte_carlo")
 
 
 def canonical(value) -> str:
@@ -104,9 +107,14 @@ def main(argv=None) -> int:
                             result = prep.call()
                         except Exception as exc:  # PoleError and the like are results too
                             result = exc
+                        if workload == "monte_carlo" and not isinstance(result, Exception):
+                            fields = [f"mean={float(result.mean)!r}",
+                                      f"std_error={float(result.std_error)!r}"]
+                        else:
+                            fields = [f"result={_digest(canonical(result))}",
+                                      f"eval_at={_digest(chr(10).join(calls))}"]
                         print(workload, seed, rnd, query["index"], query["template"],
-                              f"result={_digest(canonical(result))}",
-                              f"eval_at={_digest(chr(10).join(calls))}", flush=True)
+                              *fields, flush=True)
     return 0
 
 
