@@ -222,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--matrices", help="JSON file of matrices overriding the expression file")
         p.add_argument("--cap", type=int, default=WG_CAP, help="Weingarten size cap")
         p.add_argument("--cap-terms", dest="cap_terms", type=int, default=500_000)
-        p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("wg", help="print Weingarten table entries")
     p.add_argument("--n", type=int, required=True)
@@ -260,6 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--count", type=int, default=60)
     p.add_argument("--full", action="store_true", help="full acceptance ranges")
+    p.add_argument("--workers", type=int, default=1, help="threads for Monte Carlo sampling")
     common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -10,10 +10,12 @@ along the particular cycles of the inverse vertex permutation.
 Trace cumulants use the same gluings but weight each by a relative Weingarten
 cumulant and by classical cumulants of the vertex traces, keeping only the
 gluings that connect everything.  Which (rho, tau) connect depends only on a
-gluing's shape (the traces each vertex cycle and each join block touch), so
-that scan runs once per shape and tau, on trace indices; SetPartitions are
-built only for a new relative cumulant, and each relative cumulant is kept on
-the TableSet across calls (evaluated at N once per call).  A caller's
+gluing's shape, held as ints with trace t as the bit 1 << t: the mask of the
+traces each vertex cycle touches, and the size and mask of each join block.
+That scan merges masks, and is memoised for the process on its ints and
+tuples, so it runs once per distinct shape and tau; SetPartitions are built
+only for a new relative cumulant, and each relative cumulant is kept on the
+TableSet across calls (evaluated at N once per call).  A caller's
 `trace_value` and `kappa` are memoised per call.
 
 All evaluators share one kernel, `_Gluings`.  A pair of pairings (p_plus,
@@ -52,6 +54,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -234,25 +237,6 @@ class _Pair(NamedTuple):
     lam: YoungDiagram  # diagram of that join
 
 
-def _particular_cycles(premap: Mapping[int, int],
-                       positives: Iterable[int]) -> list[tuple[int, ...]]:
-    """One cycle of each mirror pair of a premap given as a dict: the one
-    through the pair's least point, which is positive; in order of that point."""
-    seen: set[int] = set()
-    out = []
-    for start in positives:
-        if start in seen:
-            continue
-        cyc = [start]
-        k = premap[start]
-        while k != start:
-            cyc.append(k)
-            k = premap[k]
-        seen.update(map(abs, cyc))  # the mirror cycle holds the negatives
-        out.append(tuple(cyc))
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def _pairing_table(m: int) -> tuple[tuple[SetPartition, ...], tuple, tuple, tuple[_Pair, ...]]:
     """(pairings, plus, minus, pairs) on the points 1..m, built once per colour
@@ -300,6 +284,7 @@ class _Gluings:
     def __init__(self, expr: TraceExpression, tables: TableSet, term_cap: int):
         self.expr = expr
         self.tables = tables
+        self.num_traces, self.n, self.positions = expr.num_traces, expr.n, expr.positions
         by_color = expr.positions_by_color()
         odd = any(len(p) % 2 for p in by_color.values())
         self.total = 0 if odd else math.prod(
@@ -347,19 +332,32 @@ class _Gluings:
     def term_for(self, combo: tuple[_Pair, ...]) -> tuple:
         """(chi, exponent, lambdas, vertex cycles, vertex labels) of one gluing.
 
-        The vertex cycles are the particular cycles of K^{-1}."""
+        The vertex cycles are the particular cycles of K^{-1}: one cycle of
+        each mirror pair, the one through the pair's least point, which is
+        positive; in order of that point."""
         kinv: dict[int, int] = {}
         pairs = 0  # mirror pairs of cycles of the premap a
         for (plus, minus), pair in zip(self.kinv, combo):
             kinv.update(plus[pair.plus])
             kinv.update(minus[pair.minus])
             pairs += len(pair.blocks)
-        vertex = _particular_cycles(kinv, self.expr.positions)
-        label = self._labels
-        labels = tuple(tuple(l for l in map(label.__getitem__, c) if l != IDENTITY_SLOT)
-                       for c in vertex)
-        chi = self.expr.num_traces + pairs + len(vertex) - self.expr.n
-        return (chi, chi - 2 * self.expr.num_traces, tuple(pair.lam for pair in combo),
+        vertex = []
+        seen: set[int] = set()
+        for start in self.positions:
+            if start in seen:
+                continue
+            cyc = [start]
+            k = kinv[start]
+            while k != start:
+                cyc.append(k)
+                k = kinv[k]
+            seen.update(map(abs, cyc))  # the mirror cycle holds the negatives
+            vertex.append(tuple(cyc))
+        label = self._labels.__getitem__
+        # IDENTITY_SLOT is 0, so filter(None, ...) drops the identity factors
+        labels = tuple([tuple(filter(None, map(label, c))) for c in vertex])
+        chi = self.num_traces + pairs + len(vertex) - self.n
+        return (chi, chi - 2 * self.num_traces, tuple([pair.lam for pair in combo]),
                 tuple(vertex), labels)
 
     def pairings(self, combo: tuple[_Pair, ...]) -> tuple[tuple[SetPartition, SetPartition], ...]:
@@ -601,44 +599,36 @@ def asymptotic_moment(expr: TraceExpression, tables: TableSet | None = None,
 # -- trace cumulants -----------------------------------------------------------
 
 
-def _roots(size: int, groups: Iterable[Iterable[int]]) -> list[int]:
-    """Union-find over range(size): the root of each point once the points of
-    every (nonempty) group are merged."""
-    parent = list(range(size))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    for group in groups:
-        it = iter(group)
-        root = find(next(it))
-        for x in it:
-            parent[find(x)] = root
-    return [find(x) for x in range(size)]
-
-
-def _connecting_rhos(r: int, vertex_traces: Sequence[frozenset[int]],
-                     blocks: Sequence[Sequence[tuple[int, frozenset[int]]]],
-                     tau_blocks: Sequence[tuple[int, ...]]) -> list[tuple[tuple, tuple]]:
+@functools.lru_cache(maxsize=None)
+def _connecting_rhos(r: int, vertex_masks: tuple[int, ...],
+                     block_shape: tuple[tuple[tuple[int, int], ...], ...],
+                     tau_blocks: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple, tuple], ...]:
     """(key, rho) for every rho in [pi, ker(colour)] whose join with phi v
     tau_sigma connects the r traces, in `rho_choices` order.
 
-    The arguments are a gluing's shape: the traces each vertex cycle touches,
-    and, colour by colour in ker(colour) order, the size and traces of each
-    block of pi.  The key names the relative cumulant C_{pi,pi,rho} by the
-    sizes of pi's blocks inside each block of rho."""
-    flat = [b for per_colour in blocks for b in per_colour]
-    # the components of phi v tau_sigma, each trace named by its root trace
-    comp = _roots(r, (frozenset().union(*(vertex_traces[i] for i in blk)) for blk in tau_blocks))
-    block_comps = [{comp[t] for t in traces} for _, traces in flat]
+    The arguments are a gluing's shape, with trace t as the bit 1 << t: the
+    mask of the traces each vertex cycle touches, and, colour by colour in
+    ker(colour) order, the size and mask of each block of pi.  A join
+    connects when the masks of its parts, merged while they meet, reach every
+    trace from trace 0.  The key names the relative cumulant C_{pi,pi,rho} by
+    the sizes of pi's blocks inside each block of rho.  Memoised for the
+    process: the arguments are ints and tuples of them."""
+    flat = [b for per_colour in block_shape for b in per_colour]
+    # the components of phi v tau_sigma, as masks
+    parts = [functools.reduce(operator.or_, (vertex_masks[i] for i in blk))
+             for blk in tau_blocks]
     hits = []
-    for rho in _block_partitions(tuple(map(len, blocks))):
-        roots = _roots(r, ((c for j in g for c in block_comps[j]) for g in rho))
-        if len({roots[c] for c in comp}) == 1:
+    for rho in _block_partitions(tuple(map(len, block_shape))):
+        masks = parts + [functools.reduce(operator.or_, (flat[j][1] for j in g)) for g in rho]
+        reach, last = 1, 0
+        while reach != last:
+            last = reach
+            for m in masks:
+                if m & reach:
+                    reach |= m
+        if reach == (1 << r) - 1:
             hits.append((tuple(sorted(tuple(sorted(flat[j][0] for j in g)) for g in rho)), rho))
-    return hits
+    return tuple(hits)
 
 
 def trace_cumulant(exprs: Sequence[TraceExpression], *,
@@ -660,18 +650,21 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
     pi is the join of the gluing's pairings and rho runs over
     [pi, ker(colour)] as groups of pi's blocks (`_Gluings.rho_choices`).
     Which (rho, tau) connect, and which relative cumulants they name, depends
-    only on the gluing's shape: the traces each vertex cycle touches and the
-    size and traces of each block of pi.  That scan (`_connecting_rhos`) runs
-    once per (shape, tau); exact and symbolic results sum the vertex-trace
-    cumulants once per (chi, shape, tau) and expand them into one weight per
-    (N exponent, relative cumulant) at the end, while float results add term
-    by term in gluing and rho order.  On the built-in exact matrices without
-    `kappa` those sums are ints, of products of trace numerators, and each
-    weight forms one Fraction over the product of trace denominators that
-    its gluings share.  SetPartitions are built only for a
-    relative cumulant that the tables do not hold yet, for `wg_cumulant`;
-    each is evaluated at N on its first hit in the call.  Traces of the
-    built-in matrices are computed one block of GLUING_BLOCK gluings at a time.
+    only on the gluing's shape, as int masks of traces (trace t is the bit
+    1 << t): the mask of each vertex cycle, and the size and mask of each
+    block of pi.  The scan (`_connecting_rhos`) is memoised for the process
+    and runs at the first hit of each (chi, shape, tau) entry in the call;
+    each gluing then makes one dict update per tau (one, without `kappa`).
+    Exact and symbolic results sum the vertex-trace cumulants per entry and
+    expand them into one weight per (N exponent, relative cumulant) at the
+    end, while float results add term by term in gluing and rho order.  On
+    the built-in exact matrices without `kappa` those sums are ints, of
+    products of trace numerators, and each weight forms one Fraction over the
+    product of trace denominators that its gluings share.  SetPartitions are
+    built only for a relative cumulant that the tables do not hold yet, for
+    `wg_cumulant`; each is evaluated at N on its first hit in the call.
+    Traces of the built-in matrices are computed one block of GLUING_BLOCK
+    gluings at a time.
 
     Deterministic slot matrices are the built-in path (higher vertex-trace
     cumulants vanish), and a slot label with no matrix fails before any
@@ -711,18 +704,21 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
         tv = memo.__getitem__ if integer else memo.value
 
     glu = _Gluings(expr, tables, term_cap)
-    trace_of = {s * k: t for t, cyc in enumerate(expr.cycles) for k in cyc for s in (1, -1)}
-    # per colour, the (size, traces) of each block of each pair's join, keyed
-    # by identity; colours of one size share their pairs, so each has its own dict
-    block_shape = [{id(pair): tuple((len(b), frozenset(trace_of[pts[i]] for i in b))
-                                    for b in pair.blocks) for pair in pairs}
+    bit = {s * k: 1 << t for t, cyc in enumerate(expr.cycles) for k in cyc for s in (1, -1)}
+    # the mask of the traces a vertex cycle touches (the sum of its distinct bits),
+    # once per cycle in this call
+    vertex_mask = functools.lru_cache(maxsize=None)(lambda c: sum({*map(bit.__getitem__, c)}))
+    # per colour, the (size, mask of traces) of each block of each pair's join,
+    # keyed by identity; colours of one size share their pairs, so each has its own dict
+    block_shape = [{id(pair): tuple((len(b), sum({bit[pts[i]] for i in b})) for b in pair.blocks)
+                    for pair in pairs}
                    for pts, pairs in zip(glu.points, glu.choices)]
     order = glu.ker_order
     ground = expr.positions
     c_cache = tables.relative_cumulants
     c_at_n: dict[tuple, Fraction | None] = {}  # this call's keys, at N unless symbolic
 
-    def build_cumulants(combo: tuple[_Pair, ...], hits: list[tuple[tuple, tuple]]) -> None:
+    def build_cumulants(combo: tuple[_Pair, ...], hits: Sequence[tuple[tuple, tuple]]) -> None:
         """C_{pi,pi,rho} for each key of hits not met yet in this call, built on
         this gluing's blocks unless the tables hold it, and evaluated at N."""
         blocks = None
@@ -749,52 +745,46 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
                 memo.fill(c for term in terms for c in term[4])
             yield from zip(block, terms)
 
-    scans: dict[tuple, list[tuple[tuple, tuple]]] = {}  # (shape, tau) -> connecting rhos
-    sums: dict[tuple, Fraction | int] = {}  # exact and symbolic: k_tau summed per (chi, shape, tau)
-    dens: dict[tuple, int] = {}  # integer sums: the same key -> the gluings' product of dens
-    floats: dict[tuple, list[float]] = {}  # float: each hit's coefficient per (chi, shape, tau)
-    total_num = 0.0
+    one = 1 if integer else Fraction(1)
+    # (chi, vertex masks, block shapes in colour order, tau index) -> [k summed
+    # (exact and symbolic), the gluings' product of dens (integer sums),
+    # connecting (key, rho)s, coefficients (float)]
+    entries: dict[tuple, list] = {}
+    total = 0.0  # float: each hit's coefficient times k, in gluing and rho order
     for combo, (chi, _, _, vertex, labels) in gluings():
-        shape = (tuple(frozenset(map(trace_of.__getitem__, c)) for c in vertex),
-                 tuple(block_shape[i][id(combo[i])] for i in order))
-        tau_choices = [tuple((i,) for i in range(len(vertex)))] if kappa is None \
-            else _block_partitions((len(vertex),))
-        for t, tau_blocks in enumerate(tau_choices):
-            k_tau = 1 if integer else Fraction(1)
-            for blk in tau_blocks:
-                k_tau *= tv(labels[blk[0]]) if len(blk) == 1 else \
-                    kappa(tuple(labels[i] for i in blk))
-            if not k_tau:
+        masks = tuple(map(vertex_mask, vertex))
+        blocks = tuple(map(dict.__getitem__, block_shape, map(id, combo)))
+        # without kappa, tau is the discrete partition (None until an entry needs it)
+        for t, tau in enumerate((None,) if kappa is None else _block_partitions((len(vertex),))):
+            k = math.prod(map(tv, labels), start=one) if tau is None else \
+                math.prod((tv(labels[b[0]]) if len(b) == 1 else
+                           kappa(tuple(map(labels.__getitem__, b))) for b in tau), start=one)
+            if not k:
                 continue
-            hits = scans.get((shape, t))
-            if hits is None:
-                hits = scans[shape, t] = _connecting_rhos(r, *shape, tau_blocks)
-            entry = (chi, shape, t)
+            if exact and not (symbolic or integer or isinstance(k, Fraction)):
+                raise ValidationError("exact cumulants need rational vertex-trace values, "
+                                      f"got {k!r}")
+            entry = entries.get((chi, masks, blocks, t))
+            if entry is None:
+                hits = _connecting_rhos(r, masks, tuple(map(blocks.__getitem__, order)),
+                                        tuple((i,) for i in range(len(vertex)))
+                                        if tau is None else tau)
+                build_cumulants(combo, hits)
+                entry = entries[chi, masks, blocks, t] = [
+                    0, math.prod(map(memo.dens.__getitem__, labels)) if integer else 1, hits,
+                    None if exact else [float(c_at_n[key] * Fraction(n) ** (chi - r))
+                                        for key, _ in hits]]
             if exact:
-                if not (symbolic or integer or isinstance(k_tau, Fraction)):
-                    raise ValidationError("exact cumulants need rational vertex-trace "
-                                          f"values, got {k_tau!r}")
-                if entry not in sums:
-                    build_cumulants(combo, hits)
-                    sums[entry] = 0
-                    if integer:
-                        dens[entry] = math.prod(map(memo.dens.__getitem__, labels))
-                sums[entry] += k_tau if integer else Fraction(k_tau)
+                entry[0] += k if integer else Fraction(k)
             else:
-                coeffs = floats.get(entry)
-                if coeffs is None:
-                    build_cumulants(combo, hits)
-                    coeffs = floats[entry] = [float(c_at_n[key] * Fraction(n) ** (chi - r))
-                                              for key, _ in hits]
-                for coeff in coeffs:
-                    total_num = total_num + coeff * k_tau
+                for coeff in entry[3]:
+                    total = total + coeff * k
     if not exact:
-        return total_num
+        return total
     # per (N exponent, key, denominator of an integer sum), in first-hit order
     weights: dict[tuple, Fraction | int] = {}
-    for (chi, shape, t), k_sum in sums.items():
-        den = dens.get((chi, shape, t), 1)
-        for key, _ in scans[shape, t]:
+    for (chi, *_), (k_sum, den, hits, _) in entries.items():
+        for key, _ in hits:
             weights[chi - r, key, den] = weights.get((chi - r, key, den), 0) + k_sum
     if symbolic:
         return sum((c_cache[key] * _scaled_n_power(e, w)

@@ -458,10 +458,17 @@ def _expr_sampler(expr, matrices: Mapping[int, DenseMatrix], n: int):
     return statistic, colors
 
 
+def _integer_at_least(value, least: int) -> bool:
+    """Whether value is an integer of at least `least`: any numbers.Integral
+    (numpy's too) but a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) \
+        and value >= least
+
+
 def _check_count(what: str, value) -> None:
     """A sample or batch count: an integer of at least two, since a standard
     error needs two."""
-    if not isinstance(value, numbers.Integral) or value < 2:
+    if not _integer_at_least(value, 2):
         raise ValidationError(f"need an integer count of at least two {what} for a "
                               f"standard error, got {value!r}")
 
@@ -474,8 +481,8 @@ def _chunk_values(sample_chunk, n: int, samples: int, workers: int) -> list[np.n
     its index, so neither the chunk size nor the thread count changes any
     value."""
     check_dimension(n)
-    if workers < 1:
-        raise ValidationError(f"need at least one worker, got {workers}")
+    if not _integer_at_least(workers, 1):
+        raise ValidationError(f"need an integer count of at least one worker, got {workers!r}")
     starts = range(0, samples, MC_CHUNK)
     threads = 1
     if n >= MC_THREAD_MIN_N:
@@ -523,12 +530,13 @@ def mc_entry_moment(n: int, powers: Mapping[tuple[int, int], int], samples: int,
     entries = []
     for key, p in powers.items():
         if not (isinstance(key, tuple) and len(key) == 2
-                and all(isinstance(v, int) and 1 <= v <= n for v in key)):
+                and all(_integer_at_least(v, 1) and v <= n for v in key)):
             raise ValidationError(f"entry {key!r} is not a (row, column) pair in 1..{n}")
-        if not isinstance(p, int) or p < 0:
+        if not _integer_at_least(p, 0):
             raise ValidationError(f"power of entry {key} must be a non-negative integer, "
                                   f"got {p!r}")
-        entries.append((key[0] - 1, key[1] - 1, p))
+        # int(p): for a numpy p, e ** p below stays a Python float power
+        entries.append((key[0] - 1, key[1] - 1, int(p)))
 
     def sample_chunk(start: int, stop: int) -> np.ndarray:
         o = _haar_chunk(n, 1, seed, start, stop)[:, 0]

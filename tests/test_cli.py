@@ -239,6 +239,16 @@ class TestVerify:
                          "--samples", "100", "--workers", workers]) == 2
             assert "worker" in capsys.readouterr().err
 
+    def test_workers_only_on_verify(self, expr_path):
+        # only `verify` samples; elsewhere --workers is an argparse error
+        for argv in (["moment", "--expr", expr_path, "--N", "2"],
+                     ["expand", "--expr", expr_path],
+                     ["wg", "--n", "4"]):
+            result = run_cli(argv + ["--workers", "-1"])
+            assert result.returncode == 2, argv
+            assert "unrecognized arguments: --workers" in result.stderr
+            assert "Traceback" not in result.stderr and result.stdout == ""
+
     def test_out_file(self, expr_path, tmp_path):
         out = tmp_path / "report.json"
         assert main(["verify", "--suite", "mc", "--expr", expr_path, "--N", "2",

@@ -7,6 +7,7 @@ import random
 import sys
 import tracemalloc
 import weakref
+from unittest import mock
 from collections import Counter
 from fractions import Fraction
 
@@ -977,6 +978,67 @@ class TestIntegerSums:
 
         assert trace_cumulant(args, matrices=x, n=n, kappa=kappa, tables=TABLES) == \
             join_trace_cumulant(args, matrices=x, n=n, kappa=kappa, tables=TABLES)
+
+
+@st.composite
+def three_traces_two_colours(draw):
+    """Three single traces over two colours, each colour on 2 or 4 positions."""
+    counts = draw(st.sampled_from([(2, 2), (4, 2), (2, 4), (4, 4)]))
+    colours = draw(st.permutations([c for c, m in zip((1, 2), counts) for _ in range(m)]))
+    n = len(colours)
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=2, max_size=2)))
+    factors = [(c, draw(st.sampled_from((1, -1))), draw(st.sampled_from((0, 1, -1, 2, -2))))
+               for c in colours]
+    return [TraceExpression.single_trace(factors[a:b]) for a, b in zip([0, *cuts], [*cuts, n])]
+
+
+def ints_and_tuples(value) -> bool:
+    """Whether value is an int (not a bool) or a tuple of such values, nested."""
+    if isinstance(value, tuple):
+        return all(map(ints_and_tuples, value))
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+class TestConnectivityMemo:
+    """`_connecting_rhos` is memoised for the process on trace masks: its
+    results, cold or warm, give the oracle's joins in every mode, and every
+    memo key holds only ints and tuples (no id, frozenset or SetPartition)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(three_traces_two_colours(), st.sampled_from((3, 4)),
+           st.randoms(use_true_random=False))
+    def test_three_traces_against_joins(self, args, n, rng):
+        from haargenus import expansion
+
+        x = {l: rational_matrix(rng, n) for l in (1, 2)}
+        block = {l: rational_matrix(rng, 2) for l in (1, 2)}
+
+        def tv(cycle):
+            return _trace_value(cycle, block, 2)
+
+        def kappa(cycles):
+            return Fraction(len(cycles), 1 + sum(map(len, cycles))) * tv(cycles[0])
+
+        modes = [dict(matrices=x, n=n), dict(matrices=x, n=n, mode="float"),
+                 dict(trace_value=tv, kappa=kappa, n=n), dict(symbolic=True, trace_value=tv)]
+        scan = expansion._connecting_rhos
+        keys = []
+
+        def spy(*key):
+            keys.append(key)
+            return scan(*key)
+
+        def values(cumulant):
+            # float sums must add in the same order, so floats compare by repr
+            out = [cumulant(args, tables=TABLES, **kw) for kw in modes]
+            return [repr(v) if isinstance(v, float) else v for v in out]
+
+        with mock.patch.object(expansion, "_connecting_rhos", spy):
+            warm = values(trace_cumulant)
+            assert warm == values(join_trace_cumulant)
+            scan.cache_clear()
+            assert values(trace_cumulant) == warm
+        assert keys and all(map(ints_and_tuples, keys))
 
 
 class TestErrorOrder:

@@ -433,8 +433,9 @@ class TestMonteCarlo:
     def test_worker_count_validated_before_sampling(self, no_sampling):
         x = {1: DenseMatrix.identity(2)}
         expr = TraceExpression.single_trace([(1, 1, 1), (1, -1, 1)])
-        for workers in (0, -3):
-            with pytest.raises(ValidationError):
+        # workers is an integer of at least one: no float, string or bool
+        for workers in (0, -3, 2.5, "2", True, np.float64(2)):
+            with pytest.raises(ValidationError, match="worker"):
                 mc_moment(expr, x, 2, samples=100, seed=1, workers=workers)
             with pytest.raises(ValidationError):
                 mc_entry_moment(2, {(1, 1): 2}, samples=100, seed=1, workers=workers)
@@ -461,10 +462,33 @@ class TestMonteCarlo:
                        {(4, 1): 2},        # out of range at N = 3
                        {(1, 1): -2},
                        {(1, 1): 1.5},
+                       {(1, 1): True},
+                       {(True, 1): 2},
                        {(1.0, 1): 2},
                        {1: 2}):
             with pytest.raises(ValidationError):
                 mc_entry_moment(3, powers, samples=64, seed=1)
+
+    def test_numpy_integers_accepted(self):
+        # any numbers.Integral but bool: numpy integers give the int results
+        x = {1: DenseMatrix.identity(2)}
+        expr = TraceExpression.single_trace([(1, 1, 1), (1, -1, 1)])
+        assert mc_entry_moment(3, {(np.int64(3), 1): np.int64(4)}, samples=np.int32(64),
+                               seed=1, workers=np.int64(2)) == \
+            mc_entry_moment(3, {(3, 1): 4}, samples=64, seed=1)
+        assert mc_moment(expr, x, 2, samples=np.int64(40), seed=1, workers=np.int8(1)) == \
+            mc_moment(expr, x, 2, samples=40, seed=1)
+        assert mc_cumulant([expr] * 2, x, 2, samples=np.int64(40), seed=1, order=2,
+                           batches=np.int64(4), workers=np.int64(2)) == \
+            mc_cumulant([expr] * 2, x, 2, samples=40, seed=1, order=2, batches=4)
+
+    def test_counts_reject_bools(self, no_sampling):
+        x = {1: DenseMatrix.identity(2)}
+        expr = TraceExpression.single_trace([(1, 1, 1), (1, -1, 1)])
+        with pytest.raises(ValidationError, match="two samples .*got True$"):
+            mc_moment(expr, x, 2, samples=True, seed=1)
+        with pytest.raises(ValidationError, match="two batches .*got True$"):
+            mc_cumulant([expr] * 2, x, 2, samples=40, seed=1, order=2, batches=True)
 
     def test_thread_pool_is_capped(self, monkeypatch, pool_sizes):
         import os
