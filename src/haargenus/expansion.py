@@ -13,10 +13,16 @@ gluings that connect everything.  Which (rho, tau) connect depends only on a
 gluing's shape, held as ints with trace t as the bit 1 << t: the mask of the
 traces each vertex cycle touches, and the size and mask of each join block.
 That scan merges masks, and is memoised for the process on its ints and
-tuples, so it runs once per distinct shape and tau; SetPartitions are built
-only for a new relative cumulant, and each relative cumulant is kept on the
-TableSet across calls (evaluated at N once per call).  A caller's
-`trace_value` and `kappa` are memoised per call.
+tuples, so it runs once per distinct shape and tau; the block shapes of a
+colour's pairs are memoised for the process too, per trace bits of its
+points (`_block_shapes`).  SetPartitions are built only for a new relative
+cumulant.  A caller's `trace_value` and `kappa` are memoised per call.
+
+Coefficients depend only on join diagrams and N, so the TableSet keeps them
+across calls: each product of normalized Weingarten values per tuple of
+diagrams, each relative cumulant, and the value of each at N (a pole is
+raised again on every call, never stored).  With the default tables each is
+built and evaluated once per process.
 
 All evaluators share one kernel, `_Gluings`.  A pair of pairings (p_plus,
 p_minus) glues a colour by the premap that takes each positive point to minus
@@ -31,8 +37,8 @@ K^{-1} per expression, and relabels pairings, arcs and blocks only where they
 are read.  `term_for` joins one pair's halves per colour into K^{-1} and turns
 it into chi, the N exponent, the join diagrams and the vertex cycles.  Moments
 consume `_Gluings.grouped` (gluing counts per vertex labels, exponent and
-diagrams, in first-seen order), so each Weingarten product is formed once per
-diagrams, and each Weingarten factor is evaluated once per N.  Numeric traces,
+diagrams, in first-seen order), and ask the TableSet for each distinct
+diagrams' Weingarten factor once per call.  Numeric traces,
 exact or float, share one memo per call (`_TraceMemo`), filled by
 `trace_numerators` batches: once per moment and once per block of cumulant
 gluings.
@@ -59,8 +65,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import CapExceededError, PoleError, ValidationError
-from .matrixlab import DenseMatrix, _slot_matrix, check_dimension, trace_numerators
+from .errors import CapExceededError, ValidationError
+from .matrixlab import DenseMatrix, _integer_at_least, _slot_matrix, check_dimension, \
+    trace_numerators
 from .permap import Premap, SignedPermutation
 from .ratpoly import PolyFrac, monomial
 from .setpart import PARTITION_CAP, SetPartition, YoungDiagram, enumerate_pairings, \
@@ -72,6 +79,8 @@ TERM_CAP = 500_000
 # results held at once (expansions run up to TERM_CAP gluings); every
 # benchmark cumulant has a few hundred gluings and fits in one block
 GLUING_BLOCK = 4096
+# colours' trace-bit tuples whose pair block shapes are kept (`_block_shapes`)
+BLOCK_SHAPES_CAP = 256
 
 _DEFAULT_TABLES: TableSet | None = None
 
@@ -84,6 +93,19 @@ def default_tables() -> TableSet:
 
 
 IDENTITY_SLOT = 0
+
+
+def _integer_field(name: str, values: Mapping[int, int],
+                   positions: Sequence[int]) -> dict[int, int]:
+    """values at each position as ints; a bool or a non-integer names its
+    position and the field."""
+    out = {}
+    for k in positions:
+        v = values[k]
+        if not _integer_at_least(v, -math.inf):
+            raise ValidationError(f"position {k}: {name} must be an integer, got {v!r}")
+        out[k] = int(v)
+    return out
 
 
 class TraceExpression:
@@ -104,9 +126,9 @@ class TraceExpression:
         if any(k <= 0 for k in pts):
             raise ValidationError("positions must be positive")
         self.positions = tuple(sorted(pts))
-        self.eps = {k: int(eps[k]) for k in self.positions}
-        self.color = {k: int(color[k]) for k in self.positions}
-        self.slot = {k: int(slot[k]) for k in self.positions}
+        self.eps = _integer_field("eps", eps, self.positions)
+        self.color = _integer_field("color", color, self.positions)
+        self.slot = _integer_field("slot", slot, self.positions)
         if any(v not in (1, -1) for v in self.eps.values()):
             raise ValidationError("eps values must be +1 or -1")
 
@@ -322,8 +344,6 @@ class _Gluings:
             self.choices.append(pairs)
         self._labels = {s * k: expr.vertex_label(s * k)
                         for k in expr.positions for s in (1, -1)}
-        self._wg: dict[tuple[YoungDiagram, ...], PolyFrac] = {}
-        self._wg_at: dict[tuple[tuple[YoungDiagram, ...], int], Fraction] = {}
         self._pairings: list[list[SetPartition]] | None = None
 
     def combos(self) -> Iterator[tuple[_Pair, ...]]:
@@ -389,26 +409,6 @@ class _Gluings:
                   for i in order for b in combo[i].blocks]
         return blocks, _block_partitions(tuple(len(combo[i].blocks) for i in order))
 
-    def wg_factor(self, lambdas: tuple[YoungDiagram, ...]) -> PolyFrac:
-        """Product of the normalized Weingarten values, once per distinct lambdas."""
-        if lambdas not in self._wg:
-            self._wg[lambdas] = math.prod(map(self.tables.wg_diagram, lambdas),
-                                          start=PolyFrac(1))
-        return self._wg[lambdas]
-
-    def wg_at(self, lambdas: tuple[YoungDiagram, ...], n: int) -> Fraction:
-        """The Weingarten factor at N, once per (lambdas, N), naming the
-        diagrams on a pole."""
-        if (lambdas, n) not in self._wg_at:
-            try:
-                self._wg_at[lambdas, n] = self.wg_factor(lambdas).eval_at(n)
-            except PoleError as exc:
-                rows = [list(l.rows) for l in lambdas]
-                raise PoleError(
-                    f"Weingarten factor for diagram(s) {rows} has a pole at N={n}: {exc}",
-                    n_value=n, factors=exc.factors) from exc
-        return self._wg_at[lambdas, n]
-
     def grouped(self) -> dict[tuple, int]:
         """Gluing multiplicities keyed by (vertex_labels, exponent, lambdas),
         in first-seen order."""
@@ -431,7 +431,7 @@ def expand_moment(expr: TraceExpression, tables: TableSet | None = None,
         yield ExpansionTerm(
             pairings=glu.pairings(combo), arcs=glu.arcs(combo),
             chi=chi, exponent=exponent,
-            wg_factor=glu.wg_factor(lambdas), lambdas=lambdas,
+            wg_factor=glu.tables.wg_product(lambdas), lambdas=lambdas,
             vertex_cycles=vertex, vertex_labels=labels)
 
 
@@ -540,15 +540,17 @@ def evaluate_moment(expr: TraceExpression, matrices: Mapping[int, DenseMatrix],
     memo = _TraceMemo(matrices, n, mode, expr.slot.values())
     glu = _Gluings(expr, tables or default_tables(), term_cap)
     groups = glu.grouped()
+    # the Weingarten factor at N once per distinct diagrams, in first-seen order
+    wg = {lambdas: glu.tables.wg_product_at(lambdas, n)
+          for lambdas in dict.fromkeys(lambdas for _, _, lambdas in groups)}
     if not memo.exact:
         coeff_by_pattern: dict[tuple, Fraction] = {}
         for (labels, exponent, lambdas), mult in groups.items():
-            coeff = mult * glu.wg_at(lambdas, n) * Fraction(n) ** exponent
+            coeff = mult * wg[lambdas] * Fraction(n) ** exponent
             coeff_by_pattern[labels] = coeff_by_pattern.get(labels, 0) + coeff
         memo.fill(itertools.chain.from_iterable(coeff_by_pattern))
         return MomentResult(value=_pattern_sum(coeff_by_pattern.items(), memo.value, mode),
                             term_count=glu.total)
-    wg = {lambdas: glu.wg_at(lambdas, n) for _, _, lambdas in groups}
     memo.fill(itertools.chain.from_iterable(labels for labels, _, _ in groups))
     # (exponent, lambdas, cycles) -> [sum of mult * prod T, the shared prod of dens]
     sums: dict[tuple, list[int]] = {}
@@ -590,13 +592,31 @@ def asymptotic_moment(expr: TraceExpression, tables: TableSet | None = None,
     acc: dict[tuple, Fraction] = {}
     for (labels, exponent, lambdas), mult in glu.grouped().items():
         if exponent == 0:
-            coeff = mult * glu.wg_factor(lambdas).limit_at_infinity()
+            coeff = mult * glu.tables.wg_product(lambdas).limit_at_infinity()
             acc[labels] = acc.get(labels, Fraction(0)) + coeff
     terms = tuple((c, pat) for pat, c in sorted(acc.items()) if c != 0)
     return AsymptoticMoment(terms=terms)
 
 
 # -- trace cumulants -----------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=BLOCK_SHAPES_CAP)
+def _block_shapes(bits: tuple[int, ...]) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+    """The shape of every pair's join on a colour whose point i (1..m) lies on
+    the trace of bit bits[i - 1]: shapes[i][j] holds the (size, mask of
+    traces) of each block of the join of pairings i (p_plus) and j (p_minus)
+    of `_pairing_table(m)`.  Indexed by position in that table, so a rebuilt
+    table reads it alike; memoised for the process, for at most
+    BLOCK_SHAPES_CAP bit tuples, each shape one shared tuple."""
+    m = len(bits)
+    pairings, _, _, pairs = _pairing_table(m)
+    seen: dict[tuple, tuple] = {}
+    shapes = [seen.setdefault(shape, shape) for shape in
+              (tuple((len(b), sum({bits[i - 1] for i in b})) for b in pair.blocks)
+               for pair in pairs)]
+    count = len(pairings)
+    return tuple(tuple(shapes[i:i + count]) for i in range(0, len(shapes), count))
 
 
 @functools.lru_cache(maxsize=None)
@@ -662,7 +682,9 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
     products of trace numerators, and each weight forms one Fraction over the
     product of trace denominators that its gluings share.  SetPartitions are
     built only for a relative cumulant that the tables do not hold yet, for
-    `wg_cumulant`; each is evaluated at N on its first hit in the call.
+    `wg_cumulant`; its value at N is read from the tables
+    (`TableSet.cumulant_at`) on its first hit in the call.  Each colour's
+    pair block shapes come from the process memo `_block_shapes`.
     Traces of the built-in matrices are computed one block of GLUING_BLOCK
     gluings at a time.
 
@@ -708,11 +730,8 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
     # the mask of the traces a vertex cycle touches (the sum of its distinct bits),
     # once per cycle in this call
     vertex_mask = functools.lru_cache(maxsize=None)(lambda c: sum({*map(bit.__getitem__, c)}))
-    # per colour, the (size, mask of traces) of each block of each pair's join,
-    # keyed by identity; colours of one size share their pairs, so each has its own dict
-    block_shape = [{id(pair): tuple((len(b), sum({bit[pts[i]] for i in b})) for b in pair.blocks)
-                    for pair in pairs}
-                   for pts, pairs in zip(glu.points, glu.choices)]
+    # per colour, the block shapes of its pairs, from the trace bits of its points
+    block_shapes = [_block_shapes(tuple(bit[k] for k in pts[1:])) for pts in glu.points]
     order = glu.ker_order
     ground = expr.positions
     c_cache = tables.relative_cumulants
@@ -732,7 +751,7 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
                 rho_part = SetPartition([[k for j in g for k in blocks[j]] for g in rho],
                                         ground=ground)
                 c_cache[key] = wg_cumulant(tables, pi, pi, rho_part)
-            c_at_n[key] = None if symbolic else c_cache[key].eval_at(n)
+            c_at_n[key] = None if symbolic else tables.cumulant_at(key, n)
 
     def gluings() -> Iterator[tuple[tuple[_Pair, ...], tuple]]:
         """Each gluing with its `term_for`, one block at a time; the built-in
@@ -753,7 +772,7 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
     total = 0.0  # float: each hit's coefficient times k, in gluing and rho order
     for combo, (chi, _, _, vertex, labels) in gluings():
         masks = tuple(map(vertex_mask, vertex))
-        blocks = tuple(map(dict.__getitem__, block_shape, map(id, combo)))
+        blocks = tuple([shapes[pair.plus][pair.minus] for shapes, pair in zip(block_shapes, combo)])
         # without kappa, tau is the discrete partition (None until an entry needs it)
         for t, tau in enumerate((None,) if kappa is None else _block_partitions((len(vertex),))):
             k = math.prod(map(tv, labels), start=one) if tau is None else \
@@ -811,7 +830,7 @@ def moment_symbolic(expr: TraceExpression,
         key = (exponent, lambdas)
         weights[key] = weights.get(key, 0) + mult * math.prod(map(trace, labels),
                                                              start=Fraction(1))
-    return sum((glu.wg_factor(lambdas) * _scaled_n_power(exponent, weight)
+    return sum((glu.tables.wg_product(lambdas) * _scaled_n_power(exponent, weight)
                 for (exponent, lambdas), weight in weights.items() if weight), PolyFrac(0))
 
 

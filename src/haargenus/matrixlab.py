@@ -219,8 +219,8 @@ def block_diagonal_repeat(block: DenseMatrix, n: int) -> DenseMatrix:
 
 
 def check_dimension(n) -> None:
-    """N, the dimension of every matrix, must be a positive integer."""
-    if not isinstance(n, numbers.Integral) or n < 1:
+    """N, the dimension of every matrix, must be a positive integer (not a bool)."""
+    if not _integer_at_least(n, 1):
         raise ValidationError(f"N must be a positive integer, got {n!r}")
 
 

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CapExceededError, ValidationError
+from .errors import CapExceededError, PoleError, ValidationError
 from .ratpoly import ONE, ZERO, Poly, PolyFrac, bareiss_solve, exact_div, monomial, padd, \
     pmul, poly_gcd, pshift
 from .setpart import SetPartition, YoungDiagram, enumerate_pairings, mobius, \
@@ -247,16 +247,29 @@ def wg_limit(lam: YoungDiagram) -> Fraction:
     return Fraction(sign * coeff)
 
 
+VALUES_AT_N_CAP = 4096
+
+
 class TableSet:
-    """Lazy cache of tables for every even size up to a cap, with helpers for
-    per-block normalized values."""
+    """Lazy cache of tables for every even size up to a cap, and of the
+    coefficients the evaluators build from them, kept across calls: the
+    normalized wg per diagram, the product of normalized wg per tuple of join
+    diagrams (`wg_product`), and the relative cumulants C_{pi,pi,rho} of trace
+    cumulants (`relative_cumulants`).  Values at N are kept too, per (diagrams,
+    N) (`wg_product_at`) and per (relative cumulant key, N) (`cumulant_at`);
+    each of these two memos holds at most VALUES_AT_N_CAP values and drops its
+    oldest first, so a sweep over N cannot grow it without limit.  A pole is
+    never stored: it is raised again on every call, with the same text."""
 
     def __init__(self, cap: int = WG_CAP):
         self.cap = cap
         self._wg_cache: dict[YoungDiagram, PolyFrac] = {}
+        self._wg_products: dict[tuple[YoungDiagram, ...], PolyFrac] = {}
         # relative cumulants C_{pi,pi,rho} built by trace cumulants, keyed by the
         # sizes of pi's blocks inside each block of rho, which determine them
         self.relative_cumulants: dict[tuple, PolyFrac] = {}
+        self._wg_products_at: dict[tuple, Fraction] = {}
+        self._cumulants_at: dict[tuple, Fraction] = {}
 
     def table(self, n: int) -> WeingartenTable:
         return weingarten_table(n, cap=self.cap)
@@ -266,6 +279,28 @@ class TableSet:
         if lam not in self._wg_cache:
             self._wg_cache[lam] = self.table(2 * lam.n).wg(lam)
         return self._wg_cache[lam]
+
+    def wg_product(self, lambdas: tuple[YoungDiagram, ...]) -> PolyFrac:
+        """Product of the normalized wg of the diagrams, one per colour."""
+        value = self._wg_products.get(lambdas)
+        if value is None:
+            value = self._wg_products[lambdas] = math.prod(map(self.wg_diagram, lambdas),
+                                                           start=PolyFrac(1))
+        return value
+
+    def wg_product_at(self, lambdas: tuple[YoungDiagram, ...], n: int) -> Fraction:
+        """`wg_product(lambdas)` at N; a pole names the diagrams."""
+        try:
+            return _value_at(self._wg_products_at, lambdas, n, self.wg_product)
+        except PoleError as exc:
+            rows = [list(lam.rows) for lam in lambdas]
+            raise PoleError(
+                f"Weingarten factor for diagram(s) {rows} has a pole at N={n}: {exc}",
+                n_value=n, factors=exc.factors) from exc
+
+    def cumulant_at(self, key: tuple, n: int) -> Fraction:
+        """The relative cumulant `relative_cumulants[key]` at N."""
+        return _value_at(self._cumulants_at, key, n, self.relative_cumulants.__getitem__)
 
     def wg_block(self, pi: SetPartition, block: Iterable[int]) -> PolyFrac:
         """Normalized wg of the restriction to one block of a coarser partition."""
@@ -279,6 +314,18 @@ class TableSet:
         if sum(sizes) != len(v):
             raise ValidationError("block does not cover its join blocks")
         return self.wg_diagram(YoungDiagram.from_even_block_sizes(sizes))
+
+
+def _value_at(memo: dict[tuple, Fraction], key, n: int, poly) -> Fraction:
+    """poly(key) at N through memo, keyed by (key, N); a PoleError passes
+    through unstored, and a full memo drops its oldest value."""
+    value = memo.get((key, n))
+    if value is None:
+        value = poly(key).eval_at(n)
+        if len(memo) >= VALUES_AT_N_CAP:
+            del memo[next(iter(memo))]
+        memo[key, n] = value
+    return value
 
 
 def wg_cumulant(tables: TableSet, pi: SetPartition, rho: SetPartition,

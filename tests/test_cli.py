@@ -99,10 +99,20 @@ class TestBadInput:
     NO_TRACES = {"matrices": MOMENT_EXPR["matrices"]}
     BAD_ENTRY = {"traces": MOMENT_EXPR["traces"],
                  "matrices": {"1": [["1/x", "1"], ["0", "1"]], "2": [["1", "0"], ["0", "1"]]}}
+    # no field is truncated to an int: slot 1.5 is not slot 1, eps true is not +1
+    FLOAT_SLOT = {**MOMENT_EXPR, "traces": [[{"color": 1, "eps": 1, "slot": 1},
+                                             {"color": 1, "eps": -1, "slot": 1.5}]]}
+    BOOL_EPS = {**MOMENT_EXPR, "traces": [[{"color": 1, "eps": True, "slot": 1},
+                                           {"color": 1, "eps": -1, "slot": 2}]]}
 
     @pytest.mark.parametrize("payload, field", [(NO_SLOT, "'slot'"), (NO_TRACES, "'traces'"),
-                                                (BAD_ENTRY, "1/x")],
-                             ids=["missing-slot", "missing-traces", "bad-rational"])
+                                                (BAD_ENTRY, "1/x"),
+                                                (FLOAT_SLOT, "position 2: slot must be an "
+                                                             "integer, got 1.5"),
+                                                (BOOL_EPS, "position 1: eps must be an "
+                                                           "integer, got True")],
+                             ids=["missing-slot", "missing-traces", "bad-rational", "float-slot",
+                                  "bool-eps"])
     def test_malformed_file_exit_code(self, tmp_path, capsys, payload, field):
         path = tmp_path / "expr.json"
         path.write_text(json.dumps(payload))

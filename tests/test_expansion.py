@@ -52,6 +52,25 @@ class TestTraceExpression:
         with pytest.raises(ValidationError):
             TraceExpression([(1,)], {1: 2}, {1: 1}, {1: 1})
 
+    @pytest.mark.parametrize("field, value", [("eps", True), ("eps", 1.0), ("color", 1.9),
+                                              ("color", "1"), ("slot", 1.5), ("slot", False),
+                                              ("slot", Fraction(2))])
+    def test_fields_must_be_integers(self, field, value):
+        # no truncation: slot 1.5 would evaluate slot 1, eps True would count as +1
+        fields = {"eps": {1: 1, 2: -1}, "color": {1: 1, 2: 1}, "slot": {1: 1, 2: 2}}
+        fields[field][2] = value
+        with pytest.raises(ValidationError, match=f"position 2: {field} must be an integer"):
+            TraceExpression([(1, 2)], **fields)
+
+    def test_numpy_integer_fields_accepted(self):
+        import numpy as np
+
+        e = TraceExpression([(1, 2)], {1: np.int64(1), 2: np.int8(-1)}, {1: np.int32(3), 2: 3},
+                            {1: np.int64(-2), 2: 0})
+        assert e.to_json() == TraceExpression([(1, 2)], {1: 1, 2: -1}, {1: 3, 2: 3},
+                                              {1: -2, 2: 0}).to_json()
+        assert all(type(v) is int for d in (e.eps, e.color, e.slot) for v in d.values())
+
     def test_json_round_trip(self):
         e = TraceExpression.single_trace([(1, 1, 1), (2, -1, -2), (1, 1, 0)])
         assert TraceExpression.from_json(e.to_json()).to_json() == e.to_json()
@@ -808,6 +827,104 @@ class TestRelativeCumulantCache:
         assert texts[0] == texts[1] == texts[2] and "N=1" in texts[0]
 
 
+class TestCoefficientMemos:
+    """The TableSet keeps each Weingarten product, its value at N and each
+    relative cumulant's value at N across calls, and `_block_shapes` keeps
+    each colour's pair block shapes for the process: warm memos must give
+    what fresh ones give."""
+
+    @staticmethod
+    def _results(case, tables):
+        expr, exprs, n, x, block = case
+
+        def tv(cycle):
+            return _trace_value(cycle, block, 2)
+
+        def kappa(cycles):
+            return Fraction(len(cycles), 5) * tv(cycles[0])
+
+        return [
+            evaluate_moment(expr, x, n, tables=tables).value,
+            repr(evaluate_moment(expr, x, n, mode="float", tables=tables).value),
+            moment_symbolic(expr, tv, tables=tables),
+            asymptotic_moment(expr, tables).terms,
+            trace_cumulant(exprs, matrices=x, n=n, tables=tables),
+            repr(trace_cumulant(exprs, matrices=x, n=n, mode="float", tables=tables)),
+            trace_cumulant(exprs, trace_value=tv, kappa=kappa, n=n, tables=tables),
+            repr(trace_cumulant(exprs, trace_value=lambda c: float(tv(c)),
+                                kappa=lambda c: float(kappa(c)), n=n, mode="float",
+                                tables=tables)),
+            trace_cumulant(exprs, trace_value=tv, symbolic=True, tables=tables),
+        ]
+
+    def test_warm_tables_equal_fresh(self, monkeypatch):
+        rng = random.Random(90)
+        cases = []
+        for _ in range(8):
+            # at most 6 positions per colour: N >= 3 is no pole
+            n = rng.randint(3, 5)
+            cases.append((random_expression(rng, max_positions=6), random_single_traces(rng), n,
+                          {l: rational_matrix(rng, n) for l in (1, 2, 3)},
+                          {l: rational_matrix(rng, 2) for l in (1, 2, 3)}))
+        warm = TableSet()
+        for case in cases:
+            self._results(case, warm)
+        calls = []
+        real = PolyFrac.eval_at
+        monkeypatch.setattr(PolyFrac, "eval_at",
+                            lambda self, n0: calls.append(n0) or real(self, n0))
+        for case in cases:
+            again = self._results(case, warm)
+            assert not calls  # every value at N came from the memos
+            assert again == self._results(case, TableSet())
+            calls.clear()
+
+    def test_pole_raised_on_every_call(self):
+        e = TraceExpression.single_trace([(1, 1, 1)] * 4)
+        x = {1: DenseMatrix([[1]])}
+        tables = TableSet()
+        for mode in ("exact", "float"):
+            for t in (TableSet(), tables, tables):
+                with pytest.raises(PoleError) as exc:
+                    evaluate_moment(e, x, 1, mode=mode, tables=t)
+                assert str(exc.value) == \
+                    "Weingarten factor for diagram(s) [[1, 1]] has a pole at N=1: pole at " \
+                    "N=1: denominator vanishes (factors (N-1)*(N+2))"
+                assert exc.value.n_value == 1 and exc.value.factors == ("(N-1)", "(N+2)")
+
+    def test_cumulant_after_pairing_table_cleared(self):
+        # the block shapes are kept by position in the pairing table, so a
+        # rebuilt table (new pair objects) reads them alike
+        rng = random.Random(91)
+        cases = []
+        for _ in range(6):
+            n = rng.randint(3, 5)
+            cases.append((random_single_traces(rng), n,
+                          {l: rational_matrix(rng, n) for l in (1, 2)}))
+        first = [trace_cumulant(exprs, matrices=x, n=n, tables=TABLES) for exprs, n, x in cases]
+        _pairing_table.cache_clear()
+        for (exprs, n, x), value in zip(cases, first):
+            assert trace_cumulant(exprs, matrices=x, n=n, tables=TABLES) == value == \
+                join_trace_cumulant(exprs, matrices=x, n=n, tables=TableSet())
+
+    def test_values_at_n_bounded(self, monkeypatch):
+        from haargenus import expansion, weingarten
+
+        assert expansion._block_shapes.cache_info().maxsize == expansion.BLOCK_SHAPES_CAP
+        monkeypatch.setattr(weingarten, "VALUES_AT_N_CAP", 3)
+        rng = random.Random(92)
+        e = TraceExpression.single_trace([(1, 1, 1), (1, -1, 2), (1, 1, 2), (1, -1, 1)])
+        tables = TableSet()
+        for n in range(4, 13):  # [e, e] has 8 positions of one colour: a pole at N = 3
+            x = {l: rational_matrix(rng, n) for l in (1, 2)}
+            assert evaluate_moment(e, x, n, tables=tables).value == \
+                evaluate_moment(e, x, n, tables=TableSet()).value
+            assert trace_cumulant([e, e], matrices=x, n=n, tables=tables) == \
+                trace_cumulant([e, e], matrices=x, n=n, tables=TableSet())
+            assert 0 < len(tables._wg_products_at) <= 3
+            assert 0 < len(tables._cumulants_at) <= 3
+
+
 # -- metamorphic properties ----------------------------------------------------
 
 META_N = 4
@@ -1137,7 +1254,7 @@ class TestDimensionAndMode:
     # tr(O O^T) has identity slots only, so no matrix can reject a bad N first
     BARE = TraceExpression.single_trace([(1, 1, 0), (1, -1, 0)])
 
-    @pytest.mark.parametrize("n", [0, -2, 2.0, None])
+    @pytest.mark.parametrize("n", [0, -2, 2.0, None, True])
     def test_bad_dimension_raises(self, n):
         from haargenus.matrixlab import mc_cumulant, mc_entry_moment, mc_moment
 

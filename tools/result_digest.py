@@ -19,6 +19,13 @@ estimate shows in `diff` (the hashes instead if the query raised).
 `--root` picks the checkout whose `src/` and `perfbench/` are imported
 (default: this one), so one copy of the script digests both sides.  Queries run in one process, in order, as in a
 benchmark run.
+
+The library keeps Weingarten products, relative cumulants and their values
+at N on its default `TableSet` across calls, so a query that meets them warm
+makes fewer `eval_at` calls than a cold one, with the same result.
+`--fresh-tables` resets `expansion._DEFAULT_TABLES` before each query, so
+each query starts cold and the eval_at hashes compare across checkouts that
+keep different memos.
 """
 
 from __future__ import annotations
@@ -76,10 +83,13 @@ def main(argv=None) -> int:
     parser.add_argument("--root", default=here, help="checkout to import (default: this one)")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
     parser.add_argument("--rounds", type=int, nargs="+", default=[0])
+    parser.add_argument("--fresh-tables", action="store_true",
+                        help="give each query a fresh default TableSet")
     args = parser.parse_args(argv)
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
 
+    from haargenus import expansion
     from haargenus.ratpoly import PolyFrac
     from workloads import generate_round, prepare
 
@@ -101,6 +111,8 @@ def main(argv=None) -> int:
             for seed in args.seeds:
                 for rnd in args.rounds:
                     for query in generate_round(workload, seed, rnd):
+                        if args.fresh_tables:
+                            expansion._DEFAULT_TABLES = None
                         prep = prepare(query, workdir)
                         calls.clear()
                         try:
