@@ -77,7 +77,12 @@ def _read_json(path: str):
 
 def _matrices(path: str, entries) -> dict[int, DenseMatrix]:
     with _input(path, "matrices"):
-        return {int(k): DenseMatrix.from_json(v) for k, v in entries.items()}
+        items = list(entries.items())
+    out = {}
+    for k, v in items:
+        with _input(path, f"matrix {k}"):
+            out[int(k)] = DenseMatrix.from_json(v)
+    return out
 
 
 def _load_matrices(path: str, data, extra_path: str | None) -> dict[int, DenseMatrix]:

@@ -679,14 +679,16 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
     expand them into one weight per (N exponent, relative cumulant) at the
     end, while float results add term by term in gluing and rho order.  On
     the built-in exact matrices without `kappa` those sums are ints, of
-    products of trace numerators, and each weight forms one Fraction over the
-    product of trace denominators that its gluings share.  SetPartitions are
-    built only for a relative cumulant that the tables do not hold yet, for
-    `wg_cumulant`; its value at N is read from the tables
+    products of trace numerators over the product of trace denominators
+    that an entry's gluings share; the weights of one N exponent are summed
+    over the lcm of those denominators, and the exact result makes one
+    Fraction product per weight and one power and one division per exponent.
+    SetPartitions are built only for a relative cumulant that the tables do
+    not hold yet, for `wg_cumulant`; its value at N is read from the tables
     (`TableSet.cumulant_at`) on its first hit in the call.  Each colour's
-    pair block shapes come from the process memo `_block_shapes`.
-    Traces of the built-in matrices are computed one block of GLUING_BLOCK
-    gluings at a time.
+    pair block shapes come from the process memo `_block_shapes`.  Traces of
+    the built-in matrices are computed one block of GLUING_BLOCK gluings at a
+    time.
 
     Deterministic slot matrices are the built-in path (higher vertex-trace
     cumulants vanish), and a slot label with no matrix fails before any
@@ -800,16 +802,26 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
                     total = total + coeff * k
     if not exact:
         return total
-    # per (N exponent, key, denominator of an integer sum), in first-hit order
+    # per N exponent, the lcm of its entries' denominators (1 unless integer)
+    lcms: dict[int, int] = {}
+    for (chi, *_), (_, den, _, _) in entries.items():
+        lcms[chi - r] = math.lcm(lcms.get(chi - r, 1), den)
+    # per (N exponent, key), in first-hit order: the sum over that lcm
     weights: dict[tuple, Fraction | int] = {}
     for (chi, *_), (k_sum, den, hits, _) in entries.items():
+        e = chi - r
+        if den != lcms[e]:
+            k_sum *= lcms[e] // den
         for key, _ in hits:
-            weights[chi - r, key, den] = weights.get((chi - r, key, den), 0) + k_sum
+            weights[e, key] = weights.get((e, key), 0) + k_sum
     if symbolic:
         return sum((c_cache[key] * _scaled_n_power(e, w)
-                    for (e, key, _), w in weights.items() if w), PolyFrac(0))
-    return sum((c_at_n[key] * Fraction(n) ** e * (Fraction(w, den) if integer else w)
-                for (e, key, den), w in weights.items()), Fraction(0))
+                    for (e, key), w in weights.items() if w), PolyFrac(0))
+    # sum c(key) w per N exponent, then one power and one division each
+    sums: dict[int, Fraction] = {}
+    for (e, key), w in weights.items():
+        sums[e] = sums.get(e, 0) + c_at_n[key] * w
+    return sum((s * Fraction(n) ** e / lcms[e] for e, s in sums.items()), Fraction(0))
 
 
 def _scaled_n_power(k: int, c: Fraction) -> PolyFrac:

@@ -1,16 +1,18 @@
 """Dense matrix arithmetic, Haar orthogonal sampling, Monte Carlo estimators,
 and the entrywise brute-force moment oracle.
 
-Exact matrices hold Fractions; float matrices hold numpy arrays.  Traces
-along label cycles run in one kernel for both modes, `trace_numerators`: the
-cycles of one dimension and length multiply as stacks.  Each exact matrix is
-scaled once to integer entries over one common denominator, its stacks
-multiply in int64 where a bound proves that no partial sum overflows and on
-Python ints otherwise, and each cycle's trace is an integer numerator over
-the product of its factors' denominators; `traces_along` forms one Fraction
-per cycle from them.  A float stack multiplies from the left and sums each
-trace as numpy sums one matrix's, so every float trace is the one of
-multiplying that cycle's matrices in turn.
+An exact matrix is made in integer form, its entries scaled to integers
+over one common denominator, with their bound and int64 array; its Fraction
+rows are formed on demand.  Float matrices hold numpy arrays.  Traces along
+label cycles run in one kernel for both modes, `trace_numerators`: the
+cycles of one call form one stack per dimension and dtype, sorted by length,
+that multiplies level by level on a shrinking leading slice.  An exact cycle
+runs in the int64 stack where a bound proves that no partial sum overflows
+and in the Python-int stack otherwise, and its trace is an integer numerator
+over the product of its factors' denominators; `traces_along` forms one
+Fraction per cycle from them.  A float stack multiplies from the
+left and sums each trace as numpy sums one matrix's, so every float trace is
+the one of multiplying that cycle's matrices in turn.
 
 The Monte Carlo estimators use per-sample Philox substreams on a fixed chunk
 grid: sample i draws from the counter-based stream keyed by (seed, i), and
@@ -35,7 +37,9 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,15 +54,26 @@ from .setpart import enumerate_pairings, join_of_pairings_diagram
 RNG_NAME = "philox4x64"
 MC_CHUNK = 64
 MC_THREAD_MIN_N = 32  # smallest N whose chunks run on threads; see above
+INT64_LIMIT = 2 ** 63  # an exact cycle runs in int64 only if its bound is below this
 
 
 class DenseMatrix:
-    """A square matrix in a uniform scalar mode: exact Fractions or floats."""
+    """A square matrix in a uniform scalar mode: exact rationals or floats.
 
-    __slots__ = ("mode", "n", "_rows", "_arr", "_ints")
+    Entries may be ints, Fractions, strings that `Fraction` accepts, or
+    floats; one float entry makes the whole matrix float.  A bool entry or a
+    non-finite float is refused.  An exact matrix is made in integer form
+    (`integer_form`), with what `trace_numerators` reads of it: `_bound`,
+    max(1, largest |integer entry|), and `_int64`, the integer rows as an
+    int64 array when that bound is below INT64_LIMIT (else None).  Its
+    Fraction rows are kept when it is made from Fractions and formed on
+    first use otherwise, so a "p/q" string of ASCII digits is read by two
+    int() parses and never becomes a Fraction on the way to a trace."""
+
+    __slots__ = ("mode", "n", "_rows", "_arr", "_ints", "_bound", "_int64")
 
     def __init__(self, rows=None, *, arr=None):
-        self._ints = None  # integer form of an exact matrix, made on first use
+        self._rows = self._ints = self._arr = self._bound = self._int64 = None
         if arr is not None:
             arr = np.asarray(arr, dtype=float)
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -66,21 +81,32 @@ class DenseMatrix:
             self.mode = "float"
             self.n = arr.shape[0]
             self._arr = arr
-            self._rows = None
             return
         rows = [list(r) for r in rows]
-        n = len(rows)
+        n = self.n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValidationError("matrix must be square")
-        if any(isinstance(v, float) for r in rows for v in r):
+        flat = [v for r in rows for v in r]
+        for v in (v for v in flat if isinstance(v, bool)):
+            raise ValidationError(f"matrix entries must be numbers, got {v!r}")
+        if any(isinstance(v, float) for v in flat):
             self.mode = "float"
-            self._arr = np.array([[float(v) for v in r] for r in rows], dtype=float)
-            self._rows = None
-        else:
-            self.mode = "exact"
-            self._rows = tuple(tuple(Fraction(v) for v in r) for r in rows)
-            self._arr = None
-        self.n = n
+            self._arr = np.array([v if isinstance(v, float) else operator.truediv(*_rational(v))
+                                  for v in flat], dtype=float).reshape(n, n)
+            for v in self._arr[~np.isfinite(self._arr)].tolist():
+                raise ValidationError(f"matrix entries must be finite, got {v!r}")
+            return
+        self.mode = "exact"
+        pairs = list(map(_rational, flat))
+        den = math.lcm(*[q for _, q in pairs])
+        ints = [p if q == den else p * (den // q) for p, q in pairs]
+        self._bound = max(1, max(map(abs, ints), default=0))
+        self._int64 = np.array(ints, dtype=np.int64).reshape(n, n) \
+            if self._bound < INT64_LIMIT else None
+        int_rows = tuple(tuple(ints[i:i + n]) for i in range(0, n * n, n))
+        self._ints = (den, int_rows, tuple(zip(*int_rows)))
+        if all(type(v) is Fraction for v in flat):
+            self._rows = tuple(map(tuple, rows))
 
     @classmethod
     def identity(cls, n: int, mode: str = "exact") -> "DenseMatrix":
@@ -95,28 +121,28 @@ class DenseMatrix:
         return cls([[0] * n for _ in range(n)])
 
     @property
-    def rows(self):
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as Fractions, formed from the integer form on first use."""
         if self.mode != "exact":
             raise ValidationError("rows are only stored in exact mode")
+        if self._rows is None:
+            den, ints, _ = self._ints
+            self._rows = tuple(tuple(Fraction(v, den) for v in r) for r in ints)
         return self._rows
 
     def integer_form(self) -> tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
         """(den, rows, cols) with this exact matrix = rows / den, den the lcm of
-        the entries' denominators; cols holds the same integers by column.
-        Computed on first use and kept, since the matrix is immutable."""
-        if self._ints is None:
-            if self.mode != "exact":
-                raise ValidationError("integer form is only defined in exact mode")
-            den = math.lcm(*(v.denominator for r in self._rows for v in r))
-            rows = tuple(tuple(v.numerator * (den // v.denominator) for v in r)
-                         for r in self._rows)
-            self._ints = (den, rows, tuple(zip(*rows)))
+        the entries' denominators; cols holds the same integers by column."""
+        if self.mode != "exact":
+            raise ValidationError("integer form is only defined in exact mode")
         return self._ints
 
     def as_numpy(self) -> np.ndarray:
         if self.mode == "float":
             return self._arr
-        return np.array([[float(v) for v in r] for r in self._rows], dtype=float)
+        den, ints, _ = self._ints
+        # int / int rounds the exact quotient once, as float(Fraction) does
+        return np.array([[v / den for v in r] for r in ints], dtype=float).reshape(self.n, self.n)
 
     def to_float(self) -> "DenseMatrix":
         return self if self.mode == "float" else DenseMatrix(arr=self.as_numpy())
@@ -124,15 +150,15 @@ class DenseMatrix:
     def transpose(self) -> "DenseMatrix":
         if self.mode == "float":
             return DenseMatrix(arr=self._arr.T.copy())
-        return DenseMatrix([[self._rows[j][i] for j in range(self.n)] for i in range(self.n)])
+        return DenseMatrix(list(zip(*self.rows)))
 
     def matmul(self, other: "DenseMatrix") -> "DenseMatrix":
         self._check_compatible(other)
         if self.mode == "float":
             return DenseMatrix(arr=self._arr @ other._arr)
-        bt = list(zip(*other._rows))
+        bt = list(zip(*other.rows))
         return DenseMatrix([[sum(a * b for a, b in zip(row, col)) for col in bt]
-                            for row in self._rows])
+                            for row in self.rows])
 
     __matmul__ = matmul
 
@@ -141,12 +167,12 @@ class DenseMatrix:
         if self.mode == "float":
             return DenseMatrix(arr=self._arr + other._arr)
         return DenseMatrix([[a + b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self._rows, other._rows)])
+                            for r1, r2 in zip(self.rows, other.rows)])
 
     def scale(self, s) -> "DenseMatrix":
         if self.mode == "float":
             return DenseMatrix(arr=self._arr * float(s))
-        return DenseMatrix([[v * Fraction(s) for v in r] for r in self._rows])
+        return DenseMatrix([[v * Fraction(s) for v in r] for r in self.rows])
 
     def sub(self, other: "DenseMatrix") -> "DenseMatrix":
         return self.add(other.scale(-1))
@@ -154,7 +180,7 @@ class DenseMatrix:
     def trace(self):
         if self.mode == "float":
             return float(np.trace(self._arr))
-        return sum(self._rows[i][i] for i in range(self.n))
+        return sum(self.rows[i][i] for i in range(self.n))
 
     def normalized_trace(self):
         t = self.trace()
@@ -171,7 +197,7 @@ class DenseMatrix:
             return False
         if self.mode == "float":
             return bool(np.array_equal(self._arr, other._arr))
-        return self._rows == other._rows
+        return self._ints[:2] == other._ints[:2]  # the integer form is unique
 
     def __repr__(self) -> str:
         return f"DenseMatrix(n={self.n}, mode={self.mode})"
@@ -179,17 +205,32 @@ class DenseMatrix:
     def to_json(self) -> list[list]:
         if self.mode == "float":
             return [[float(v) for v in r] for r in self._arr]
-        return [[str(v) for v in r] for r in self._rows]
+        return [[str(v) for v in r] for r in self.rows]
 
     @classmethod
     def from_json(cls, data) -> "DenseMatrix":
-        rows = []
-        for r in data:
-            row = []
-            for v in r:
-                row.append(Fraction(v) if isinstance(v, str) else v)
-            rows.append(row)
-        return cls(rows)
+        """The matrix of `to_json`'s rows, or of rows of JSON numbers and
+        rational strings."""
+        return cls(data)
+
+
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")  # the strings read by int()
+
+
+def _rational(v) -> tuple[int, int]:
+    """(numerator, denominator) of an exact entry in lowest terms, as
+    `Fraction(v)` has them: "p" and "p/q" (ASCII digits, q > 0) by int(),
+    and every other string, accepted or refused with its error, by
+    `Fraction`."""
+    if type(v) is int:
+        return v, 1
+    if type(v) is str and (m := _RATIONAL.fullmatch(v)):
+        p, q = int(m[1]), int(m[2] or 1)
+        if q:  # "p/0" is left to Fraction's ZeroDivisionError
+            g = math.gcd(p, q)
+            return p // g, q // g
+    v = v if type(v) is Fraction else Fraction(v)
+    return v.numerator, v.denominator
 
 
 def block_diagonal_repeat(block: DenseMatrix, n: int) -> DenseMatrix:
@@ -238,99 +279,146 @@ def resolve_slot(matrices: Mapping[int, DenseMatrix], label: int) -> DenseMatrix
     return base.transpose() if label < 0 else base
 
 
-INT64_LIMIT = 2 ** 63  # an exact cycle runs in int64 only if its bound is below this
-
-
 def trace_numerators(cycles: Sequence[Sequence[int]], matrices: Mapping[int, DenseMatrix],
                      normalized: bool = False) -> tuple[list, list[int]]:
     """(numerators, denominators) of the trace of the product of the matrices
     along each cycle, as one batch: cycle i's trace is nums[i] / dens[i].
 
     Entries are signed labels (negative: the transpose), and the matrices of
-    one call are all exact or all float.  Cycles are grouped by dimension N
-    and length L, and each group multiplies stacks of its factors.  A cycle's
-    denominator is the product of its factors' denominators, times N when
-    normalized.
+    one call are all exact or all float.  A cycle's denominator is the
+    product of its factors' denominators, times N when normalized.  The
+    cycles of one dimension N and one dtype form one stack, sorted by length,
+    longest first (`_stack_traces`): level j multiplies in factor j of the
+    cycles still that long, a leading slice that shrinks, so each cycle takes
+    exactly its own products.  Each cycle's row of factor indices is padded
+    with an identity factor of denominator and bound 1, which no product
+    reads (an exact length-1 cycle folds its factor into the identity).
 
     Exact: each factor is its integer form over its denominator (fraction-free,
     as in Bareiss elimination), so each numerator is a Python int, not reduced
-    against its denominator.  A cycle takes L - 2 stacked products and one
-    fold of the last factor into the trace, sum over i, j of P[i][j] B[j][i].
-    No partial sum exceeds N^L times the product of max(1, largest |entry|)
-    over the factors, so a cycle whose bound is below 2^63 runs in int64 and
-    the others on Python ints (dtype object), by the same code; no value
-    passes through a float.
+    against its denominator.  A cycle takes L - 2 products and one fold of its
+    last factor into the trace, sum over i, j of P[i][j] B[j][i].  No partial
+    sum exceeds N^L times the product of max(1, largest |entry|) over the
+    factors, so a cycle whose bound is below 2^63 runs in the int64 stack and
+    the others in the Python-int (dtype object) stack, by the same code; no
+    value passes through a float.  Denominators and bounds are products over
+    per-label arrays, in int64 only where the largest product they could
+    reach is below 2^63.
 
-    Float: the numerator is the trace, from L - 1 stacked products from the
-    left and `np.trace` of each: the operations, in their order, of
-    multiplying one cycle's matrices in turn (einsum or the exact fold would
-    sum in another order); the denominator is 1, or N when normalized."""
-    info: dict[int, tuple[int, int, int, int]] = {}  # label -> (n, den, max(1, |entry|), index)
-    stacks: dict[int, list] = {}  # n -> (factor, max(1, |entry|)) of each label of size n
-    groups: dict[tuple[int, int, bool], list[int]] = {}  # (n, L, int64 or float) -> cycle indices
-    dens = []
+    Float: the numerator is the trace, from L - 1 products from the left and
+    `np.trace` of each: the operations, in their order, of multiplying one
+    cycle's matrices in turn (einsum or the exact fold would sum in another
+    order); the denominator is 1, or N when normalized."""
+    if not cycles:
+        return [], []
+    row: dict[int, int] = {}  # label -> its place in the per-label lists
+    sizes, dens, bounds = [], [], []
+    factors = []  # per label: (int64 array, None if too large, or float array; Python-int rows)
     mode = None
-    for i, cyc in enumerate(cycles):
-        n = None
-        den = bound = 1
-        for label in cyc:
-            entry = info.get(label)
-            if entry is None:
-                m = _slot_matrix(matrices, label)
-                mode = mode or m.mode
-                if m.mode != mode:
-                    raise ValidationError("mixed exact and float matrices")
-                if mode == "exact":
-                    d, rows, cols = m.integer_form()
-                    biggest = max(1, max((abs(v) for r in rows for v in r), default=0))
-                    factor = cols if label < 0 else rows
-                else:
-                    d = biggest = 1
-                    factor = m.as_numpy().T if label < 0 else m.as_numpy()
-                same_size = stacks.setdefault(m.n, [])
-                entry = info[label] = (m.n, d, biggest, len(same_size))
-                same_size.append((factor, biggest))
-            if n is not None and entry[0] != n:
-                raise ValidationError(f"dimension mismatch: {n} vs {entry[0]}")
-            n = entry[0]
-            den *= entry[1]
-            bound *= entry[2]
-        if n is None:
-            raise ValidationError("a trace cycle needs at least one matrix")
-        dens.append(den * n if normalized else den)
-        fits = mode == "float" or n ** len(cyc) * bound < INT64_LIMIT
-        groups.setdefault((n, len(cyc), fits), []).append(i)
-
-    nums: list = [None] * len(dens)
-    bases: dict[tuple[int, bool], np.ndarray] = {}  # (n, fits) -> every label's stacked factor
-    for (n, length, fits), members in groups.items():
-        base = bases.get((n, fits))
-        if base is None:
-            stack = stacks[n]
-            if mode == "float":  # a C-contiguous copy of each factor, transposes included
-                base = np.array([arr for arr, _ in stack], dtype=float)
-            elif fits:  # a label too large for int64 is never read by a group that fits
-                base = np.array([rows if biggest < INT64_LIMIT else [[0] * n] * n
-                                 for rows, biggest in stack], dtype=np.int64)
-            else:
-                base = np.array([rows for rows, _ in stack], dtype=object)
-            base = bases[n, fits] = base.reshape(len(stack), n, n)
-        index = np.array([[info[label][3] for label in cycles[i]] for i in members],
-                         dtype=np.intp)
-        prod = base[index[:, 0]]
-        if mode == "float":
-            for j in range(1, length):
-                prod = prod @ base[index[:, j]]
-            traces = np.trace(prod, axis1=1, axis2=2)
-        elif length == 1:
-            traces = prod.diagonal(axis1=1, axis2=2).sum(axis=1)
+    for label in dict.fromkeys(itertools.chain.from_iterable(cycles)):
+        m = _slot_matrix(matrices, label)
+        mode = mode or m.mode
+        if m.mode != mode:
+            raise ValidationError("mixed exact and float matrices")
+        row[label] = len(sizes)
+        sizes.append(m.n)
+        if mode == "exact":
+            d, rows, cols = m.integer_form()
+            dens.append(d)
+            bounds.append(m._bound)
+            fast = m._int64
+            factors.append((fast.T if label < 0 and fast is not None else fast,
+                            cols if label < 0 else rows))
         else:
-            for j in range(1, length - 1):
-                prod = prod @ base[index[:, j]]
-            traces = (prod * base[index[:, -1]].swapaxes(1, 2)).sum(axis=(1, 2))
-        for i, t in zip(members, traces.tolist()):
-            nums[i] = t
-    return nums, dens
+            factors.append((m.as_numpy().T if label < 0 else m.as_numpy(), None))
+    count = len(cycles)
+    lens = list(map(len, cycles))
+    if 0 in lens:
+        raise ValidationError("a trace cycle needs at least one matrix")
+    one_size = len(set(sizes)) == 1
+    if not one_size:
+        for cyc in cycles:
+            n = sizes[row[cyc[0]]]
+            for label in cyc:
+                if sizes[row[label]] != n:
+                    raise ValidationError(f"dimension mismatch: {n} vs {sizes[row[label]]}")
+    exact = mode == "exact"
+    order = sorted(range(count), key=lens.__getitem__, reverse=True)
+    lengths = list(map(lens.__getitem__, order))  # longest first
+    n = [sizes[row[cycles[i][0]]] for i in order] if not one_size else [sizes[0]] * count
+    top = max(sizes)
+    pad = len(sizes)  # the place of the identity factor
+
+    # each cycle's factors as places in the per-label lists: an exact row
+    # holds factors 0..L-2 from the left and factor L-1 in its last column
+    width = max(lengths[0], 2) if exact else lengths[0]
+    column, long = np.arange(width), np.array(lengths)[:, None]
+    padded = np.full((count, width), pad, dtype=np.intp)
+    padded[(column < long - 1) | (column == width - 1) if exact else column < long] = \
+        np.fromiter(map(row.__getitem__, itertools.chain.from_iterable(
+            map(cycles.__getitem__, order))), np.intp)
+    fits = [True] * count
+    if exact:
+        scale = top if normalized else 1
+        den = np.array(dens + [1], dtype=np.int64 if max(dens) ** lengths[0] * scale
+                       < INT64_LIMIT else object)[padded].prod(axis=1)
+        den = (den * np.array(n) if normalized else den).tolist()
+        if (top * max(bounds)) ** lengths[0] >= INT64_LIMIT:
+            bound = np.array(bounds + [1], dtype=object)[padded].prod(axis=1).tolist()
+            fits = [k ** length * b < INT64_LIMIT for k, length, b in zip(n, lengths, bound)]
+    else:
+        den = n if normalized else [1] * count
+
+    # one stack per (dimension, int64 or not): its rows, in length order
+    stacks: dict[tuple[int, bool], list[int]] = {}
+    for place, key in enumerate(zip(n, fits)):
+        stacks.setdefault(key, []).append(place)
+    nums = [None] * count
+    for (dim, fit), places in stacks.items():
+        # every label's factor by its place, then the identity; a label of
+        # another size, or too large for int64 in an int64 stack, is never
+        # read and stands as zeros
+        dtype = float if not exact else np.int64 if fit else object
+        pick = 0 if fit else 1
+        zero = np.zeros((dim, dim), dtype)
+        base = np.array([zero if sizes[j] != dim or factors[j][pick] is None else factors[j][pick]
+                         for j in range(pad)] + [np.identity(dim, dtype)], dtype=dtype)
+        whole = len(places) == count
+        traces = _stack_traces(base, padded if whole else padded[places],
+                               lengths if whole else [lengths[p] for p in places],
+                               exact)
+        for place, t in zip(places, traces.tolist()):
+            nums[place] = t
+    # back to the caller's order
+    inverse = sorted(range(count), key=order.__getitem__)
+    return list(map(nums.__getitem__, inverse)), list(map(den.__getitem__, inverse))
+
+
+def _stack_traces(base: np.ndarray, index: np.ndarray, lengths: list[int],
+                  exact: bool) -> np.ndarray:
+    """The trace of the product of the factors base[index[i]] of each row i,
+    the rows sorted by length, longest first (see `trace_numerators` for the
+    layout).  Level j multiplies factor j into the leading slice of rows that
+    need it, as a new array, and sets aside a copy of the rows it leaves
+    finished: exact rows take factors 1..L-2 and fold in their last column,
+    float rows take factors 1..L-1 and `np.trace`."""
+    prod = base[index[:, 0]]
+    done = []  # the finished rows of each level, shortest last
+    k = len(lengths)
+    for j in range(1, lengths[0] - 1 if exact else lengths[0]):
+        # the first k rows are long enough for factor j: L >= j + 2 (exact) or j + 1
+        # (float); the first row always is
+        rows = k
+        while lengths[k - 1] < j + 1 + exact:
+            k -= 1
+        if k < rows:
+            done.append(prod[k:rows].copy())
+        prod = prod[:k] @ base[index[:k, j]]
+    if done:
+        prod = np.concatenate([prod] + done[::-1])
+    if exact:
+        return (prod * base[index[:, -1]].swapaxes(1, 2)).sum(axis=(1, 2))
+    return np.trace(prod, axis1=1, axis2=2)
 
 
 def traces_along(cycles: Sequence[Sequence[int]], matrices: Mapping[int, DenseMatrix],
@@ -352,15 +440,18 @@ def trace_along(cycles: Iterable[Sequence[int]], matrices: Mapping[int, DenseMat
 # -- Haar sampling ------------------------------------------------------------
 
 
-def _check_seed(seed: int) -> None:
-    """A seed is the first of the two unsigned 64-bit words of a Philox key."""
-    if not 0 <= seed < 2 ** 64:
-        raise ValidationError(f"seed must lie in 0..2**64 - 1, got {seed}")
+def _check_seed(seed) -> int:
+    """A seed is the first of the two unsigned 64-bit words of a Philox key:
+    an integer (numpy's too, but not a bool) in 0..2**64 - 1, returned as an
+    int."""
+    if not (_integer_at_least(seed, 0) and seed < 2 ** 64):
+        raise ValidationError(f"seed must be an integer in 0..2**64 - 1, got {seed!r}")
+    return int(seed)
 
 
 def sample_rng(seed: int, index: int) -> np.random.Generator:
     """Independent counter-based substream for one sample."""
-    _check_seed(seed)
+    seed = _check_seed(seed)
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
@@ -503,7 +594,7 @@ def _mean_estimate(sample_chunk, n: int, samples: int, seed: int,
     `math.fsum` of the values and of their squares, which no order of the
     values changes."""
     _check_count("samples", samples)
-    _check_seed(seed)
+    seed = _check_seed(seed)
     values = np.concatenate(_chunk_values(sample_chunk, n, samples, workers))
     mean = math.fsum(values) / samples
     var = max(math.fsum(values * values) / samples - mean * mean, 0.0) * samples / (samples - 1)
@@ -583,7 +674,7 @@ def mc_cumulant(exprs: Sequence, matrices: Mapping[int, DenseMatrix], n: int,
     if samples + (-samples // batches) < order:
         raise ValidationError(
             f"{samples} samples leave fewer than {order} per jackknife estimate")
-    _check_seed(seed)
+    seed = _check_seed(seed)
     compiled = [_expr_sampler(e, matrices, n) for e in exprs]
     all_colors = sorted({c for _, cols in compiled for c in cols})
     column = {c: j for j, c in enumerate(all_colors)}

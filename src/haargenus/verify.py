@@ -222,5 +222,5 @@ def mc_suite(expr: TraceExpression, matrices: dict, n: int, samples: int,
     exact = evaluate_moment(expr, matrices, n, mode="float", tables=tables).value
     est = mc_moment(expr, matrices, n, samples, seed, workers=workers)
     return {"suite": "mc", "exact": exact, "mc_mean": est.mean, "mc_se": est.std_error,
-            "z_score": est.z_score(exact), "samples": est.samples, "seed": seed,
+            "z_score": est.z_score(exact), "samples": est.samples, "seed": est.seed,
             "generator": est.generator}

@@ -104,21 +104,44 @@ class TestBadInput:
                                              {"color": 1, "eps": -1, "slot": 1.5}]]}
     BOOL_EPS = {**MOMENT_EXPR, "traces": [[{"color": 1, "eps": True, "slot": 1},
                                            {"color": 1, "eps": -1, "slot": 2}]]}
+    # a JSON true is not the entry 1, and Infinity is no float entry
+    BOOL_ENTRY = {**MOMENT_EXPR, "matrices": {"1": [["1", "0"], ["0", "1"]],
+                                              "2": [[True, 0], [0, 1]]}}
+    INF_ENTRY = {**MOMENT_EXPR, "matrices": {"1": [[1.5, 0], [0, 1]],
+                                             "2": [[1.0, float("inf")], [0, 1]]}}
 
     @pytest.mark.parametrize("payload, field", [(NO_SLOT, "'slot'"), (NO_TRACES, "'traces'"),
                                                 (BAD_ENTRY, "1/x"),
                                                 (FLOAT_SLOT, "position 2: slot must be an "
                                                              "integer, got 1.5"),
                                                 (BOOL_EPS, "position 1: eps must be an "
-                                                           "integer, got True")],
+                                                           "integer, got True"),
+                                                (BOOL_ENTRY, "matrix 2: matrix entries must be "
+                                                             "numbers, got True"),
+                                                (INF_ENTRY, "matrix 2: matrix entries must be "
+                                                            "finite, got inf")],
                              ids=["missing-slot", "missing-traces", "bad-rational", "float-slot",
-                                  "bool-eps"])
+                                  "bool-eps", "bool-entry", "inf-entry"])
     def test_malformed_file_exit_code(self, tmp_path, capsys, payload, field):
         path = tmp_path / "expr.json"
         path.write_text(json.dumps(payload))
         assert main(["moment", "--expr", str(path), "--N", "2"]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and field in err
+
+    @pytest.mark.parametrize("entry, text", [("true", "numbers, got True"),
+                                             ("NaN", "finite, got nan"),
+                                             ("-Infinity", "finite, got -inf")])
+    def test_bad_entry_in_matrices_file(self, expr_path, tmp_path, capsys, entry, text):
+        path = tmp_path / "mats.json"
+        path.write_text(f'{{"matrices": {{"1": [[0.5, {entry}], [0, 1]]}}}}')
+        for argv in (["moment", "--expr", expr_path, "--N", "2", "--matrices", str(path)],
+                     ["verify", "--suite", "mc", "--expr", expr_path, "--N", "2",
+                      "--samples", "64", "--matrices", str(path)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert f"{path}: bad matrix 1: matrix entries must be {text}" in captured.err
+            assert captured.out == ""
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         path = tmp_path / "absent.json"
@@ -229,7 +252,7 @@ class TestVerify:
         assert main(["verify", "--suite", "oracle", "--count", count]) == 2
         assert "at least one case" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64), "1.5", "true"])
     def test_mc_seed_range_exit_code(self, expr_path, seed):
         result = run_cli(["verify", "--suite", "mc", "--expr", expr_path, "--N", "2",
                           "--samples", "100", "--seed", seed])

@@ -1,11 +1,14 @@
 import json
 import math
 import random
+import re
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from haargenus.errors import ValidationError
 from haargenus.expansion import TraceExpression, evaluate_moment
@@ -13,6 +16,7 @@ from haargenus.matrixlab import (INT64_LIMIT, DenseMatrix, block_diagonal_repeat
                                  brute_force_moment, haar_orthogonal, mc_cumulant,
                                  mc_entry_moment, mc_moment, sample_rng, trace_along,
                                  trace_numerators, traces_along)
+from haargenus.verify import mc_suite
 from haargenus.weingarten import TableSet
 from oracles import dense_trace_along, trace_index_sum
 
@@ -50,6 +54,52 @@ class TestDenseMatrix:
     def test_json_round_trip(self):
         m = DenseMatrix([[Fraction(1, 3), 2], [0, Fraction(-5, 7)]])
         assert DenseMatrix.from_json(m.to_json()) == m
+
+    # every string Fraction accepts, or refuses, with its exception and text
+    STRINGS = ["1/2", "-3/4", "+5", "0", "-0", "-0/7", "007/014", "12345678901234567890/3",
+               "1_000", "\u0661/\u0662", " 3", "3\n", "1.5", "-2e-3", "1/-2", " 1 / 2 ", "1 /2",
+               "", "/2", "1/", "+-1", "abc", "1/0", "0/0", "\u0663/0"]
+
+    @pytest.mark.parametrize("text", STRINGS)
+    def test_string_entries_parse_as_fraction_does(self, text):
+        try:
+            want = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            for make in (DenseMatrix, DenseMatrix.from_json):
+                with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                    make([[text]])
+            return
+        for make in (DenseMatrix, DenseMatrix.from_json):
+            got = make([[text, 1], [0, "1"]]).rows[0][0]
+            assert type(got) is Fraction and got == want
+
+    def test_entries_parsed_once(self):
+        half = Fraction(1, 2)
+        assert DenseMatrix([[half]]).rows[0][0] is half
+        m = DenseMatrix.from_json([["2/4", "3"], [2, "-4/6"]])
+        assert m.rows == ((Fraction(1, 2), Fraction(3)), (Fraction(2), Fraction(-2, 3)))
+        assert all(type(v) is Fraction for r in m.rows for v in r)
+        # the integer form of parsed entries is over the lcm of lowest-terms denominators
+        assert m.integer_form() == (6, ((3, 18), (12, -4)), ((3, 12), (18, -4)))
+        assert m == DenseMatrix(m.rows) and m.integer_form() == DenseMatrix(m.rows).integer_form()
+        # strings in a float matrix are parsed as rationals first
+        assert DenseMatrix.from_json([["1/4", 1.5], [0, "2"]]).as_numpy().tolist() == \
+            [[0.25, 1.5], [0.0, 2.0]]
+
+    @pytest.mark.parametrize("rows", [[[True]], [[1, False], [0, 1]], [[True, 1.5], [0.0, 1.0]],
+                                      [["1/2", True], [0, 1]]])
+    def test_bool_entries_refused(self, rows):
+        for make in (DenseMatrix, DenseMatrix.from_json):
+            with pytest.raises(ValidationError, match="^matrix entries must be numbers, got "
+                                                      "(True|False)$"):
+                make(rows)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_entries_refused(self, bad):
+        with pytest.raises(ValidationError, match=f"^matrix entries must be finite, got {bad}$"):
+            DenseMatrix([[1.0, 0.0], ["1/2", bad]])
+        with pytest.raises(ValidationError, match="finite"):
+            DenseMatrix.from_json(json.loads(json.dumps([[1, bad], [0, 1]])))
 
     def test_block_repeat(self):
         block = DenseMatrix([[1, 2], [3, 4]])
@@ -134,6 +184,17 @@ class TestIntegerTraceKernel:
         assert m.integer_form() is m.integer_form()  # computed once
         with pytest.raises(ValidationError):
             DenseMatrix([[1.0]]).integer_form()
+
+    def test_kernel_inputs_kept(self):
+        # made with the matrix: the bound max(1, |entry|) and the int64 rows if they fit
+        m = DenseMatrix([[Fraction(1, 6), Fraction(-3, 4)], [2, Fraction(5, 9)]])
+        assert m._bound == 72
+        assert m._int64.dtype == np.int64 and m._int64.tolist() == [[6, -27], [72, 20]]
+        top = DenseMatrix([[INT64_LIMIT - 1, 0], [0, 1]])
+        assert top._bound == INT64_LIMIT - 1 and top._int64.tolist() == [[2**63 - 1, 0], [0, 1]]
+        big = DenseMatrix([[-INT64_LIMIT, 0], [0, 1]])
+        assert big._bound == INT64_LIMIT and big._int64 is None
+        assert DenseMatrix.zeros(2)._bound == 1
 
     def test_against_references(self):
         rng = random.Random(41)
@@ -233,6 +294,27 @@ class TestBatchTraceKernel:
         assert got == [dense_trace_along([c], x, normalized=True) for c in cycles]
         assert max(abs(t.numerator) for t in got) >= INT64_LIMIT
 
+    def test_int64_choice_per_cycle(self, monkeypatch):
+        import haargenus.matrixlab as ml
+
+        stacks = []  # (Python ints, rows) of each stack a call multiplies
+        real = ml._stack_traces
+
+        def spy(base, index, lengths, exact):
+            stacks.append((base.dtype == object, len(lengths)))
+            return real(base, index, lengths, exact)
+
+        monkeypatch.setattr(ml, "_stack_traces", spy)
+        top = INT64_LIMIT - 1
+        one = {1: DenseMatrix([[top]]), 2: DenseMatrix([[-top]]), 3: DenseMatrix([[1]])}
+        # every bound is 2^63 - 1, padding included: one int64 stack
+        assert traces_along([(1,), (3, 1, 3), (2,)], one) == [top, top, -top]
+        assert stacks == [(False, 3)]
+        stacks.clear()
+        # only (1, 1) has a bound of 2^63 or more
+        assert traces_along([(1,), (1, 1), (3, 3, 3), (2, 3)], one) == [top, top * top, 1, -top]
+        assert sorted(stacks) == [(False, 3), (True, 1)]
+
     def test_empty_zero_and_one_by_one(self):
         assert traces_along([], {}) == []
         assert trace_along([], {}) == Fraction(1)
@@ -261,6 +343,90 @@ class TestBatchTraceKernel:
                 traces_along(cycles + [cycle], mats)
             with pytest.raises(ValidationError):
                 trace_along([cycle] + cycles, mats)
+
+
+def _product_chain(cycle, matrices):
+    """The DenseMatrix product along a cycle, one factor at a time from the
+    left, each negative label a transposed copy."""
+    prod = None
+    for label in cycle:
+        m = matrices[abs(label)]
+        m = m.transpose() if label < 0 else m
+        prod = m if prod is None else prod.matmul(m)
+    return prod
+
+
+_SMALL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+# near 2^40: a cycle of two such factors overflows int64, one factor does not
+_LARGE = st.builds(lambda sign, k, d: Fraction(sign * (2**40 - k), d),
+                   st.sampled_from((1, -1)), st.integers(0, 2**12), st.integers(1, 3))
+
+
+def _square(entries, n):
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@st.composite
+def _batches(draw, exact: bool):
+    """(n, matrices, cycles): labels 1-3 of one size n in 1..6, and 1-10
+    cycles of 1-8 signed labels (transposes and repeats) in one call.  Exact
+    label 1 has small entries and label 2 entries near 2^40, so int64 and
+    Python-int cycles share a call; float entries are often zero."""
+    n = draw(st.integers(1, 6))
+    if exact:
+        entries = {1: _SMALL, 2: _LARGE, 3: st.one_of(_SMALL, _LARGE)}
+        mats = {l: DenseMatrix(draw(_square(e, n))) for l, e in entries.items()}
+    else:
+        entry = st.one_of(st.just(0.0), st.floats(-2.0, 2.0, allow_nan=False))
+        mats = {l: DenseMatrix(arr=np.array(draw(_square(entry, n)), dtype=float).reshape(n, n))
+                for l in (1, 2, 3)}
+    signed = st.sampled_from((1, -1, 2, -2, 3, -3))
+    cycles = draw(st.lists(st.lists(signed, min_size=1, max_size=8).map(tuple),
+                           min_size=1, max_size=10))
+    return n, mats, cycles
+
+
+class TestTraceKernelProperties:
+    """`trace_numerators` against one naive product chain per cycle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_batches(exact=True), st.booleans())
+    def test_exact_equals_matmul_chain(self, batch, normalized):
+        n, mats, cycles = batch
+        want_dens = [math.prod(mats[abs(l)].integer_form()[0] for l in c) *
+                     (n if normalized else 1) for c in cycles]
+        want_nums = []
+        for cycle, den in zip(cycles, want_dens):
+            scaled = _product_chain(cycle, mats).trace() * den / (n if normalized else 1)
+            assert scaled.denominator == 1
+            want_nums.append(scaled.numerator)
+        nums, dens = trace_numerators(cycles, mats, normalized)
+        assert all(type(t) is int for t in nums) and all(type(d) is int for d in dens)
+        assert (nums, dens) == (want_nums, want_dens)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_batches(exact=False), st.booleans())
+    def test_float_equals_matmul_chain(self, batch, normalized):
+        n, mats, cycles = batch
+        nums, dens = trace_numerators(cycles, mats, normalized)
+        assert all(type(t) is float for t in nums)
+        assert list(map(repr, nums)) == [repr(_product_chain(c, mats).trace()) for c in cycles]
+        assert dens == [n if normalized else 1] * len(cycles)
+
+    def test_error_texts(self):
+        good = {1: DenseMatrix([[1, 2], [3, 4]]), 2: DenseMatrix.identity(2)}
+        wide = {**good, 3: DenseMatrix.identity(3)}
+        cases = [(good, [(1, 2), (1, 5)], "no matrix for label 5"),
+                 ({**good, 3: DenseMatrix([[1.0, 0.0], [0.0, 1.0]])}, [(1,), (2, -3)],
+                  "mixed exact and float matrices"),
+                 (wide, [(1, 2), (2, -3)], "dimension mismatch: 2 vs 3"),
+                 # the first mismatched cycle in the caller's order, not the longest
+                 (wide, [(3, 1), (1, 2, 2, -3)], "dimension mismatch: 3 vs 2"),
+                 (good, [(1,), (), (2, 1)], "a trace cycle needs at least one matrix")]
+        for mats, cycles, text in cases:
+            for normalized in (False, True):
+                with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
+                    trace_numerators(cycles, mats, normalized)
 
 
 class TestFloatTraceKernel:
@@ -443,19 +609,34 @@ class TestMonteCarlo:
                 mc_cumulant([expr] * 2, x, 2, samples=100, seed=1, order=2, workers=workers)
 
     def test_seed_range_validated_before_sampling(self, no_sampling):
-        # a seed is one unsigned 64-bit word of the Philox key
+        # a seed is one unsigned 64-bit word of the Philox key, and an integer:
+        # True ran as seed 1 and 1.5 was reported as given
         x = {1: DenseMatrix.identity(2)}
         expr = TraceExpression.single_trace([(1, 1, 1), (1, -1, 1)])
-        for seed in (-1, 2 ** 64):
-            with pytest.raises(ValidationError, match="seed"):
+        for seed in (-1, 2 ** 64, True, False, 1.5, 1.0, "1", None, np.float64(1),
+                     np.int64(-1)):
+            want = "^" + re.escape(f"seed must be an integer in 0..2**64 - 1, got {seed!r}") + "$"
+            with pytest.raises(ValidationError, match=want):
                 mc_moment(expr, x, 2, samples=100, seed=seed)
-            with pytest.raises(ValidationError, match="seed"):
+            with pytest.raises(ValidationError, match=want):
                 mc_entry_moment(2, {(1, 1): 2}, samples=100, seed=seed)
-            with pytest.raises(ValidationError, match="seed"):
+            with pytest.raises(ValidationError, match=want):
                 mc_cumulant([expr] * 2, x, 2, samples=100, seed=seed, order=2)
-            with pytest.raises(ValidationError, match="seed"):
+            with pytest.raises(ValidationError, match=want):
                 sample_rng(seed, 0)
         sample_rng(2 ** 64 - 1, 0)
+
+    def test_numpy_integer_seed_stored_as_int(self):
+        x = {1: DenseMatrix.identity(2)}
+        expr = TraceExpression.single_trace([(1, 1, 1), (1, -1, 1)])
+        for seed in (np.uint64(7), np.int32(7)):
+            for run in (lambda s: mc_moment(expr, x, 2, samples=64, seed=s),
+                        lambda s: mc_entry_moment(2, {(1, 1): 2}, samples=64, seed=s),
+                        lambda s: mc_cumulant([expr] * 2, x, 2, samples=64, seed=s, order=2)):
+                got = run(seed)
+                assert type(got.seed) is int and got.to_json() == run(7).to_json()
+        report = mc_suite(expr, x, 2, 64, np.int64(7))
+        assert type(report["seed"]) is int and report == mc_suite(expr, x, 2, 64, 7)
 
     def test_entry_moment_inputs_validated_before_sampling(self, no_sampling):
         for powers in ({(0, 1): 2},        # row 0 would wrap to row N
