@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import CapExceededError, PoleError, ValidationError, VerificationFailure
-from .expansion import (TraceExpression, asymptotic_moment, evaluate_moment,
+from .expansion import (TraceExpression, asymptotic_moment, default_tables, evaluate_moment,
                         expand_moment, trace_cumulant)
 from .matrixlab import DenseMatrix, RNG_NAME, check_dimension
 from .ratpoly import format_polyfrac
@@ -66,7 +66,8 @@ def _input(path: str, field: str):
         yield
     except KeyError as exc:
         raise ValidationError(f"{path}: {field} lacks the field {exc.args[0]!r}") from exc
-    except (OSError, AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (OSError, AttributeError, TypeError, ValueError, ZeroDivisionError,
+            OverflowError) as exc:
         raise ValidationError(f"{path}: bad {field}: {exc}") from exc
 
 
@@ -151,13 +152,21 @@ def cmd_wg(args) -> int:
     return 0
 
 
+def _tables(args) -> TableSet:
+    """The process's default tables at the default cap, so repeated commands in
+    one process build and evaluate each coefficient once; fresh ones otherwise."""
+    return default_tables() if args.cap == WG_CAP else TableSet(cap=args.cap)
+
+
 def cmd_expand(args) -> int:
     expr, _ = _load_expression(args.expr, args.matrices)
-    tables = TableSet(cap=args.cap)
     terms = []
-    for t in expand_moment(expr, tables=tables, term_cap=args.cap_terms):
-        terms.append({"chi": t.chi, "exponent": t.exponent,
-                      "wg": format_polyfrac(t.wg_factor),
+    wg_text: dict[tuple, str] = {}  # the formatted factor per distinct diagrams
+    for t in expand_moment(expr, tables=_tables(args), term_cap=args.cap_terms):
+        text = wg_text.get(t.lambdas)
+        if text is None:
+            text = wg_text[t.lambdas] = format_polyfrac(t.wg_factor)
+        terms.append({"chi": t.chi, "exponent": t.exponent, "wg": text,
                       "lambdas": [list(l.rows) for l in t.lambdas],
                       "vertex": [list(c) for c in t.vertex_labels]})
     emit({"meta": _metadata(args), "expr": expr.to_json(), "term_count": len(terms),
@@ -167,7 +176,7 @@ def cmd_expand(args) -> int:
 
 def cmd_moment(args) -> int:
     expr, matrices = _load_expression(args.expr, args.matrices)
-    tables = TableSet(cap=args.cap)
+    tables = _tables(args)
     if args.asymptotic:
         limit = asymptotic_moment(expr, tables=tables, term_cap=args.cap_terms)
         report = {"meta": _metadata(args), "asymptotic": limit.to_json()}
@@ -186,7 +195,7 @@ def cmd_moment(args) -> int:
 
 def cmd_cumulant(args) -> int:
     exprs, matrices = _load_expressions(args.exprs, args.matrices)
-    tables = TableSet(cap=args.cap)
+    tables = _tables(args)
     value = trace_cumulant(exprs, matrices=matrices, n=args.N, mode=args.mode,
                            tables=tables, term_cap=args.cap_terms)
     emit({"meta": _metadata(args), "order": len(exprs), "value": value}, args.out)

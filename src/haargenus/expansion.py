@@ -50,9 +50,20 @@ the number of vertex cycles, is fixed by the N exponent and the diagrams.  So
 an exact moment sums gluing count times product of integer trace numerators
 per (exponent, diagrams) and forms one Fraction per group; an exact cumulant
 on the built-in matrices without `kappa` does the same per (chi, shape).
-A caller's `trace_value` or `kappa`, symbolic results and float mode stay on
-Fractions or floats.  Only `expand_moment` builds `ExpansionTerm`s, and a term
-builds its `Premap` only when `alpha` is read.
+A caller's `trace_value` and `kappa` give ints or Fractions, each split once
+per distinct argument into a numerator and a denominator (`_RationalValues`,
+the caller's counterpart of `_TraceMemo`).  `moment_symbolic` scales every
+value onto L, the lcm of their denominators, so a group of v cycles sums over
+L^v; a cumulant entry sums over the lcm of its terms' denominators, and
+rescales its sum when a new denominator does not divide it.  Symbolic results
+gather the N-exponent weights of each coefficient (a diagrams tuple, or a
+relative cumulant) into one Laurent polynomial (`_laurent`), so a coefficient
+costs one PolyFrac product and one sum.  Float moments sum each pattern's
+coefficients, gluing count times wg(lambdas, N) N^exponent, as ints over one
+denominator and divide once: the float of that Fraction, correctly rounded.
+Float cumulants add term by term in gluing and rho order.  Only
+`expand_moment` builds `ExpansionTerm`s, and a term builds its `Premap` only
+when `alpha` is read.
 """
 
 from __future__ import annotations
@@ -534,9 +545,12 @@ def evaluate_moment(expr: TraceExpression, matrices: Mapping[int, DenseMatrix],
     products of trace numerators, times the gluing counts, are summed as ints
     per (exponent, diagrams), and each sum forms one Fraction over the
     product of trace denominators that the group's gluings share
-    (`_TraceMemo`), weighted by wg(lambdas, N) N^exponent.  Float: the coefficients are
-    summed per vertex trace pattern, so each distinct product of traces is
-    evaluated once."""
+    (`_TraceMemo`), weighted by wg(lambdas, N) N^exponent.  Float: the
+    coefficients gluing count times wg(lambdas, N) N^exponent are summed per
+    vertex trace pattern as ints over one denominator, the lcm of the
+    factors' denominators times N^-lo (lo the least exponent, or 0), and each
+    sum is divided once, the correctly rounded float of that Fraction; so
+    each distinct product of traces is evaluated once."""
     memo = _TraceMemo(matrices, n, mode, expr.slot.values())
     glu = _Gluings(expr, tables or default_tables(), term_cap)
     groups = glu.grouped()
@@ -544,12 +558,16 @@ def evaluate_moment(expr: TraceExpression, matrices: Mapping[int, DenseMatrix],
     wg = {lambdas: glu.tables.wg_product_at(lambdas, n)
           for lambdas in dict.fromkeys(lambdas for _, _, lambdas in groups)}
     if not memo.exact:
-        coeff_by_pattern: dict[tuple, Fraction] = {}
+        lo = min(0, *(exponent for _, exponent, _ in groups))
+        scale = math.lcm(*(w.denominator for w in wg.values()))
+        scaled = {lambdas: w.numerator * (scale // w.denominator) for lambdas, w in wg.items()}
+        sums: dict[tuple, int] = {}
         for (labels, exponent, lambdas), mult in groups.items():
-            coeff = mult * wg[lambdas] * Fraction(n) ** exponent
-            coeff_by_pattern[labels] = coeff_by_pattern.get(labels, 0) + coeff
-        memo.fill(itertools.chain.from_iterable(coeff_by_pattern))
-        return MomentResult(value=_pattern_sum(coeff_by_pattern.items(), memo.value, mode),
+            sums[labels] = sums.get(labels, 0) + mult * scaled[lambdas] * n ** (exponent - lo)
+        memo.fill(itertools.chain.from_iterable(sums))
+        den = scale * n ** -lo
+        return MomentResult(value=_pattern_sum(((labels, s / den) for labels, s in sums.items()),
+                                               memo.value, mode),
                             term_count=glu.total)
     memo.fill(itertools.chain.from_iterable(labels for labels, _, _ in groups))
     # (exponent, lambdas, cycles) -> [sum of mult * prod T, the shared prod of dens]
@@ -589,11 +607,14 @@ def asymptotic_moment(expr: TraceExpression, tables: TableSet | None = None,
                       term_cap: int = TERM_CAP) -> AsymptoticMoment:
     """Keep only exponent-zero gluings, with Weingarten limits as coefficients."""
     glu = _Gluings(expr, tables or default_tables(), term_cap)
+    limits: dict[tuple, Fraction] = {}  # per distinct diagrams
     acc: dict[tuple, Fraction] = {}
     for (labels, exponent, lambdas), mult in glu.grouped().items():
         if exponent == 0:
-            coeff = mult * glu.tables.wg_product(lambdas).limit_at_infinity()
-            acc[labels] = acc.get(labels, Fraction(0)) + coeff
+            limit = limits.get(lambdas)
+            if limit is None:
+                limit = limits[lambdas] = glu.tables.wg_product(lambdas).limit_at_infinity()
+            acc[labels] = acc.get(labels, Fraction(0)) + mult * limit
     terms = tuple((c, pat) for pat, c in sorted(acc.items()) if c != 0)
     return AsymptoticMoment(terms=terms)
 
@@ -677,12 +698,16 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
     each gluing then makes one dict update per tau (one, without `kappa`).
     Exact and symbolic results sum the vertex-trace cumulants per entry and
     expand them into one weight per (N exponent, relative cumulant) at the
-    end, while float results add term by term in gluing and rho order.  On
-    the built-in exact matrices without `kappa` those sums are ints, of
-    products of trace numerators over the product of trace denominators
-    that an entry's gluings share; the weights of one N exponent are summed
-    over the lcm of those denominators, and the exact result makes one
-    Fraction product per weight and one power and one division per exponent.
+    end, while float results add term by term in gluing and rho order.  The
+    exact and symbolic sums are ints: products of trace numerators (of the
+    built-in matrices, or of a caller's values) over a denominator per entry.
+    On the built-in matrices without `kappa` an entry's gluings share the
+    product of their trace denominators; otherwise the entry keeps the lcm of
+    its terms' denominators.  The weights of one N exponent are summed over
+    the lcm of the entries' denominators.  The exact result makes one
+    Fraction product per weight and one power and one division per exponent;
+    the symbolic one makes one Laurent polynomial in N per relative
+    cumulant, and one PolyFrac product and one sum with it.
     SetPartitions are built only for a relative cumulant that the tables do
     not hold yet, for `wg_cumulant`; its value at N is read from the tables
     (`TableSet.cumulant_at`) on its first hit in the call.  Each colour's
@@ -694,9 +719,11 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
     cumulants vanish), and a slot label with no matrix fails before any
     enumeration; pass `kappa` to supply them for random slots.  With
     symbolic=True the result is a PolyFrac in N and `trace_value` must return
-    exact N-free values for label cycles; in exact mode they must be
-    rational.  A caller's `trace_value` and `kappa` are called once per
-    distinct argument.
+    exact N-free values for label cycles.  In exact and symbolic mode a
+    caller's `trace_value` and `kappa` must return ints or Fractions (not
+    bools); anything else raises ValidationError naming the argument.  In
+    float mode they may return floats.  Both are called once per distinct
+    argument, in the order the gluing walk first meets it.
     """
     _check_mode(mode)
     tables = tables or default_tables()
@@ -716,16 +743,19 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
     elif matrices is None or n is None:
         raise ValidationError("numeric cumulants need matrices and N")
     memo = _TraceMemo(matrices, n, mode, expr.slot.values()) if trace_value is None else None
-    if kappa is not None:
-        kappa = functools.lru_cache(maxsize=None)(kappa)
     exact = symbolic or mode == "exact"
-    # the built-in exact path sums products of trace numerators as ints; a
-    # caller's values and kappa stay Fractions
-    integer = memo is not None and memo.exact and kappa is None
-    if memo is None:
-        tv = functools.lru_cache(maxsize=None)(trace_value)
+    # exact: the built-in matrices without kappa give every gluing of an
+    # entry the same product of dens; otherwise each entry keeps their lcm
+    shared_den = exact and memo is not None and kappa is None
+    if exact:
+        # numerators (the memo's own, or a caller's values split once per
+        # argument) with their denominators in `.dens`
+        values = memo if memo is not None else _RationalValues(trace_value, "trace_value")
+        kappas = None if kappa is None else _RationalValues(kappa, "kappa")
     else:
-        tv = memo.__getitem__ if integer else memo.value
+        tv = memo.value if memo is not None else functools.lru_cache(maxsize=None)(trace_value)
+        if kappa is not None:
+            kappa = functools.lru_cache(maxsize=None)(kappa)
 
     glu = _Gluings(expr, tables, term_cap)
     bit = {s * k: 1 << t for t, cyc in enumerate(expr.cycles) for k in cyc for s in (1, -1)}
@@ -766,25 +796,36 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
                 memo.fill(c for term in terms for c in term[4])
             yield from zip(block, terms)
 
-    one = 1 if integer else Fraction(1)
     # (chi, vertex masks, block shapes in colour order, tau index) -> [k summed
-    # (exact and symbolic), the gluings' product of dens (integer sums),
-    # connecting (key, rho)s, coefficients (float)]
+    # over den (exact and symbolic), den, connecting (key, rho)s, coefficients (float)]
     entries: dict[tuple, list] = {}
     total = 0.0  # float: each hit's coefficient times k, in gluing and rho order
+    den = 0
     for combo, (chi, _, _, vertex, labels) in gluings():
         masks = tuple(map(vertex_mask, vertex))
         blocks = tuple([shapes[pair.plus][pair.minus] for shapes, pair in zip(block_shapes, combo)])
         # without kappa, tau is the discrete partition (None until an entry needs it)
         for t, tau in enumerate((None,) if kappa is None else _block_partitions((len(vertex),))):
-            k = math.prod(map(tv, labels), start=one) if tau is None else \
-                math.prod((tv(labels[b[0]]) if len(b) == 1 else
-                           kappa(tuple(map(labels.__getitem__, b))) for b in tau), start=one)
+            if not exact:
+                k = math.prod(map(tv, labels), start=Fraction(1)) if tau is None else \
+                    math.prod((tv(labels[b[0]]) if len(b) == 1 else
+                               kappa(tuple(map(labels.__getitem__, b))) for b in tau),
+                              start=Fraction(1))
+            elif tau is None:
+                k = math.prod(map(values.__getitem__, labels))
+                if not shared_den:
+                    den = math.prod(map(values.dens.__getitem__, labels))
+            else:  # the k of tau is k / den, from trace values and kappa values
+                k = den = 1
+                for b in tau:
+                    if len(b) == 1:
+                        memo_b, arg = values, labels[b[0]]
+                    else:
+                        memo_b, arg = kappas, tuple(map(labels.__getitem__, b))
+                    k *= memo_b[arg]
+                    den *= memo_b.dens[arg]
             if not k:
                 continue
-            if exact and not (symbolic or integer or isinstance(k, Fraction)):
-                raise ValidationError("exact cumulants need rational vertex-trace values, "
-                                      f"got {k!r}")
             entry = entries.get((chi, masks, blocks, t))
             if entry is None:
                 hits = _connecting_rhos(r, masks, tuple(map(blocks.__getitem__, order)),
@@ -792,22 +833,28 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
                                         if tau is None else tau)
                 build_cumulants(combo, hits)
                 entry = entries[chi, masks, blocks, t] = [
-                    0, math.prod(map(memo.dens.__getitem__, labels)) if integer else 1, hits,
-                    None if exact else [float(c_at_n[key] * Fraction(n) ** (chi - r))
-                                        for key, _ in hits]]
-            if exact:
-                entry[0] += k if integer else Fraction(k)
-            else:
+                    0, math.prod(map(values.dens.__getitem__, labels)) if shared_den else den,
+                    hits, None if exact else [float(c_at_n[key] * Fraction(n) ** (chi - r))
+                                              for key, _ in hits]]
+            if not exact:
                 for coeff in entry[3]:
                     total = total + coeff * k
+            elif shared_den or den == entry[1]:
+                entry[0] += k
+            else:  # k / den onto the entry's sum, over the lcm of both dens
+                if entry[1] % den:
+                    lcm = math.lcm(entry[1], den)
+                    entry[0] *= lcm // entry[1]
+                    entry[1] = lcm
+                entry[0] += k * (entry[1] // den)
     if not exact:
         return total
-    # per N exponent, the lcm of its entries' denominators (1 unless integer)
+    # per N exponent, the lcm of its entries' denominators
     lcms: dict[int, int] = {}
     for (chi, *_), (_, den, _, _) in entries.items():
         lcms[chi - r] = math.lcm(lcms.get(chi - r, 1), den)
     # per (N exponent, key), in first-hit order: the sum over that lcm
-    weights: dict[tuple, Fraction | int] = {}
+    weights: dict[tuple, int] = {}
     for (chi, *_), (k_sum, den, hits, _) in entries.items():
         e = chi - r
         if den != lcms[e]:
@@ -815,8 +862,8 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
         for key, _ in hits:
             weights[e, key] = weights.get((e, key), 0) + k_sum
     if symbolic:
-        return sum((c_cache[key] * _scaled_n_power(e, w)
-                    for (e, key), w in weights.items() if w), PolyFrac(0))
+        return _symbolic_sum({(e, key): (w, lcms[e]) for (e, key), w in weights.items()},
+                             c_cache.__getitem__)
     # sum c(key) w per N exponent, then one power and one division each
     sums: dict[int, Fraction] = {}
     for (e, key), w in weights.items():
@@ -824,26 +871,80 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
     return sum((s * Fraction(n) ** e / lcms[e] for e, s in sums.items()), Fraction(0))
 
 
-def _scaled_n_power(k: int, c: Fraction) -> PolyFrac:
-    """c * N^k, built as one fraction."""
-    return PolyFrac(monomial(max(k, 0), c.numerator), monomial(max(-k, 0), c.denominator))
+class _RationalValues(dict):
+    """A caller's rational values, memoised per argument, as `_TraceMemo`
+    holds traces: `self[arg]` calls `func(arg)` on the first read only and
+    keeps its numerator, and `dens[arg]` its denominator.  A value that is not
+    an int or a Fraction (a bool or a float among them) raises
+    ValidationError naming the argument."""
+
+    def __init__(self, func: Callable, name: str):
+        super().__init__()
+        self.func, self.name = func, name
+        self.dens: dict = {}
+
+    def __missing__(self, arg) -> int:
+        v = self.func(arg)
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+            raise ValidationError(f"{self.name}({arg!r}) must be rational (an int or a "
+                                  f"Fraction), got {v!r}")
+        self.dens[arg] = v.denominator
+        self[arg] = v.numerator
+        return v.numerator
+
+
+def _laurent(terms: Mapping[int, tuple[int, int]]) -> PolyFrac:
+    """The sum of (w / d) N^e over the items e: (w, d), as one PolyFrac over
+    N^-lo times the lcm of the ds (lo the least exponent, or 0)."""
+    lo = min(0, *terms)
+    den = math.lcm(*(d for _, d in terms.values()))
+    coeffs = [0] * (max(terms) - lo + 1)
+    for e, (w, d) in terms.items():
+        coeffs[e - lo] += w * (den // d)
+    return PolyFrac(tuple(coeffs), monomial(-lo, den))
+
+
+def _symbolic_sum(weights: Mapping[tuple, tuple[int, int]],
+                  coefficient: Callable[[object], PolyFrac]) -> PolyFrac:
+    """The sum of coefficient(key) (w / d) N^e over the items (e, key): (w, d):
+    the weights of each key become one Laurent polynomial, so each distinct
+    coefficient makes one PolyFrac product and one sum."""
+    by_key: dict[object, dict[int, tuple[int, int]]] = {}
+    for (e, key), weight in weights.items():
+        by_key.setdefault(key, {})[e] = weight
+    return sum((coefficient(key) * poly for key, terms in by_key.items()
+                if (poly := _laurent(terms))), PolyFrac(0))
 
 
 def moment_symbolic(expr: TraceExpression,
-                    trace_value: Callable[[tuple[int, ...]], Fraction],
+                    trace_value: Callable[[tuple[int, ...]], Fraction | int],
                     tables: TableSet | None = None,
                     term_cap: int = TERM_CAP) -> PolyFrac:
     """The expected product of normalized traces as an exact PolyFrac in N,
-    for N-free vertex trace values (block-repeated deterministic matrices)."""
+    for N-free vertex trace values (block-repeated deterministic matrices).
+
+    `trace_value` must return an int or a Fraction (not a bool); it is called
+    once per distinct label cycle, in first-seen order, and anything else
+    raises ValidationError naming the cycle.  Each value is scaled once onto
+    L, the lcm of all the denominators, so a group of v vertex cycles sums
+    gluing count times product of scaled numerators as ints over L^v, per
+    (exponent, diagrams); the weights of one diagrams tuple form one Laurent
+    polynomial in N, multiplied once by its Weingarten factor."""
     glu = _Gluings(expr, tables or default_tables(), term_cap)
-    trace = functools.lru_cache(maxsize=None)(trace_value)
-    weights: dict[tuple, Fraction] = {}
-    for (labels, exponent, lambdas), mult in glu.grouped().items():
-        key = (exponent, lambdas)
-        weights[key] = weights.get(key, 0) + mult * math.prod(map(trace, labels),
-                                                             start=Fraction(1))
-    return sum((glu.tables.wg_product(lambdas) * _scaled_n_power(exponent, weight)
-                for (exponent, lambdas), weight in weights.items() if weight), PolyFrac(0))
+    groups = glu.grouped()
+    values = _RationalValues(trace_value, "trace_value")
+    cycles = dict.fromkeys(itertools.chain.from_iterable(labels for labels, _, _ in groups))
+    nums = [values[c] for c in cycles]  # trace_value once per cycle, in first-seen order
+    scale = math.lcm(*values.dens.values())
+    scaled = {c: v * (scale // values.dens[c]) for c, v in zip(cycles, nums)}
+    # (exponent, lambdas) -> [sum over scale^v, scale^v]; v is fixed by the two
+    weights: dict[tuple, list[int]] = {}
+    for (labels, exponent, lambdas), mult in groups.items():
+        weight = weights.get((exponent, lambdas))
+        if weight is None:
+            weight = weights[exponent, lambdas] = [0, scale ** len(labels)]
+        weight[0] += mult * math.prod(map(scaled.__getitem__, labels))
+    return _symbolic_sum(weights, glu.tables.wg_product)
 
 
 def to_unnormalized(value, num_traces: int, n: int):

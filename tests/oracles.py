@@ -2,13 +2,16 @@
 
 They are written for plainness, not speed: the literal index sum for traces,
 Gauss-Jordan elimination over PolyFrac, traces of matrix products taken one
-cycle and one DenseMatrix product at a time, and the SetPartition-join form
-of the trace-cumulant sum.
+cycle and one DenseMatrix product at a time, the SetPartition-join form
+of the trace-cumulant sum, and the symbolic moment and the float moment's
+coefficients accumulated as Fractions.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -138,4 +141,40 @@ def join_trace_cumulant(exprs, *, matrices=None, n=None, mode="exact", trace_val
     if symbolic:
         return sum((c_cache[key] * PolyFrac.n_power(e) * PolyFrac.from_fraction(w)
                     for (e, key), w in weights.items() if w), PolyFrac(0))
+    return total
+
+
+def fraction_moment_symbolic(expr, trace_value, tables=None):
+    """`moment_symbolic` on Fractions: the weight of each (exponent, diagrams)
+    summed as a Fraction, then each weight times N^exponent and the
+    Weingarten factor as its own PolyFrac."""
+    tables = tables or default_tables()
+    glu = _Gluings(expr, tables, TERM_CAP)
+    trace = functools.lru_cache(maxsize=None)(trace_value)
+    weights: dict = {}
+    for (labels, exponent, lambdas), mult in glu.grouped().items():
+        key = (exponent, lambdas)
+        weights[key] = weights.get(key, 0) + mult * math.prod(map(trace, labels),
+                                                             start=Fraction(1))
+    return sum((tables.wg_product(lambdas) * PolyFrac.n_power(exponent)
+                * PolyFrac.from_fraction(w)
+                for (exponent, lambdas), w in weights.items() if w), PolyFrac(0))
+
+
+def fraction_float_moment(expr, matrices, n, tables=None):
+    """Float `evaluate_moment` with Fraction coefficients: gluing count times
+    wg(lambdas, N) N^exponent summed per vertex trace pattern as a Fraction,
+    then float(coefficient) times the product of the pattern's float traces,
+    added in first-seen order."""
+    tables = tables or default_tables()
+    memo = _TraceMemo(matrices, n, "float", expr.slot.values())
+    glu = _Gluings(expr, tables, TERM_CAP)
+    coeffs: dict = {}
+    for (labels, exponent, lambdas), mult in glu.grouped().items():
+        coeff = mult * tables.wg_product_at(lambdas, n) * Fraction(n) ** exponent
+        coeffs[labels] = coeffs.get(labels, 0) + coeff
+    memo.fill(itertools.chain.from_iterable(coeffs))
+    total = 0.0
+    for pattern, coeff in coeffs.items():
+        total += float(coeff) * math.prod(map(memo.__getitem__, pattern), start=1.0)
     return total

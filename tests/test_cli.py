@@ -109,6 +109,9 @@ class TestBadInput:
                                               "2": [[True, 0], [0, 1]]}}
     INF_ENTRY = {**MOMENT_EXPR, "matrices": {"1": [[1.5, 0], [0, 1]],
                                              "2": [[1.0, float("inf")], [0, 1]]}}
+    # an integer entry beside a float, too large for a float
+    HUGE_ENTRY = {**MOMENT_EXPR, "matrices": {"1": [[1.5, 10**400], [0, 1]],
+                                              "2": [[1.0, 0], [0, 1]]}}
 
     @pytest.mark.parametrize("payload, field", [(NO_SLOT, "'slot'"), (NO_TRACES, "'traces'"),
                                                 (BAD_ENTRY, "1/x"),
@@ -119,15 +122,17 @@ class TestBadInput:
                                                 (BOOL_ENTRY, "matrix 2: matrix entries must be "
                                                              "numbers, got True"),
                                                 (INF_ENTRY, "matrix 2: matrix entries must be "
-                                                            "finite, got inf")],
+                                                            "finite, got inf"),
+                                                (HUGE_ENTRY, "bad matrix 1")],
                              ids=["missing-slot", "missing-traces", "bad-rational", "float-slot",
-                                  "bool-eps", "bool-entry", "inf-entry"])
+                                  "bool-eps", "bool-entry", "inf-entry", "huge-entry"])
     def test_malformed_file_exit_code(self, tmp_path, capsys, payload, field):
         path = tmp_path / "expr.json"
         path.write_text(json.dumps(payload))
-        assert main(["moment", "--expr", str(path), "--N", "2"]) == 2
-        err = capsys.readouterr().err
-        assert str(path) in err and field in err
+        for mode in ("exact", "float"):
+            assert main(["moment", "--expr", str(path), "--N", "2", "--mode", mode]) == 2
+            err = capsys.readouterr().err
+            assert str(path) in err and field in err
 
     @pytest.mark.parametrize("entry, text", [("true", "numbers, got True"),
                                              ("NaN", "finite, got nan"),
@@ -288,6 +293,67 @@ class TestVerify:
                      "--samples", "1000", "--seed", "1", "--out", str(out)]) == 0
         data = json.loads(out.read_text())
         assert {"exact", "mc_mean", "mc_se", "z_score"} <= set(data)
+
+
+class TestTableReuse:
+    """`moment`, `expand` and `cumulant` keep their coefficients on the
+    process's default tables at the default cap, and build fresh tables at
+    any other cap; the reports are the same either way."""
+
+    @pytest.fixture
+    def argvs(self, tmp_path):
+        mats = {"1": [["1", "1/2", "0"], ["0", "-1", "2"], ["1/3", "0", "1"]]}
+        quad = tmp_path / "quad.json"
+        quad.write_text(json.dumps({**QUAD_EXPR, "matrices": mats}))
+        exprs = tmp_path / "exprs.json"
+        exprs.write_text(json.dumps({"exprs": [{"traces": [QUAD_EXPR["traces"][0][:2]]}] * 2,
+                                     "matrices": mats}))
+        return [["moment", "--expr", str(quad), "--N", "3"],
+                ["moment", "--expr", str(quad), "--N", "3", "--mode", "float"],
+                ["moment", "--expr", str(quad), "--N", "3", "--asymptotic"],
+                ["expand", "--expr", str(quad)],
+                ["cumulant", "--exprs", str(exprs), "--N", "3"]]
+
+    def test_second_run_makes_no_eval_at(self, argvs, capsys, monkeypatch):
+        from haargenus import expansion
+        from haargenus.ratpoly import PolyFrac
+
+        monkeypatch.setattr(expansion, "_DEFAULT_TABLES", None)
+        calls = []
+        real_eval_at = PolyFrac.eval_at
+
+        def eval_at(self, n0):
+            calls.append(n0)
+            return real_eval_at(self, n0)
+
+        monkeypatch.setattr(PolyFrac, "eval_at", eval_at)
+        argv = argvs[0]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert calls
+        calls.clear()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert calls == []
+
+    def test_other_caps_build_fresh_tables(self, argvs, capsys, monkeypatch):
+        from haargenus import expansion
+
+        def report(argv):
+            assert main(argv) == 0
+            out = json.loads(capsys.readouterr().out)
+            out["meta"].pop("cap")
+            return out
+
+        monkeypatch.setattr(expansion, "_DEFAULT_TABLES", None)
+        for argv in argvs:
+            shared = report(argv)
+            assert report(argv + ["--cap", "12"]) == shared
+        tables = expansion._DEFAULT_TABLES
+        assert tables is not None and tables.cap == 10
+        # a cap below the table size still fails, and leaves the default tables alone
+        assert main(argvs[0] + ["--cap", "2"]) == 3
+        assert expansion._DEFAULT_TABLES is tables and tables.cap == 10
 
 
 class TestParserReuse:

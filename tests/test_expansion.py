@@ -29,7 +29,8 @@ from haargenus.ratpoly import PolyFrac, format_polyfrac
 from haargenus.setpart import (SetPartition, enumerate_interval, enumerate_pairings,
                                enumerate_partitions, join_of_pairings_diagram, kernel_of, mobius)
 from haargenus.weingarten import TableSet, wg_cumulant
-from oracles import dense_trace_along, join_trace_cumulant
+from oracles import (dense_trace_along, fraction_float_moment, fraction_moment_symbolic,
+                     join_trace_cumulant)
 
 TABLES = TableSet()
 
@@ -937,9 +938,10 @@ def _block_trace(cycle):
 
 
 @st.composite
-def small_expressions(draw):
-    """1-3 traces over 1-3 colours on at most 6 positions."""
-    counts = draw(st.sampled_from([(2,), (4,), (6,), (2, 2), (4, 2), (2, 2, 2)]))
+def small_expressions(draw, counts=((2,), (4,), (6,), (2, 2), (4, 2), (2, 2, 2))):
+    """1-3 traces over 1-3 colours on at most 6 positions, each colour on the
+    position counts of one of `counts`."""
+    counts = draw(st.sampled_from(counts))
     colours = draw(st.permutations([c for c, m in zip((1, 2, 5), counts) for _ in range(m)]))
     n = len(colours)
     cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=2))) if n > 1 else []
@@ -1095,6 +1097,96 @@ class TestIntegerSums:
 
         assert trace_cumulant(args, matrices=x, n=n, kappa=kappa, tables=TABLES) == \
             join_trace_cumulant(args, matrices=x, n=n, kappa=kappa, tables=TABLES)
+
+
+ONE_OR_TWO_COLOURS = ((2,), (4,), (6,), (2, 2), (4, 2), (2, 4))
+
+
+@st.composite
+def caller_values(draw):
+    """A function of its argument onto a few rational values (ints and
+    Fractions of mixed denominators, zeros and negatives among them)."""
+    values = draw(st.lists(st.one_of(st.just(0), st.integers(-5, 5),
+                                     st.fractions(-4, 4, max_denominator=36)),
+                           min_size=1, max_size=7))
+    return lambda arg: values[hash(arg) % len(values)]
+
+
+class TestCallerValueSums:
+    """A caller's trace values and kappa are summed as ints over common
+    denominators, and symbolic weights as one Laurent polynomial per
+    coefficient; the results must equal the Fraction-level references, and
+    float moments must equal them by repr."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_expressions(ONE_OR_TWO_COLOURS), caller_values(), caller_values(),
+           st.sampled_from((4, 5)))
+    def test_against_fraction_references(self, expr, tv, kappa, n):
+        assert moment_symbolic(expr, tv, tables=TABLES) == \
+            fraction_moment_symbolic(expr, tv, tables=TABLES)
+        args = single_traces(expr)
+        for kw in (dict(symbolic=True, trace_value=tv),
+                   dict(symbolic=True, trace_value=tv, kappa=kappa),
+                   dict(trace_value=tv, n=n), dict(trace_value=tv, kappa=kappa, n=n)):
+            assert trace_cumulant(args, tables=TABLES, **kw) == \
+                join_trace_cumulant(args, tables=TABLES, **kw)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_expressions(ONE_OR_TWO_COLOURS), st.sampled_from((2, 3, 4, 6)),
+           st.integers(0, 2**32))
+    def test_float_moment_bits(self, expr, n, seed):
+        rng = random.Random(seed)
+        x = {l: DenseMatrix(arr=[[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(n)])
+             for l in (1, 2)}
+        try:
+            want = repr(fraction_float_moment(expr, x, n, tables=TABLES))
+        except PoleError as exc:
+            want = str(exc)
+        try:
+            got = repr(evaluate_moment(expr, x, n, mode="float", tables=TABLES).value)
+        except PoleError as exc:
+            got = str(exc)
+        assert got == want
+
+    def test_caller_values_must_be_rational(self):
+        expr = TraceExpression.single_trace([(1, 1, 1), (1, -1, 2)])
+        args = single_traces(concatenate([expr, expr]))
+        for bad in (0.5, True, 1.0, None, "1/2"):
+            calls = [
+                lambda: moment_symbolic(expr, lambda c: bad, tables=TABLES),
+                lambda: trace_cumulant(args, symbolic=True, trace_value=lambda c: bad,
+                                       tables=TABLES),
+                lambda: trace_cumulant(args, trace_value=lambda c: bad, n=3, tables=TABLES),
+                lambda: trace_cumulant(args, trace_value=lambda c: 1, kappa=lambda c: bad, n=3,
+                                       tables=TABLES),
+                lambda: trace_cumulant(args, symbolic=True, trace_value=lambda c: Fraction(1, 3),
+                                       kappa=lambda c: bad, tables=TABLES)]
+            for call in calls:
+                with pytest.raises(ValidationError, match=r"(trace_value|kappa)\(\(.*\)\) must be rational"):
+                    call()
+
+    def test_values_called_once_in_first_seen_order(self):
+        rng = random.Random(63)
+        for _ in range(6):
+            args = random_cumulant_args(rng, "alphabet", counts=((4,), (6,), (4, 2)))
+            block = {l: rational_matrix(rng, 2) for l in (1, 2)}
+            expr = concatenate(args)
+            for symbolic, kappa in ((True, None), (False, lambda cs: Fraction(len(cs), 3))):
+                got, want = [], []
+                for cumulant, log in ((trace_cumulant, got), (join_trace_cumulant, want)):
+                    def tv(cycle, log=log):
+                        log.append(cycle)
+                        return _trace_value(cycle, block, 2)
+
+                    kw = dict(symbolic=True) if symbolic else dict(kappa=kappa, n=4)
+                    cumulant(args, trace_value=tv, tables=TABLES, **kw)
+                assert got == list(dict.fromkeys(want))
+            got, want = [], []
+            moment_symbolic(expr, lambda c: got.append(c) or _trace_value(c, block, 2),
+                            tables=TABLES)
+            fraction_moment_symbolic(expr, lambda c: want.append(c) or
+                                     _trace_value(c, block, 2), tables=TABLES)
+            assert got == want and len(set(got)) == len(got)
 
 
 @st.composite
