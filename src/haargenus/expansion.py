@@ -49,21 +49,16 @@ gluing, where D is the product of the positions' matrix denominators and v,
 the number of vertex cycles, is fixed by the N exponent and the diagrams.  So
 an exact moment sums gluing count times product of integer trace numerators
 per (exponent, diagrams) and forms one Fraction per group; an exact cumulant
-on the built-in matrices without `kappa` does the same per (chi, shape).
-A caller's `trace_value` and `kappa` give ints or Fractions, each split once
-per distinct argument into a numerator and a denominator (`_RationalValues`,
-the caller's counterpart of `_TraceMemo`).  `moment_symbolic` scales every
-value onto L, the lcm of their denominators, so a group of v cycles sums over
-L^v; a cumulant entry sums over the lcm of its terms' denominators, and
-rescales its sum when a new denominator does not divide it.  Symbolic results
-gather the N-exponent weights of each coefficient (a diagrams tuple, or a
-relative cumulant) into one Laurent polynomial (`_laurent`), so a coefficient
-costs one PolyFrac product and one sum.  Float moments sum each pattern's
-coefficients, gluing count times wg(lambdas, N) N^exponent, as ints over one
-denominator and divide once: the float of that Fraction, correctly rounded.
-Float cumulants add term by term in gluing and rho order.  Only
-`expand_moment` builds `ExpansionTerm`s, and a term builds its `Premap` only
-when `alpha` is read.
+sums per (chi, shape) entry over the lcm of its terms' denominators.  A
+caller's `trace_value` and `kappa` are split once per argument into numerator
+and denominator (`_RationalValues`) and summed the same way.  Symbolic
+results gather the N-exponent weights of each coefficient (a diagrams tuple,
+or a relative cumulant) into one Laurent polynomial (`_laurent`), for one
+PolyFrac product and one sum per coefficient.  Float moments sum each
+pattern's coefficients as ints over one denominator and divide once, the
+correctly rounded float of the exact sum; float cumulants add term by term.
+Only `expand_moment` builds `ExpansionTerm`s, and a term builds its `Premap`
+only when `alpha` is read.
 """
 
 from __future__ import annotations
@@ -541,16 +536,9 @@ def evaluate_moment(expr: TraceExpression, matrices: Mapping[int, DenseMatrix],
     """Exact (or float) value of the expected product of normalized traces.
 
     A slot label with no matrix fails first; then coefficients are evaluated
-    at N with pole detection, all of them before any trace.  Exact: the
-    products of trace numerators, times the gluing counts, are summed as ints
-    per (exponent, diagrams), and each sum forms one Fraction over the
-    product of trace denominators that the group's gluings share
-    (`_TraceMemo`), weighted by wg(lambdas, N) N^exponent.  Float: the
-    coefficients gluing count times wg(lambdas, N) N^exponent are summed per
-    vertex trace pattern as ints over one denominator, the lcm of the
-    factors' denominators times N^-lo (lo the least exponent, or 0), and each
-    sum is divided once, the correctly rounded float of that Fraction; so
-    each distinct product of traces is evaluated once."""
+    at N with pole detection, all of them before any trace.  Float sums the
+    coefficients per vertex trace pattern, so each distinct product of
+    traces is evaluated once."""
     memo = _TraceMemo(matrices, n, mode, expr.slot.values())
     glu = _Gluings(expr, tables or default_tables(), term_cap)
     groups = glu.grouped()
@@ -558,7 +546,7 @@ def evaluate_moment(expr: TraceExpression, matrices: Mapping[int, DenseMatrix],
     wg = {lambdas: glu.tables.wg_product_at(lambdas, n)
           for lambdas in dict.fromkeys(lambdas for _, _, lambdas in groups)}
     if not memo.exact:
-        lo = min(0, *(exponent for _, exponent, _ in groups))
+        lo = min([0, *(exponent for _, exponent, _ in groups)])
         scale = math.lcm(*(w.denominator for w in wg.values()))
         scaled = {lambdas: w.numerator * (scale // w.denominator) for lambdas, w in wg.items()}
         sums: dict[tuple, int] = {}
@@ -698,16 +686,7 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
     each gluing then makes one dict update per tau (one, without `kappa`).
     Exact and symbolic results sum the vertex-trace cumulants per entry and
     expand them into one weight per (N exponent, relative cumulant) at the
-    end, while float results add term by term in gluing and rho order.  The
-    exact and symbolic sums are ints: products of trace numerators (of the
-    built-in matrices, or of a caller's values) over a denominator per entry.
-    On the built-in matrices without `kappa` an entry's gluings share the
-    product of their trace denominators; otherwise the entry keeps the lcm of
-    its terms' denominators.  The weights of one N exponent are summed over
-    the lcm of the entries' denominators.  The exact result makes one
-    Fraction product per weight and one power and one division per exponent;
-    the symbolic one makes one Laurent polynomial in N per relative
-    cumulant, and one PolyFrac product and one sum with it.
+    end, while float results add term by term in gluing and rho order.
     SetPartitions are built only for a relative cumulant that the tables do
     not hold yet, for `wg_cumulant`; its value at N is read from the tables
     (`TableSet.cumulant_at`) on its first hit in the call.  Each colour's
@@ -720,10 +699,9 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
     enumeration; pass `kappa` to supply them for random slots.  With
     symbolic=True the result is a PolyFrac in N and `trace_value` must return
     exact N-free values for label cycles.  In exact and symbolic mode a
-    caller's `trace_value` and `kappa` must return ints or Fractions (not
-    bools); anything else raises ValidationError naming the argument.  In
-    float mode they may return floats.  Both are called once per distinct
-    argument, in the order the gluing walk first meets it.
+    caller's `trace_value` and `kappa` must return ints or Fractions, else
+    ValidationError names the argument; float mode takes floats too.  Both
+    are called once per distinct argument, in first-met order.
     """
     _check_mode(mode)
     tables = tables or default_tables()
@@ -744,12 +722,10 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
         raise ValidationError("numeric cumulants need matrices and N")
     memo = _TraceMemo(matrices, n, mode, expr.slot.values()) if trace_value is None else None
     exact = symbolic or mode == "exact"
-    # exact: the built-in matrices without kappa give every gluing of an
-    # entry the same product of dens; otherwise each entry keeps their lcm
+    # the built-in matrices without kappa give every gluing of an entry the
+    # same product of dens, computed once per entry
     shared_den = exact and memo is not None and kappa is None
-    if exact:
-        # numerators (the memo's own, or a caller's values split once per
-        # argument) with their denominators in `.dens`
+    if exact:  # numerators, with their denominators in `.dens`
         values = memo if memo is not None else _RationalValues(trace_value, "trace_value")
         kappas = None if kappa is None else _RationalValues(kappa, "kappa")
     else:
@@ -800,7 +776,6 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
     # over den (exact and symbolic), den, connecting (key, rho)s, coefficients (float)]
     entries: dict[tuple, list] = {}
     total = 0.0  # float: each hit's coefficient times k, in gluing and rho order
-    den = 0
     for combo, (chi, _, _, vertex, labels) in gluings():
         masks = tuple(map(vertex_mask, vertex))
         blocks = tuple([shapes[pair.plus][pair.minus] for shapes, pair in zip(block_shapes, combo)])
@@ -832,10 +807,12 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
                                         tuple((i,) for i in range(len(vertex)))
                                         if tau is None else tau)
                 build_cumulants(combo, hits)
+                if shared_den:
+                    den = math.prod(map(values.dens.__getitem__, labels))
                 entry = entries[chi, masks, blocks, t] = [
-                    0, math.prod(map(values.dens.__getitem__, labels)) if shared_den else den,
-                    hits, None if exact else [float(c_at_n[key] * Fraction(n) ** (chi - r))
-                                              for key, _ in hits]]
+                    0, den if exact else 1, hits,
+                    None if exact else [float(c_at_n[key] * Fraction(n) ** (chi - r))
+                                        for key, _ in hits]]
             if not exact:
                 for coeff in entry[3]:
                     total = total + coeff * k
@@ -872,11 +849,10 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
 
 
 class _RationalValues(dict):
-    """A caller's rational values, memoised per argument, as `_TraceMemo`
-    holds traces: `self[arg]` calls `func(arg)` on the first read only and
-    keeps its numerator, and `dens[arg]` its denominator.  A value that is not
-    an int or a Fraction (a bool or a float among them) raises
-    ValidationError naming the argument."""
+    """A caller's rational values per argument, as `_TraceMemo` holds traces:
+    `self[arg]` calls `func(arg)` on the first read only and keeps its
+    numerator, `dens[arg]` its denominator.  A value that is not an int or a
+    Fraction (a bool or a float among them) raises ValidationError."""
 
     def __init__(self, func: Callable, name: str):
         super().__init__()
@@ -896,7 +872,7 @@ class _RationalValues(dict):
 def _laurent(terms: Mapping[int, tuple[int, int]]) -> PolyFrac:
     """The sum of (w / d) N^e over the items e: (w, d), as one PolyFrac over
     N^-lo times the lcm of the ds (lo the least exponent, or 0)."""
-    lo = min(0, *terms)
+    lo = min([0, *terms])
     den = math.lcm(*(d for _, d in terms.values()))
     coeffs = [0] * (max(terms) - lo + 1)
     for e, (w, d) in terms.items():
@@ -906,9 +882,8 @@ def _laurent(terms: Mapping[int, tuple[int, int]]) -> PolyFrac:
 
 def _symbolic_sum(weights: Mapping[tuple, tuple[int, int]],
                   coefficient: Callable[[object], PolyFrac]) -> PolyFrac:
-    """The sum of coefficient(key) (w / d) N^e over the items (e, key): (w, d):
-    the weights of each key become one Laurent polynomial, so each distinct
-    coefficient makes one PolyFrac product and one sum."""
+    """The sum of coefficient(key) (w / d) N^e over the items (e, key): (w, d),
+    one Laurent polynomial per key."""
     by_key: dict[object, dict[int, tuple[int, int]]] = {}
     for (e, key), weight in weights.items():
         by_key.setdefault(key, {})[e] = weight
@@ -923,13 +898,9 @@ def moment_symbolic(expr: TraceExpression,
     """The expected product of normalized traces as an exact PolyFrac in N,
     for N-free vertex trace values (block-repeated deterministic matrices).
 
-    `trace_value` must return an int or a Fraction (not a bool); it is called
-    once per distinct label cycle, in first-seen order, and anything else
-    raises ValidationError naming the cycle.  Each value is scaled once onto
-    L, the lcm of all the denominators, so a group of v vertex cycles sums
-    gluing count times product of scaled numerators as ints over L^v, per
-    (exponent, diagrams); the weights of one diagrams tuple form one Laurent
-    polynomial in N, multiplied once by its Weingarten factor."""
+    `trace_value` must return an int or a Fraction, else ValidationError
+    names the cycle; it is called once per distinct cycle, in first-seen
+    order."""
     glu = _Gluings(expr, tables or default_tables(), term_cap)
     groups = glu.grouped()
     values = _RationalValues(trace_value, "trace_value")

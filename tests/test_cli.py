@@ -76,6 +76,16 @@ class TestMoment:
         out = json.loads(capsys.readouterr().out)
         assert out["asymptotic"] == [{"coefficient": "1", "traces": [[1], [2]]}]
 
+    def test_odd_count_is_zero(self, tmp_path, capsys):
+        odd = {**MOMENT_EXPR, "traces": [MOMENT_EXPR["traces"][0] +
+                                         [{"color": 1, "eps": 1, "slot": 1}]]}
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps(odd))
+        for mode, value in (("exact", "0"), ("float", 0.0)):
+            assert main(["moment", "--expr", str(path), "--N", "2", "--mode", mode]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["value"] == value and out["term_count"] == 0
+
     def test_pole_exit_code(self, tmp_path, capsys):
         path = tmp_path / "quad.json"
         path.write_text(json.dumps(QUAD_EXPR))

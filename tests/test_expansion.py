@@ -118,6 +118,11 @@ class TestExpandMoment:
     def test_odd_color_count_empty(self):
         e = TraceExpression.single_trace([(1, 1, 1), (1, 1, 2), (2, 1, 1)])
         assert list(expand_moment(e, TABLES)) == []
+        x = {1: DenseMatrix([[1, 2], [3, 4]]), 2: DenseMatrix([["1/2", 0], [1, 1]])}
+        for mode, zero in (("exact", Fraction(0)), ("float", 0.0)):
+            result = evaluate_moment(e, x, 2, mode=mode, tables=TABLES)
+            assert repr(result.value) == repr(zero) and result.term_count == 0
+        assert moment_symbolic(e, lambda c: Fraction(1, 3), tables=TABLES) == PolyFrac(0)
 
     def test_term_count_multicolor(self):
         e = TraceExpression.single_trace(
@@ -1099,7 +1104,8 @@ class TestIntegerSums:
             join_trace_cumulant(args, matrices=x, n=n, kappa=kappa, tables=TABLES)
 
 
-ONE_OR_TWO_COLOURS = ((2,), (4,), (6,), (2, 2), (4, 2), (2, 4))
+# odd counts have no gluing: every evaluator must give zero
+ONE_OR_TWO_COLOURS = ((2,), (4,), (6,), (2, 2), (4, 2), (2, 4), (3,), (2, 1))
 
 
 @st.composite
