@@ -9,56 +9,41 @@ along the particular cycles of the inverse vertex permutation.
 
 Trace cumulants use the same gluings but weight each by a relative Weingarten
 cumulant and by classical cumulants of the vertex traces, keeping only the
-gluings that connect everything.  Which (rho, tau) connect depends only on a
-gluing's shape, held as ints with trace t as the bit 1 << t: the mask of the
-traces each vertex cycle touches, and the size and mask of each join block.
-That scan merges masks, and is memoised for the process on its ints and
-tuples, so it runs once per distinct shape and tau; the block shapes of a
-colour's pairs are memoised for the process too, per trace bits of its
-points (`_block_shapes`).  SetPartitions are built only for a new relative
-cumulant.  A caller's `trace_value` and `kappa` are memoised per call.
+gluings that connect everything (`trace_cumulant`).  Coefficients depend only
+on join diagrams and N, so the TableSet keeps them across calls: each product
+of normalized Weingarten values, each relative cumulant, and the value of
+each at N (a pole is raised again on every call, never stored).
 
-Coefficients depend only on join diagrams and N, so the TableSet keeps them
-across calls: each product of normalized Weingarten values per tuple of
-diagrams, each relative cumulant, and the value of each at N (a pole is
-raised again on every call, never stored).  With the default tables each is
-built and evaluated once per process.
-
-All evaluators share one kernel, `_Gluings`.  A pair of pairings (p_plus,
-p_minus) glues a colour by the premap that takes each positive point to minus
-its p_plus partner and each negative point to its p_minus partner, so its
-arcs, and K^{-1} with them, split into a half from p_plus and a half from
-p_minus.  These depend only on the colour's size, so they are built once per
-size on the points 1..m (`_pairing_table`) and shared by every expression:
-two halves per pairing, and per pair only the join blocks (from
-`weingarten.join_blocks`) and diagram.  The colour's positions, in increasing
-order, relabel 1..m monotonically: the kernel builds the 2 (m-1)!! halves of
-K^{-1} per expression, and relabels pairings, arcs and blocks only where they
-are read.  `term_for` joins one pair's halves per colour into K^{-1} and turns
-it into chi, the N exponent, the join diagrams and the vertex cycles.  Moments
-consume `_Gluings.grouped` (gluing counts per vertex labels, exponent and
-diagrams, in first-seen order), and ask the TableSet for each distinct
-diagrams' Weingarten factor once per call.  Numeric traces,
-exact or float, share one memo per call (`_TraceMemo`), filled by
-`trace_numerators` batches: once per moment and once per block of cumulant
-gluings.
+All evaluators share one kernel, `_Gluings`, which runs on ints.  A pair of
+pairings (p_plus, p_minus) glues a colour by the premap that takes each
+positive point to minus its p_plus partner and each negative point to its
+p_minus partner; each colour size's pairings, as partner arrays, and pairs
+(with join blocks and diagram) are built once per process (`_pairing_table`).
+K^{-1} is a tuple over codes 0..2n-1, one per signed position, given colour
+by colour so that each colour's p_plus and p_minus halves of K^{-1} are
+fixed runs of codes: each pairing's halves are built once per expression,
+and `_Gluings.term_for` joins one pair's halves per colour by concatenation
+and walks the vertex cycles, skipping mirrors with a bitmask of positions.
+Each call keeps one cycle table: every distinct cycle of codes gets an id,
+in first-seen order, with its label cycle and position bits made once, and
+`term_for` returns ids, which tell gluings apart.  Evaluators sum by id:
+moments read `_Gluings.terms` (each gluing's ids, exponent and diagram
+indices), cumulants key their entries on tuples of ints, and traces are
+computed once per distinct label cycle (`_TraceMemo`) and read per id.
+Only `expand_moment` decodes each gluing through the cycle table into an
+`ExpansionTerm`, which builds its `Premap` only when `alpha` is read.
 
 Exact sums run on integers.  A gluing's vertex cycles hold each position
 exactly once, so the product of their trace denominators is D N^v for every
-gluing, where D is the product of the positions' matrix denominators and v,
-the number of vertex cycles, is fixed by the N exponent and the diagrams.  So
-an exact moment sums gluing count times product of integer trace numerators
-per (exponent, diagrams) and forms one Fraction per group; an exact cumulant
-sums per (chi, shape) entry over the lcm of its terms' denominators.  A
-caller's `trace_value` and `kappa` are split once per argument into numerator
-and denominator (`_RationalValues`) and summed the same way.  Symbolic
-results gather the N-exponent weights of each coefficient (a diagrams tuple,
-or a relative cumulant) into one Laurent polynomial (`_laurent`), for one
-PolyFrac product and one sum per coefficient.  Float moments sum each
-pattern's coefficients as ints over one denominator and divide once, the
-correctly rounded float of the exact sum; float cumulants add term by term.
-Only `expand_moment` builds `ExpansionTerm`s, and a term builds its `Premap`
-only when `alpha` is read.
+gluing, D the product of the positions' matrix denominators and v the number
+of vertex cycles: an exact moment sums the products of integer trace
+numerators per (diagrams, v), and an exact cumulant sums per entry over
+the lcm of its terms' denominators.  A caller's `trace_value` and `kappa` are
+split once per argument into numerator and denominator (`_RationalValues`).
+Symbolic results gather the N-exponent weights of each coefficient into one
+Laurent polynomial (`_laurent`).  Float moments sum each label pattern's
+coefficients as ints over one denominator and divide once, the correctly
+rounded float of the exact sum; float cumulants add term by term.
 """
 
 from __future__ import annotations
@@ -76,8 +61,7 @@ from .matrixlab import DenseMatrix, _integer_at_least, _slot_matrix, check_dimen
     trace_numerators
 from .permap import Premap, SignedPermutation
 from .ratpoly import PolyFrac, monomial
-from .setpart import PARTITION_CAP, SetPartition, YoungDiagram, enumerate_pairings, \
-    enumerate_partitions
+from .setpart import PARTITION_CAP, SetPartition, YoungDiagram, enumerate_partitions
 from .weingarten import TableSet, join_blocks, pairing_partners, wg_cumulant
 
 TERM_CAP = 500_000
@@ -162,14 +146,6 @@ class TraceExpression:
             return IDENTITY_SLOT
         return s if k > 0 else -s
 
-    def label_cycles(self, cycles: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-        """Map position cycles through the slots, dropping identity factors."""
-        out = []
-        for c in cycles:
-            labels = tuple(self.vertex_label(k) for k in c)
-            out.append(tuple(l for l in labels if l != IDENTITY_SLOT))
-        return tuple(out)
-
     # -- builders -------------------------------------------------------------
 
     @classmethod
@@ -199,14 +175,24 @@ class TraceExpression:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "TraceExpression":
+        """From {"traces": [[{"color": c, "eps": e, "slot": s}, ...], ...]}; a
+        part of another type raises ValidationError naming it."""
+        traces = data.get("traces") if isinstance(data, Mapping) else None
+        if not isinstance(traces, list):
+            raise ValidationError(f"'traces' must be a list of traces, got {traces!r}")
         cycles = []
         eps: dict[int, int] = {}
         color: dict[int, int] = {}
         slot: dict[int, int] = {}
         k = 1
-        for trace in data["traces"]:
+        for t, trace in enumerate(traces):
+            if not isinstance(trace, list):
+                raise ValidationError(f"traces[{t}] must be a list of entries, got {trace!r}")
             cyc = []
-            for entry in trace:
+            for i, entry in enumerate(trace):
+                if not (isinstance(entry, Mapping) and {"color", "eps", "slot"} <= entry.keys()):
+                    raise ValidationError(f"traces[{t}][{i}] must be an object with the keys "
+                                          f"'color', 'eps' and 'slot', got {entry!r}")
                 cyc.append(k)
                 eps[k] = entry["eps"]
                 color[k] = entry["color"]
@@ -262,29 +248,24 @@ class _Pair(NamedTuple):
     plus: int  # index of p_plus in the table's pairings
     minus: int  # index of p_minus
     blocks: tuple[tuple[int, ...], ...]  # blocks of the join p_plus v p_minus
-    lam: YoungDiagram  # diagram of that join
+    lam: int  # index of that join's diagram in the table's diagrams
 
 
 @functools.lru_cache(maxsize=None)
-def _pairing_table(m: int) -> tuple[tuple[SetPartition, ...], tuple, tuple, tuple[_Pair, ...]]:
-    """(pairings, plus, minus, pairs) on the points 1..m, built once per colour
-    size: plus[i] and minus[i] are the arcs x -> -p(x) and -x -> p(x) of the
-    i-th pairing p, its halves of a premap as p_plus and as p_minus, and pairs
-    holds every pair of indices (p_plus major) with its join blocks and
-    diagram.  A colour's positions in increasing order relabel 1..m
-    monotonically, which keeps the order of the pairings, arcs and blocks."""
-    pairings = tuple(enumerate_pairings(range(1, m + 1)))
-    ends = [tuple(map(sorted, p.blocks)) for p in pairings]
-    plus = tuple(tuple(arc for a, b in e for arc in ((a, -b), (b, -a))) for e in ends)
-    minus = tuple(tuple(arc for a, b in e for arc in ((-a, b), (-b, a))) for e in ends)
-    partners = pairing_partners(m)
-    pairs, diagrams = [], {}  # one YoungDiagram object per join diagram
+def _pairing_table(m: int) -> tuple[tuple[tuple[int, ...], ...], tuple[_Pair, ...], tuple]:
+    """(partners, pairs, diagrams) of the points 1..m, built once per colour
+    size: the pairings as partner arrays on 0..m-1, in `enumerate_pairings`
+    order, and every pair of indices (p_plus major) with its join blocks and
+    the index of its diagram.  A colour's positions in increasing order
+    relabel 1..m monotonically, which keeps the order of pairings and blocks."""
+    partners = tuple(pairing_partners(m))
+    pairs, diagrams = [], {}  # diagram -> index
     for i, p_plus in enumerate(partners):
         for j, p_minus in enumerate(partners):
             blocks = tuple(tuple(k + 1 for k in b) for b in join_blocks(p_plus, p_minus))
             lam = YoungDiagram(len(b) // 2 for b in blocks)
-            pairs.append(_Pair(i, j, blocks, diagrams.setdefault(lam, lam)))
-    return pairings, plus, minus, tuple(pairs)
+            pairs.append(_Pair(i, j, blocks, diagrams.setdefault(lam, len(diagrams))))
+    return partners, tuple(pairs), tuple(diagrams)
 
 
 @functools.lru_cache(maxsize=None)
@@ -302,17 +283,16 @@ def _block_partitions(counts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], .
 
 
 class _Gluings:
-    """The gluing kernel: each colour's pairing pairs, read from the shared
-    table of its size with each pairing's half of K^{-1} built on the real
-    points, combined per gluing into chi, the N exponent, the join diagrams
-    and the vertex cycles.
-    Pairings, arcs and blocks are relabelled onto the real points only where
-    they are read (`pairings`, `arcs`, `rho_choices`)."""
+    """The gluing kernel (see the module docstring) and the call's cycle
+    table: each distinct vertex cycle of codes has an id in `cycle_ids`, and
+    per id `cycles` holds its codes, `labels` its label cycle and `bits` its
+    positions (rank i as the bit 1 << i).  Pairings, arcs and blocks are
+    relabelled onto the real points only where they are read (`pairings`,
+    `arcs`, `rho_choices`)."""
 
     def __init__(self, expr: TraceExpression, tables: TableSet, term_cap: int):
-        self.expr = expr
         self.tables = tables
-        self.num_traces, self.n, self.positions = expr.num_traces, expr.n, expr.positions
+        self.num_traces, self.n = expr.num_traces, expr.n
         by_color = expr.positions_by_color()
         odd = any(len(p) % 2 for p in by_color.values())
         self.total = 0 if odd else math.prod(
@@ -320,6 +300,7 @@ class _Gluings:
         if self.total > term_cap:
             raise CapExceededError(
                 f"expansion has {self.total} terms, beyond the cap of {term_cap}")
+        colours = [] if odd else list(by_color.values())
         phi_inv = expr.phi().inverse()
         # an arc x -> a of the premap becomes the arc src[x] -> dst[a] of K^{-1}
         src: dict[int, int] = {}
@@ -329,80 +310,117 @@ class _Gluings:
                 y = expr.eps[k] * x  # x -> y under d_eps
                 src[x] = phi_inv(y) if y > 0 else y
                 dst[x] = -phi_inv(-y) if y < 0 else y
+        # code i stands for codes[i], the src of the i-th signed point of the
+        # colours in turn, positive points then negative ones
+        self.codes = [src[s * k] for pts in colours for s in (1, -1) for k in pts]
+        code = {x: i for i, x in enumerate(self.codes)}
+        rank = {k: 1 << i for i, k in enumerate(expr.positions)}
+        self._code_bits = [rank[abs(x)] for x in self.codes]
+        self._code_labels = [expr.vertex_label(x) for x in self.codes]
+        # the code of each position, by the bit length of its bit
+        self._starts = [None, *map(code.get, expr.positions)]
+        self.cycle_ids: dict[tuple[int, ...], int] = {}
+        self.cycles: list[tuple[int, ...]] = []
+        self.labels: list[tuple[int, ...]] = []
+        self.bits: list[int] = []
         self.choices: list[Sequence[_Pair]] = [[]] if odd else []  # no gluing when odd
         # per colour, each pairing's half of K^{-1} as p_plus and as p_minus
-        self.kinv: list[tuple[list[dict[int, int]], list[dict[int, int]]]] = []
+        self.halves: list[tuple[list[tuple[int, ...]], list[tuple[int, ...]]]] = []
         # per colour, (0, least position, ...): point i of the table is points[i]
         self.points: list[tuple[int, ...]] = []
+        self.diagrams: list[tuple[YoungDiagram, ...]] = []  # per colour, by index
         # choices run over colours in sorted order; ker(colour) orders them by least position
         firsts = [pts[0] for pts in by_color.values()]
         self.ker_order = sorted(range(len(firsts)), key=firsts.__getitem__)
-        for pts in ([] if odd else by_color.values()):
+        for pts in colours:
             tables.table(len(pts))  # a table beyond its cap fails before enumeration
-            points = (0, *pts)
-            self.points.append(points)
-            signed = [(s * i, s * k) for i, k in enumerate(pts, 1) for s in (1, -1)]
-            src_c = {i: src[k] for i, k in signed}
-            dst_c = {i: dst[k] for i, k in signed}
-            _, plus, minus, pairs = _pairing_table(len(pts))
-            self.kinv.append(tuple([{src_c[x]: dst_c[a] for x, a in half} for half in halves]
-                                   for halves in (plus, minus)))
+            self.points.append((0, *pts))
+            partners, pairs, diagrams = _pairing_table(len(pts))
+            # the arc x -> -p(x) of p_plus and -x -> p(x) of p_minus
+            to_minus = [code[dst[-k]] for k in pts]
+            to_plus = [code[dst[k]] for k in pts]
+            self.halves.append(([tuple(map(to_minus.__getitem__, p)) for p in partners],
+                                [tuple(map(to_plus.__getitem__, p)) for p in partners]))
             self.choices.append(pairs)
-        self._labels = {s * k: expr.vertex_label(s * k)
-                        for k in expr.positions for s in (1, -1)}
+            self.diagrams.append(diagrams)
         self._pairings: list[list[SetPartition]] | None = None
+        self._arcs: list[tuple] | None = None
+        self.lambdas: dict[tuple[int, ...], tuple[YoungDiagram, ...]] = {}
 
     def combos(self) -> Iterator[tuple[_Pair, ...]]:
         return itertools.product(*self.choices)
 
-    def term_for(self, combo: tuple[_Pair, ...]) -> tuple:
-        """(chi, exponent, lambdas, vertex cycles, vertex labels) of one gluing.
-
-        The vertex cycles are the particular cycles of K^{-1}: one cycle of
-        each mirror pair, the one through the pair's least point, which is
-        positive; in order of that point."""
-        kinv: dict[int, int] = {}
-        pairs = 0  # mirror pairs of cycles of the premap a
-        for (plus, minus), pair in zip(self.kinv, combo):
-            kinv.update(plus[pair.plus])
-            kinv.update(minus[pair.minus])
-            pairs += len(pair.blocks)
-        vertex = []
-        seen: set[int] = set()
-        for start in self.positions:
-            if start in seen:
-                continue
+    def term_for(self, combo: tuple[_Pair, ...]) -> tuple[int, ...]:
+        """The ids in `cycle_ids` of the gluing's vertex cycles: the particular
+        cycles of K^{-1}, one cycle of each mirror pair, the one through the
+        pair's least point, which is positive; in order of that point."""
+        kinv = ()
+        for (plus, minus), pair in zip(self.halves, combo):
+            kinv += plus[pair.plus] + minus[pair.minus]
+        cycle_ids, cycles, labels, bits = self.cycle_ids, self.cycles, self.labels, self.bits
+        ids = []
+        free = (1 << self.n) - 1  # the positions on no vertex cycle yet
+        while free:
+            start = self._starts[(free & -free).bit_length()]
             cyc = [start]
             k = kinv[start]
             while k != start:
                 cyc.append(k)
                 k = kinv[k]
-            seen.update(map(abs, cyc))  # the mirror cycle holds the negatives
-            vertex.append(tuple(cyc))
-        label = self._labels.__getitem__
-        # IDENTITY_SLOT is 0, so filter(None, ...) drops the identity factors
-        labels = tuple([tuple(filter(None, map(label, c))) for c in vertex])
-        chi = self.num_traces + pairs + len(vertex) - self.n
-        return (chi, chi - 2 * self.num_traces, tuple([pair.lam for pair in combo]),
-                tuple(vertex), labels)
+            cyc = tuple(cyc)
+            cid = cycle_ids.get(cyc)
+            if cid is None:
+                cid = cycle_ids[cyc] = len(cycles)
+                cycles.append(cyc)
+                # IDENTITY_SLOT is 0, so filter(None, ...) drops the identity factors
+                labels.append(tuple(filter(None, map(self._code_labels.__getitem__, cyc))))
+                bits.append(sum(map(self._code_bits.__getitem__, cyc)))
+            ids.append(cid)
+            # the cycle and its mirror: a cycle holding x and -x would be its own
+            # mirror, reversed by negation, so it would take some x to -x, which
+            # no premap does
+            free ^= bits[cid]
+        return tuple(ids)
+
+    def terms(self) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
+        """(vertex cycle ids, exponent, diagram indices per colour) of every
+        gluing, in order, and `lambdas` the diagrams of each diagram indices,
+        in first-seen order.  No two gluings share their ids: the vertex
+        cycles and their mirrors make up K^{-1}, which fixes the premap."""
+        lams = itertools.product(*([pair.lam for pair in pairs] for pairs in self.choices))
+        rows: dict[tuple[int, ...], int] = {}  # join blocks of all colours, less r and n
+        out = []
+        for ids, lam in zip(map(self.term_for, self.combos()), lams):
+            if lam not in rows:
+                self.lambdas[lam] = tuple(map(tuple.__getitem__, self.diagrams, lam))
+                rows[lam] = sum(d.num_rows for d in self.lambdas[lam]) - self.num_traces - self.n
+            out.append((ids, rows[lam] + len(ids), lam))
+        return out
 
     def pairings(self, combo: tuple[_Pair, ...]) -> tuple[tuple[SetPartition, SetPartition], ...]:
         """Each colour's (p_plus, p_minus) on its positions; each colour's
         pairings are relabelled once per kernel, on the first read."""
         if self._pairings is None:
-            self._pairings = [[SetPartition([[pts[i] for i in b] for b in p.blocks])
+            self._pairings = [[SetPartition([(pts[i], pts[a + 1])
+                                             for i, a in enumerate(p, 1) if i <= a])
                                for p in _pairing_table(len(pts) - 1)[0]]
                               for pts in self.points]
         return tuple((real[pair.plus], real[pair.minus])
                      for real, pair in zip(self._pairings, combo))
 
     def arcs(self, combo: tuple[_Pair, ...]) -> dict[int, int]:
-        """The arcs of the gluing's premap on the signed positions."""
-        out = {}
-        for pts, pair in zip(self.points, combo):
-            _, plus, minus, _ = _pairing_table(len(pts) - 1)
-            for x, a in plus[pair.plus] + minus[pair.minus]:
-                out[pts[x] if x > 0 else -pts[-x]] = pts[a] if a > 0 else -pts[-a]
+        """The arcs of the gluing's premap on the signed positions; each
+        pairing's arc ends are relabelled once per kernel, on the first read."""
+        if self._arcs is None:
+            self._arcs = []
+            for pts in self.points:
+                partners = _pairing_table(len(pts) - 1)[0]
+                self._arcs.append(((*pts[1:], *(-k for k in pts[1:])),
+                                   [tuple(-pts[a + 1] for a in p) for p in partners],
+                                   [tuple(pts[a + 1] for a in p) for p in partners]))
+        out: dict[int, int] = {}
+        for (points, plus, minus), pair in zip(self._arcs, combo):
+            out.update(zip(points, plus[pair.plus] + minus[pair.minus]))
         return out
 
     def rho_choices(self, combo: tuple[_Pair, ...]) -> tuple[list[tuple[int, ...]], tuple]:
@@ -415,16 +433,6 @@ class _Gluings:
                   for i in order for b in combo[i].blocks]
         return blocks, _block_partitions(tuple(len(combo[i].blocks) for i in order))
 
-    def grouped(self) -> dict[tuple, int]:
-        """Gluing multiplicities keyed by (vertex_labels, exponent, lambdas),
-        in first-seen order."""
-        groups: dict[tuple, int] = {}
-        for combo in self.combos():
-            _, exponent, lambdas, _, labels = self.term_for(combo)
-            key = (labels, exponent, lambdas)
-            groups[key] = groups.get(key, 0) + 1
-        return groups
-
 
 def expand_moment(expr: TraceExpression, tables: TableSet | None = None,
                   term_cap: int = TERM_CAP) -> Iterator[ExpansionTerm]:
@@ -432,13 +440,23 @@ def expand_moment(expr: TraceExpression, tables: TableSet | None = None,
 
     Empty for expressions with an odd number of O-factors of some colour."""
     glu = _Gluings(expr, tables or default_tables(), term_cap)
-    for combo in glu.combos():
-        chi, exponent, lambdas, vertex, labels = glu.term_for(combo)
+    vertex: list[tuple[int, ...]] = []  # per cycle id, on the signed positions
+    # each gluing's diagrams and join blocks, in step with the combos
+    lambdas_of = itertools.product(*([d[pair.lam] for pair in pairs]
+                                     for d, pairs in zip(glu.diagrams, glu.choices)))
+    blocks_of = map(sum, itertools.product(*([len(pair.blocks) for pair in pairs]
+                                            for pairs in glu.choices)))
+    for combo, lambdas, blocks in zip(glu.combos(), lambdas_of, blocks_of):
+        ids = glu.term_for(combo)
+        for c in glu.cycles[len(vertex):]:
+            vertex.append(tuple(map(glu.codes.__getitem__, c)))
+        chi = glu.num_traces + blocks + len(ids) - glu.n
         yield ExpansionTerm(
             pairings=glu.pairings(combo), arcs=glu.arcs(combo),
-            chi=chi, exponent=exponent,
+            chi=chi, exponent=chi - 2 * glu.num_traces,
             wg_factor=glu.tables.wg_product(lambdas), lambdas=lambdas,
-            vertex_cycles=vertex, vertex_labels=labels)
+            vertex_cycles=tuple(map(vertex.__getitem__, ids)),
+            vertex_labels=tuple(map(glu.labels.__getitem__, ids)))
 
 
 @dataclass
@@ -471,17 +489,12 @@ def _resolve_for_mode(matrices: Mapping[int, DenseMatrix], n: int, mode: str):
 class _TraceMemo(dict):
     """Traces along label cycles for one evaluation at N, keyed by cycle.
 
-    Exact: the integer numerator T of each normalized trace T / dens[cycle],
-    as `trace_numerators` returns them; the empty cycle (identity factors
-    only) has T = N over N.  A gluing's vertex cycles hold each position
-    once, so their dens multiply to the same product for every gluing with
-    as many cycles, and sums of products of numerators stay on ints.  Float:
-    the normalized trace.  `value` gives the normalized trace in both modes,
-    a Fraction or a float.  `fill` computes the cycles not held yet in one
-    `trace_numerators` batch; a lookup only reads the memo, so an evaluator
-    fills it first.  `labels` are the slot labels the evaluation will read
-    (0, the identity, needs no matrix); one with no matrix fails here, before
-    any enumeration or coefficient."""
+    Exact: the integer numerator T of each normalized trace T / dens[cycle]
+    (the empty cycle has N over N).  Float: the normalized trace.  `value`
+    gives the normalized trace in both modes.  `fill` computes the cycles
+    not held yet in one `trace_numerators` batch; a lookup only reads.  A
+    slot label in `labels` with no matrix fails here, before any
+    enumeration or coefficient."""
 
     def __init__(self, matrices: Mapping[int, DenseMatrix], n: int, mode: str,
                  labels: Iterable[int]):
@@ -497,10 +510,8 @@ class _TraceMemo(dict):
 
     @property
     def value(self) -> Callable[[tuple[int, ...]], Fraction | float]:
-        """The normalized trace of a filled cycle, as a function that forms
-        each exact Fraction once; made on each read, since a function kept on
-        the memo would be a reference cycle that only the garbage collector
-        frees."""
+        """The normalized trace of a filled cycle, forming each exact Fraction
+        once; made per read, as one kept on the memo would be a reference cycle."""
         return functools.lru_cache(maxsize=None)(self._fraction) if self.exact \
             else self.__getitem__
 
@@ -516,7 +527,6 @@ class _TraceMemo(dict):
             self.dens.update(zip(fresh, dens))
         else:
             self.update(zip(fresh, (t / d for t, d in zip(nums, dens))))
-
 
 
 def _pattern_sum(terms: Iterable[tuple[tuple, Fraction]], trace, mode: str):
@@ -541,33 +551,34 @@ def evaluate_moment(expr: TraceExpression, matrices: Mapping[int, DenseMatrix],
     traces is evaluated once."""
     memo = _TraceMemo(matrices, n, mode, expr.slot.values())
     glu = _Gluings(expr, tables or default_tables(), term_cap)
-    groups = glu.grouped()
+    terms = glu.terms()
     # the Weingarten factor at N once per distinct diagrams, in first-seen order
-    wg = {lambdas: glu.tables.wg_product_at(lambdas, n)
-          for lambdas in dict.fromkeys(lambdas for _, _, lambdas in groups)}
+    wg = {lam: glu.tables.wg_product_at(lambdas, n) for lam, lambdas in glu.lambdas.items()}
+    labels = glu.labels
+    memo.fill(labels)
     if not memo.exact:
-        lo = min([0, *(exponent for _, exponent, _ in groups)])
+        lo = min([0, *(exponent for _, exponent, _ in terms)])
         scale = math.lcm(*(w.denominator for w in wg.values()))
-        scaled = {lambdas: w.numerator * (scale // w.denominator) for lambdas, w in wg.items()}
-        sums: dict[tuple, int] = {}
-        for (labels, exponent, lambdas), mult in groups.items():
-            sums[labels] = sums.get(labels, 0) + mult * scaled[lambdas] * n ** (exponent - lo)
-        memo.fill(itertools.chain.from_iterable(sums))
+        scaled = {lam: w.numerator * (scale // w.denominator) for lam, w in wg.items()}
+        sums: dict[tuple, int] = {}  # per label pattern
+        for ids, exponent, lam in terms:
+            pattern = tuple(map(labels.__getitem__, ids))
+            sums[pattern] = sums.get(pattern, 0) + scaled[lam] * n ** (exponent - lo)
         den = scale * n ** -lo
-        return MomentResult(value=_pattern_sum(((labels, s / den) for labels, s in sums.items()),
+        return MomentResult(value=_pattern_sum(((pattern, s / den) for pattern, s in sums.items()),
                                                memo.value, mode),
                             term_count=glu.total)
-    memo.fill(itertools.chain.from_iterable(labels for labels, _, _ in groups))
-    # (exponent, lambdas, cycles) -> [sum of mult * prod T, the shared prod of dens]
+    nums = list(map(memo.__getitem__, labels))  # per cycle id
+    # (lam, cycles) -> [sum of prod T, the shared prod of dens, exponent]
     sums: dict[tuple, list[int]] = {}
-    for (labels, exponent, lambdas), mult in groups.items():
-        group = sums.get((exponent, lambdas, len(labels)))
+    for ids, exponent, lam in terms:
+        group = sums.get((lam, len(ids)))
         if group is None:
-            group = sums[exponent, lambdas, len(labels)] = \
-                [0, math.prod(map(memo.dens.__getitem__, labels))]
-        group[0] += mult * math.prod(map(memo.__getitem__, labels))
-    value = sum((wg[lambdas] * Fraction(n) ** exponent * Fraction(s, den)
-                 for (exponent, lambdas, _), (s, den) in sums.items()), Fraction(0))
+            group = sums[lam, len(ids)] = \
+                [0, math.prod(memo.dens[labels[i]] for i in ids), exponent]
+        group[0] += math.prod(map(nums.__getitem__, ids))
+    value = sum((wg[lam] * Fraction(n) ** exponent * Fraction(s, den)
+                 for (lam, _), (s, den, exponent) in sums.items()), Fraction(0))
     return MomentResult(value=value, term_count=glu.total)
 
 
@@ -583,9 +594,6 @@ class AsymptoticMoment:
         memo.fill(cycles)
         return _pattern_sum(((pattern, c) for c, pattern in self.terms), memo.value, mode)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def to_json(self) -> list:
         return [{"coefficient": str(c), "traces": [list(cc) for cc in pat]}
                 for c, pat in self.terms]
@@ -597,12 +605,15 @@ def asymptotic_moment(expr: TraceExpression, tables: TableSet | None = None,
     glu = _Gluings(expr, tables or default_tables(), term_cap)
     limits: dict[tuple, Fraction] = {}  # per distinct diagrams
     acc: dict[tuple, Fraction] = {}
-    for (labels, exponent, lambdas), mult in glu.grouped().items():
+    terms = glu.terms()
+    labels = glu.labels
+    for ids, exponent, lam in terms:
         if exponent == 0:
-            limit = limits.get(lambdas)
+            limit = limits.get(lam)
             if limit is None:
-                limit = limits[lambdas] = glu.tables.wg_product(lambdas).limit_at_infinity()
-            acc[labels] = acc.get(labels, Fraction(0)) + mult * limit
+                limit = limits[lam] = glu.tables.wg_product(glu.lambdas[lam]).limit_at_infinity()
+            pattern = tuple(map(labels.__getitem__, ids))
+            acc[pattern] = acc.get(pattern, Fraction(0)) + limit
     terms = tuple((c, pat) for pat, c in sorted(acc.items()) if c != 0)
     return AsymptoticMoment(terms=terms)
 
@@ -611,21 +622,18 @@ def asymptotic_moment(expr: TraceExpression, tables: TableSet | None = None,
 
 
 @functools.lru_cache(maxsize=BLOCK_SHAPES_CAP)
-def _block_shapes(bits: tuple[int, ...]) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
-    """The shape of every pair's join on a colour whose point i (1..m) lies on
-    the trace of bit bits[i - 1]: shapes[i][j] holds the (size, mask of
-    traces) of each block of the join of pairings i (p_plus) and j (p_minus)
-    of `_pairing_table(m)`.  Indexed by position in that table, so a rebuilt
-    table reads it alike; memoised for the process, for at most
-    BLOCK_SHAPES_CAP bit tuples, each shape one shared tuple."""
-    m = len(bits)
-    pairings, _, _, pairs = _pairing_table(m)
-    seen: dict[tuple, tuple] = {}
-    shapes = [seen.setdefault(shape, shape) for shape in
-              (tuple((len(b), sum({bits[i - 1] for i in b})) for b in pair.blocks)
-               for pair in pairs)]
-    count = len(pairings)
-    return tuple(tuple(shapes[i:i + count]) for i in range(0, len(shapes), count))
+def _block_shapes(bits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+    """(ids, shapes) on a colour whose point i (1..m) lies on the trace of bit
+    bits[i - 1]: the join of the i-th pair of `_pairing_table(m)` has the
+    shape shapes[ids[i]], the (size, mask of traces) of each of its blocks.
+    Indexed by position in that table, so a rebuilt table reads it alike;
+    memoised for the process, for at most BLOCK_SHAPES_CAP bit tuples."""
+    pairs = _pairing_table(len(bits))[1]
+    shapes: dict[tuple, int] = {}  # shape -> id
+    ids = tuple(shapes.setdefault(tuple((len(b), sum({bits[i - 1] for i in b}))
+                                        for b in pair.blocks), len(shapes))
+                for pair in pairs)
+    return ids, tuple(shapes)
 
 
 @functools.lru_cache(maxsize=None)
@@ -635,13 +643,11 @@ def _connecting_rhos(r: int, vertex_masks: tuple[int, ...],
     """(key, rho) for every rho in [pi, ker(colour)] whose join with phi v
     tau_sigma connects the r traces, in `rho_choices` order.
 
-    The arguments are a gluing's shape, with trace t as the bit 1 << t: the
-    mask of the traces each vertex cycle touches, and, colour by colour in
-    ker(colour) order, the size and mask of each block of pi.  A join
-    connects when the masks of its parts, merged while they meet, reach every
-    trace from trace 0.  The key names the relative cumulant C_{pi,pi,rho} by
-    the sizes of pi's blocks inside each block of rho.  Memoised for the
-    process: the arguments are ints and tuples of them."""
+    The arguments are a gluing's shape: the trace mask of each vertex cycle
+    and, colour by colour in ker(colour) order, the size and trace mask of
+    each block of pi.  A join connects when the masks of its parts, merged
+    while they meet, reach every trace from trace 0.  The key names
+    C_{pi,pi,rho} by the sizes of pi's blocks inside each block of rho."""
     flat = [b for per_colour in block_shape for b in per_colour]
     # the components of phi v tau_sigma, as masks
     parts = [functools.reduce(operator.or_, (vertex_masks[i] for i in blk))
@@ -678,21 +684,14 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
 
     pi is the join of the gluing's pairings and rho runs over
     [pi, ker(colour)] as groups of pi's blocks (`_Gluings.rho_choices`).
-    Which (rho, tau) connect, and which relative cumulants they name, depends
-    only on the gluing's shape, as int masks of traces (trace t is the bit
-    1 << t): the mask of each vertex cycle, and the size and mask of each
-    block of pi.  The scan (`_connecting_rhos`) is memoised for the process
-    and runs at the first hit of each (chi, shape, tau) entry in the call;
-    each gluing then makes one dict update per tau (one, without `kappa`).
-    Exact and symbolic results sum the vertex-trace cumulants per entry and
-    expand them into one weight per (N exponent, relative cumulant) at the
-    end, while float results add term by term in gluing and rho order.
-    SetPartitions are built only for a relative cumulant that the tables do
-    not hold yet, for `wg_cumulant`; its value at N is read from the tables
-    (`TableSet.cumulant_at`) on its first hit in the call.  Each colour's
-    pair block shapes come from the process memo `_block_shapes`.  Traces of
-    the built-in matrices are computed one block of GLUING_BLOCK gluings at a
-    time.
+    Which (rho, tau) connect, and which relative cumulants they name, is
+    scanned once per entry (`_connecting_rhos`): a tau and a gluing shape,
+    the trace masks (trace t as the bit 1 << t) of the vertex cycles and the
+    block shape id of each colour's pair (`_block_shapes`).  Exact and
+    symbolic results sum per entry and expand the sums into one weight per
+    (N exponent, relative cumulant); float results add term by term in
+    gluing and rho order.  Gluings run in blocks of GLUING_BLOCK, each with
+    one batch of traces of the built-in matrices.
 
     Deterministic slot matrices are the built-in path (higher vertex-trace
     cumulants vanish), and a slot label with no matrix fails before any
@@ -722,9 +721,6 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
         raise ValidationError("numeric cumulants need matrices and N")
     memo = _TraceMemo(matrices, n, mode, expr.slot.values()) if trace_value is None else None
     exact = symbolic or mode == "exact"
-    # the built-in matrices without kappa give every gluing of an entry the
-    # same product of dens, computed once per entry
-    shared_den = exact and memo is not None and kappa is None
     if exact:  # numerators, with their denominators in `.dens`
         values = memo if memo is not None else _RationalValues(trace_value, "trace_value")
         kappas = None if kappa is None else _RationalValues(kappa, "kappa")
@@ -734,20 +730,23 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
             kappa = functools.lru_cache(maxsize=None)(kappa)
 
     glu = _Gluings(expr, tables, term_cap)
-    bit = {s * k: 1 << t for t, cyc in enumerate(expr.cycles) for k in cyc for s in (1, -1)}
-    # the mask of the traces a vertex cycle touches (the sum of its distinct bits),
-    # once per cycle in this call
-    vertex_mask = functools.lru_cache(maxsize=None)(lambda c: sum({*map(bit.__getitem__, c)}))
-    # per colour, the block shapes of its pairs, from the trace bits of its points
-    block_shapes = [_block_shapes(tuple(bit[k] for k in pts[1:])) for pts in glu.points]
+    bit = {k: 1 << t for t, cyc in enumerate(expr.cycles) for k in cyc}  # trace t
+    code_bits = [bit[abs(x)] for x in glu.codes]
+    trace_masks: list[int] = []  # per cycle id, the traces it touches
+    # per colour, the block shape id of each pair and the shapes by id
+    block_shapes = [_block_shapes(tuple(map(bit.__getitem__, pts[1:]))) for pts in glu.points]
     order = glu.ker_order
     ground = expr.positions
     c_cache = tables.relative_cumulants
     c_at_n: dict[tuple, Fraction | None] = {}  # this call's keys, at N unless symbolic
+    # without kappa, per cycle id: the trace (float) or its numerator, over dens
+    nums: list = []
+    dens: list[int] = []
+    one = 1 if exact else Fraction(1)
 
     def build_cumulants(combo: tuple[_Pair, ...], hits: Sequence[tuple[tuple, tuple]]) -> None:
-        """C_{pi,pi,rho} for each key of hits not met yet in this call, built on
-        this gluing's blocks unless the tables hold it, and evaluated at N."""
+        """C_{pi,pi,rho} for each key of hits new to the call, built on this
+        gluing's blocks unless the tables hold it, and evaluated at N."""
         blocks = None
         for key, rho in hits:
             if key in c_at_n:
@@ -761,36 +760,16 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
                 c_cache[key] = wg_cumulant(tables, pi, pi, rho_part)
             c_at_n[key] = None if symbolic else tables.cumulant_at(key, n)
 
-    def gluings() -> Iterator[tuple[tuple[_Pair, ...], tuple]]:
-        """Each gluing with its `term_for`, one block at a time; the built-in
-        matrices' memo is filled with each block's cycles, and a caller's
-        `trace_value` is left to be called on lookup."""
-        combos = glu.combos()
-        while block := list(itertools.islice(combos, GLUING_BLOCK)):
-            terms = [glu.term_for(combo) for combo in block]
-            if memo is not None:
-                memo.fill(c for term in terms for c in term[4])
-            yield from zip(block, terms)
-
-    # (chi, vertex masks, block shapes in colour order, tau index) -> [k summed
-    # over den (exact and symbolic), den, connecting (key, rho)s, coefficients (float)]
-    entries: dict[tuple, list] = {}
-    total = 0.0  # float: each hit's coefficient times k, in gluing and rho order
-    for combo, (chi, _, _, vertex, labels) in gluings():
-        masks = tuple(map(vertex_mask, vertex))
-        blocks = tuple([shapes[pair.plus][pair.minus] for shapes, pair in zip(block_shapes, combo)])
-        # without kappa, tau is the discrete partition (None until an entry needs it)
-        for t, tau in enumerate((None,) if kappa is None else _block_partitions((len(vertex),))):
+    def kappa_terms(ids: tuple[int, ...]) -> Iterator[tuple[int, tuple, object, int]]:
+        """(index, tau, k, den) per partition tau of the vertex cycles whose
+        product of vertex-trace cumulants k / den (floats over 1) is not 0."""
+        labels = tuple(map(glu.labels.__getitem__, ids))
+        for t, tau in enumerate(_block_partitions((len(ids),))):
             if not exact:
-                k = math.prod(map(tv, labels), start=Fraction(1)) if tau is None else \
-                    math.prod((tv(labels[b[0]]) if len(b) == 1 else
-                               kappa(tuple(map(labels.__getitem__, b))) for b in tau),
-                              start=Fraction(1))
-            elif tau is None:
-                k = math.prod(map(values.__getitem__, labels))
-                if not shared_den:
-                    den = math.prod(map(values.dens.__getitem__, labels))
-            else:  # the k of tau is k / den, from trace values and kappa values
+                k, den = math.prod((tv(labels[b[0]]) if len(b) == 1 else
+                                    kappa(tuple(map(labels.__getitem__, b))) for b in tau),
+                                   start=Fraction(1)), 1
+            else:
                 k = den = 1
                 for b in tau:
                     if len(b) == 1:
@@ -799,41 +778,70 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
                         memo_b, arg = kappas, tuple(map(labels.__getitem__, b))
                     k *= memo_b[arg]
                     den *= memo_b.dens[arg]
-            if not k:
-                continue
-            entry = entries.get((chi, masks, blocks, t))
-            if entry is None:
-                hits = _connecting_rhos(r, masks, tuple(map(blocks.__getitem__, order)),
-                                        tuple((i,) for i in range(len(vertex)))
-                                        if tau is None else tau)
-                build_cumulants(combo, hits)
-                if shared_den:
-                    den = math.prod(map(values.dens.__getitem__, labels))
-                entry = entries[chi, masks, blocks, t] = [
-                    0, den if exact else 1, hits,
-                    None if exact else [float(c_at_n[key] * Fraction(n) ** (chi - r))
-                                        for key, _ in hits]]
-            if not exact:
-                for coeff in entry[3]:
-                    total = total + coeff * k
-            elif shared_den or den == entry[1]:
-                entry[0] += k
-            else:  # k / den onto the entry's sum, over the lcm of both dens
-                if entry[1] % den:
-                    lcm = math.lcm(entry[1], den)
-                    entry[0] *= lcm // entry[1]
-                    entry[1] = lcm
-                entry[0] += k * (entry[1] // den)
+            if k:
+                yield t, tau, k, den
+
+    # (vertex masks, block shape ids, tau index) -> [k summed over den (exact),
+    # den, connecting (key, rho)s, N exponent, coefficients (float)]
+    entries: dict[tuple, list] = {}
+    total = 0.0  # float: each hit's coefficient times k, in gluing and rho order
+    known = 0  # cycle ids whose traces are filled
+    combos = glu.combos()
+    bids = itertools.product(*(ids for ids, _ in block_shapes))  # in step with combos
+    # one block of GLUING_BLOCK gluings at a time, with one batch of new traces
+    while block := list(itertools.islice(combos, GLUING_BLOCK)):
+        vertex = list(map(glu.term_for, block))
+        fresh, known = glu.labels[known:], len(glu.labels)
+        if memo is not None:
+            memo.fill(fresh)
+        if kappa is None:  # a caller's trace_value once per new cycle, in first-seen order
+            nums += map(values.__getitem__ if exact else tv, fresh)
+            dens += map(values.dens.__getitem__, fresh) if exact else [1] * len(fresh)
+        trace_masks += [sum({*map(code_bits.__getitem__, c)})
+                        for c in glu.cycles[len(trace_masks):]]
+        for combo, ids, bid in zip(block, vertex, bids):
+            if kappa is None:  # tau is the discrete partition
+                k = math.prod(map(nums.__getitem__, ids), start=one)
+                if not k:
+                    continue
+                terms = ((0, None, k, math.prod(map(dens.__getitem__, ids))),)
+            else:
+                terms = kappa_terms(ids)
+            masks = tuple(map(trace_masks.__getitem__, ids))
+            for t, tau, k, den in terms:
+                entry = entries.get((masks, bid, t))
+                if entry is None:
+                    shape = [shapes[i] for (_, shapes), i in zip(block_shapes, bid)]
+                    hits = _connecting_rhos(r, masks, tuple(map(shape.__getitem__, order)),
+                                            tuple((i,) for i in range(len(ids)))
+                                            if tau is None else tau)
+                    build_cumulants(combo, hits)
+                    e = sum(map(len, shape)) + len(ids) - expr.n  # chi - r
+                    entry = entries[masks, bid, t] = [
+                        0, den, hits, e,
+                        None if exact else [float(c_at_n[key] * Fraction(n) ** e)
+                                            for key, _ in hits]]
+                if not exact:
+                    for coeff in entry[4]:
+                        total = total + coeff * k
+                    continue
+                if den == entry[1]:
+                    entry[0] += k
+                else:  # k / den onto the entry's sum, over the lcm of both dens
+                    if entry[1] % den:
+                        lcm = math.lcm(entry[1], den)
+                        entry[0] *= lcm // entry[1]
+                        entry[1] = lcm
+                    entry[0] += k * (entry[1] // den)
     if not exact:
         return total
     # per N exponent, the lcm of its entries' denominators
     lcms: dict[int, int] = {}
-    for (chi, *_), (_, den, _, _) in entries.items():
-        lcms[chi - r] = math.lcm(lcms.get(chi - r, 1), den)
+    for _, den, _, e, _ in entries.values():
+        lcms[e] = math.lcm(lcms.get(e, 1), den)
     # per (N exponent, key), in first-hit order: the sum over that lcm
     weights: dict[tuple, int] = {}
-    for (chi, *_), (k_sum, den, hits, _) in entries.items():
-        e = chi - r
+    for k_sum, den, hits, e, _ in entries.values():
         if den != lcms[e]:
             k_sum *= lcms[e] // den
         for key, _ in hits:
@@ -902,20 +910,22 @@ def moment_symbolic(expr: TraceExpression,
     names the cycle; it is called once per distinct cycle, in first-seen
     order."""
     glu = _Gluings(expr, tables or default_tables(), term_cap)
-    groups = glu.grouped()
+    terms = glu.terms()
     values = _RationalValues(trace_value, "trace_value")
-    cycles = dict.fromkeys(itertools.chain.from_iterable(labels for labels, _, _ in groups))
+    labels = glu.labels
+    cycles = dict.fromkeys(labels)
     nums = [values[c] for c in cycles]  # trace_value once per cycle, in first-seen order
     scale = math.lcm(*values.dens.values())
     scaled = {c: v * (scale // values.dens[c]) for c, v in zip(cycles, nums)}
-    # (exponent, lambdas) -> [sum over scale^v, scale^v]; v is fixed by the two
+    scaled = list(map(scaled.__getitem__, labels))  # per cycle id
+    # (exponent, lam) -> [sum over scale^v, scale^v]; v is fixed by the two
     weights: dict[tuple, list[int]] = {}
-    for (labels, exponent, lambdas), mult in groups.items():
-        weight = weights.get((exponent, lambdas))
+    for ids, exponent, lam in terms:
+        weight = weights.get((exponent, lam))
         if weight is None:
-            weight = weights[exponent, lambdas] = [0, scale ** len(labels)]
-        weight[0] += mult * math.prod(map(scaled.__getitem__, labels))
-    return _symbolic_sum(weights, glu.tables.wg_product)
+            weight = weights[exponent, lam] = [0, scale ** len(ids)]
+        weight[0] += math.prod(map(scaled.__getitem__, ids))
+    return _symbolic_sum(weights, lambda lam: glu.tables.wg_product(glu.lambdas[lam]))
 
 
 def to_unnormalized(value, num_traces: int, n: int):
@@ -956,19 +966,3 @@ def center_slots(matrices: Mapping[int, DenseMatrix],
         ident = DenseMatrix.identity(m.n, mode=m.mode)
         out[label] = m.sub(ident.scale(m.normalized_trace()))
     return out
-
-
-def check_conjugated_color_consistency(expr: TraceExpression,
-                                       term: ExpansionTerm) -> bool:
-    """For conjugated-word expressions (eps alternating -,+ and colours tied in
-    odd/even pairs), every vertex cycle stays within one parity, and cycles of
-    odd positions stay within one colour."""
-    for cyc in term.vertex_cycles:
-        parities = {abs(k) % 2 for k in cyc}
-        if len(parities) != 1:
-            return False
-        if parities == {1}:
-            colors = {expr.color[abs(k)] for k in cyc}
-            if len(colors) != 1:
-                return False
-    return True

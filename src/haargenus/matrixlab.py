@@ -62,11 +62,12 @@ class DenseMatrix:
 
     Entries may be ints, Fractions, strings that `Fraction` accepts, or
     floats; one float entry makes the whole matrix float.  A bool entry or a
-    non-finite float is refused.  An exact matrix is made in integer form
-    (`integer_form`), with what `trace_numerators` reads of it: `_bound`,
-    max(1, largest |integer entry|), and `_int64`, the integer rows as an
-    int64 array when that bound is below INT64_LIMIT (else None).  Its
-    Fraction rows are kept when it is made from Fractions and formed on
+    non-finite float is refused, in `arr` too, so a float product, sum or
+    multiple that overflows raises ValidationError.  An exact matrix is made
+    in integer form (`integer_form`), with what `trace_numerators` reads of
+    it: `_bound`, max(1, largest |integer entry|), and `_int64`, the integer
+    rows as an int64 array when that bound is below INT64_LIMIT (else None).
+    Its Fraction rows are kept when it is made from Fractions and formed on
     first use otherwise, so a "p/q" string of ASCII digits is read by two
     int() parses and never becomes a Fraction on the way to a trace."""
 
@@ -74,29 +75,29 @@ class DenseMatrix:
 
     def __init__(self, rows=None, *, arr=None):
         self._rows = self._ints = self._arr = self._bound = self._int64 = None
+        if arr is None:
+            rows = [list(r) for r in rows]
+            n = len(rows)
+            if any(len(r) != n for r in rows):
+                raise ValidationError("matrix must be square")
+            flat = [v for r in rows for v in r]
+            for v in (v for v in flat if isinstance(v, bool)):
+                raise ValidationError(f"matrix entries must be numbers, got {v!r}")
+            if any(isinstance(v, float) for v in flat):
+                arr = np.array([v if isinstance(v, float) else operator.truediv(*_rational(v))
+                                for v in flat], dtype=float).reshape(n, n)
         if arr is not None:
             arr = np.asarray(arr, dtype=float)
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise ValidationError("matrix must be square")
+            for v in arr[~np.isfinite(arr)].tolist():
+                raise ValidationError(f"matrix entries must be finite, got {v!r}")
             self.mode = "float"
             self.n = arr.shape[0]
             self._arr = arr
             return
-        rows = [list(r) for r in rows]
-        n = self.n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise ValidationError("matrix must be square")
-        flat = [v for r in rows for v in r]
-        for v in (v for v in flat if isinstance(v, bool)):
-            raise ValidationError(f"matrix entries must be numbers, got {v!r}")
-        if any(isinstance(v, float) for v in flat):
-            self.mode = "float"
-            self._arr = np.array([v if isinstance(v, float) else operator.truediv(*_rational(v))
-                                  for v in flat], dtype=float).reshape(n, n)
-            for v in self._arr[~np.isfinite(self._arr)].tolist():
-                raise ValidationError(f"matrix entries must be finite, got {v!r}")
-            return
         self.mode = "exact"
+        self.n = n
         pairs = list(map(_rational, flat))
         den = math.lcm(*[q for _, q in pairs])
         ints = [p if q == den else p * (den // q) for p, q in pairs]

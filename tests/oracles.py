@@ -2,9 +2,10 @@
 
 They are written for plainness, not speed: the literal index sum for traces,
 Gauss-Jordan elimination over PolyFrac, traces of matrix products taken one
-cycle and one DenseMatrix product at a time, the SetPartition-join form
-of the trace-cumulant sum, and the symbolic moment and the float moment's
-coefficients accumulated as Fractions.
+cycle and one DenseMatrix product at a time, gluings enumerated as
+premaps, the SetPartition-join form of the trace-cumulant sum, and the
+symbolic moment and the float moment's coefficients accumulated as
+Fractions.
 """
 
 from __future__ import annotations
@@ -15,11 +16,59 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from haargenus.expansion import TERM_CAP, _Gluings, _TraceMemo, concatenate, default_tables
+from haargenus.expansion import IDENTITY_SLOT, ExpansionTerm, TraceExpression, _TraceMemo, \
+    concatenate, default_tables
 from haargenus.matrixlab import DenseMatrix, resolve_slot
+from haargenus.permap import K_inverse, Premap, delta_eps_conjugate, euler_characteristic, \
+    pairings_to_premap, particular_cycles
 from haargenus.ratpoly import PolyFrac
-from haargenus.setpart import SetPartition, enumerate_interval, enumerate_partitions, kernel_of
+from haargenus.setpart import SetPartition, enumerate_interval, enumerate_pairings, \
+    enumerate_partitions, join_of_pairings_diagram, kernel_of
 from haargenus.weingarten import wg_cumulant
+
+
+def label_cycles(expr: TraceExpression,
+                 cycles: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Map position cycles through the slots, dropping identity factors."""
+    out = []
+    for c in cycles:
+        labels = tuple(expr.vertex_label(k) for k in c)
+        out.append(tuple(l for l in labels if l != IDENTITY_SLOT))
+    return tuple(out)
+
+
+def premap_gluings(expr: TraceExpression):
+    """Each gluing as (pairings, chi, lambdas, vertex cycles, vertex labels),
+    in the library's order (colours sorted, each colour's (p_plus, p_minus)
+    with p_plus major), from the premap of its pairings: chi by
+    `euler_characteristic` and the vertex cycles as the particular cycles of
+    K^{-1}, both of phi and the delta_eps conjugate of the premap."""
+    phi = expr.phi()
+    per_colour = [[(p, q) for p in enumerate_pairings(pts) for q in enumerate_pairings(pts)]
+                  for pts in expr.positions_by_color().values()]
+    for pairings in itertools.product(*per_colour):
+        alpha = Premap({k: v for p, q in pairings
+                        for k, v in pairings_to_premap(p, q)._map.items()})
+        conj = delta_eps_conjugate(alpha, expr.eps)
+        vertex = particular_cycles(K_inverse(phi, conj))
+        yield (pairings, euler_characteristic(phi, conj),
+               tuple(join_of_pairings_diagram(p, q) for p, q in pairings),
+               vertex, label_cycles(expr, vertex))
+
+
+def check_conjugated_color_consistency(expr: TraceExpression, term: ExpansionTerm) -> bool:
+    """For conjugated-word expressions (eps alternating -,+ and colours tied in
+    odd/even pairs), every vertex cycle stays within one parity, and cycles of
+    odd positions stay within one colour."""
+    for cyc in term.vertex_cycles:
+        parities = {abs(k) % 2 for k in cyc}
+        if len(parities) != 1:
+            return False
+        if parities == {1}:
+            colors = {expr.color[abs(k)] for k in cyc}
+            if len(colors) != 1:
+                return False
+    return True
 
 
 def trace_index_sum(cycles: Iterable[Sequence[int]], matrices: Mapping[int, DenseMatrix]):
@@ -91,10 +140,10 @@ def join_trace_cumulant(exprs, *, matrices=None, n=None, mode="exact", trace_val
     tables = tables or default_tables()
     expr = concatenate(exprs)
     r = len(exprs)
-    glu = _Gluings(expr, tables, TERM_CAP)
+    gluings = list(premap_gluings(expr))
     if trace_value is None:
         memo = _TraceMemo(matrices, n, mode, expr.slot.values())
-        memo.fill(c for combo in glu.combos() for c in glu.term_for(combo)[4])
+        memo.fill(c for *_, labels in gluings for c in labels)
         tv = memo.value
     else:
         tv = trace_value
@@ -105,9 +154,8 @@ def join_trace_cumulant(exprs, *, matrices=None, n=None, mode="exact", trace_val
     c_cache: dict = {}
     weights: dict = {}
     total = Fraction(0) if mode == "exact" else 0.0
-    for combo in glu.combos():
-        chi, _, _, vertex, labels = glu.term_for(combo)
-        pi = SetPartition([b for p_plus, p_minus in glu.pairings(combo)
+    for pairings, chi, _, vertex, labels in gluings:
+        pi = SetPartition([b for p_plus, p_minus in pairings
                            for b in (p_plus | p_minus).blocks], ground=ground)
         s = len(vertex)
         if kappa is None:
@@ -149,29 +197,26 @@ def fraction_moment_symbolic(expr, trace_value, tables=None):
     summed as a Fraction, then each weight times N^exponent and the
     Weingarten factor as its own PolyFrac."""
     tables = tables or default_tables()
-    glu = _Gluings(expr, tables, TERM_CAP)
     trace = functools.lru_cache(maxsize=None)(trace_value)
     weights: dict = {}
-    for (labels, exponent, lambdas), mult in glu.grouped().items():
-        key = (exponent, lambdas)
-        weights[key] = weights.get(key, 0) + mult * math.prod(map(trace, labels),
-                                                             start=Fraction(1))
+    for _, chi, lambdas, _, labels in premap_gluings(expr):
+        key = (chi - 2 * expr.num_traces, lambdas)
+        weights[key] = weights.get(key, 0) + math.prod(map(trace, labels), start=Fraction(1))
     return sum((tables.wg_product(lambdas) * PolyFrac.n_power(exponent)
                 * PolyFrac.from_fraction(w)
                 for (exponent, lambdas), w in weights.items() if w), PolyFrac(0))
 
 
 def fraction_float_moment(expr, matrices, n, tables=None):
-    """Float `evaluate_moment` with Fraction coefficients: gluing count times
-    wg(lambdas, N) N^exponent summed per vertex trace pattern as a Fraction,
+    """Float `evaluate_moment` with Fraction coefficients: wg(lambdas, N)
+    N^exponent summed over the gluings of each vertex trace pattern as a Fraction,
     then float(coefficient) times the product of the pattern's float traces,
     added in first-seen order."""
     tables = tables or default_tables()
     memo = _TraceMemo(matrices, n, "float", expr.slot.values())
-    glu = _Gluings(expr, tables, TERM_CAP)
     coeffs: dict = {}
-    for (labels, exponent, lambdas), mult in glu.grouped().items():
-        coeff = mult * tables.wg_product_at(lambdas, n) * Fraction(n) ** exponent
+    for _, chi, lambdas, _, labels in premap_gluings(expr):
+        coeff = tables.wg_product_at(lambdas, n) * Fraction(n) ** (chi - 2 * expr.num_traces)
         coeffs[labels] = coeffs.get(labels, 0) + coeff
     memo.fill(itertools.chain.from_iterable(coeffs))
     total = 0.0

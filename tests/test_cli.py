@@ -158,6 +158,25 @@ class TestBadInput:
             assert f"{path}: bad matrix 1: matrix entries must be {text}" in captured.err
             assert captured.out == ""
 
+    ENTRY = {"color": 1, "eps": 1, "slot": 1}
+
+    @pytest.mark.parametrize("document, text", [
+        ({"traces": 5}, "'traces' must be a list of traces, got 5"),
+        ({"traces": [[ENTRY], 5]}, "traces[1] must be a list of entries, got 5"),
+        ({"traces": [[ENTRY, 7]]}, "traces[0][1] must be an object with the keys 'color', "
+                                   "'eps' and 'slot', got 7"),
+        ({"traces": [[{"color": 1, "eps": 1}]]}, "traces[0][0] must be an object with the "
+                                                 "keys 'color', 'eps' and 'slot', got "
+                                                 "{'color': 1, 'eps': 1}"),
+    ], ids=["traces-not-list", "trace-not-list", "entry-not-object", "entry-lacks-key"])
+    def test_bad_expression_shape_exit_code(self, tmp_path, capsys, document, text):
+        # the message names the trace, the entry and the type expected there
+        path = tmp_path / "expr.json"
+        path.write_text(json.dumps(document))
+        assert main(["moment", "--expr", str(path), "--N", "2"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and text in err and "Traceback" not in err
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         path = tmp_path / "absent.json"
         assert main(["moment", "--expr", str(path), "--N", "2"]) == 2

@@ -12,13 +12,12 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from haargenus.errors import CapExceededError, PoleError, ValidationError
 from haargenus.expansion import (TERM_CAP, TraceExpression, _Gluings, _pairing_table,
                                  asymptotic_moment, center_slots,
-                                 check_conjugated_color_consistency,
                                  concatenate, evaluate_moment, expand_moment,
                                  moment_symbolic, predicted_second_order_cov,
                                  to_unnormalized, trace_cumulant)
@@ -29,8 +28,9 @@ from haargenus.ratpoly import PolyFrac, format_polyfrac
 from haargenus.setpart import (SetPartition, enumerate_interval, enumerate_pairings,
                                enumerate_partitions, join_of_pairings_diagram, kernel_of, mobius)
 from haargenus.weingarten import TableSet, wg_cumulant
-from oracles import (dense_trace_along, fraction_float_moment, fraction_moment_symbolic,
-                     join_trace_cumulant)
+from oracles import (check_conjugated_color_consistency, dense_trace_along,
+                     fraction_float_moment, fraction_moment_symbolic, join_trace_cumulant,
+                     label_cycles, premap_gluings)
 
 TABLES = TableSet()
 
@@ -91,10 +91,11 @@ class TestTraceExpression:
         assert c.color == {1: 1, 2: 2, 3: 1}
 
     def test_vertex_labels_drop_identity(self):
+        # the oracle that the kernel's label cycles are checked against
         e = TraceExpression.conjugated_word([1], [4])
-        assert e.label_cycles([(1, -2)]) == ((4,),)
-        assert e.label_cycles([(2, -2)]) == ((),)
-        assert e.label_cycles([(-1,)]) == ((-4,),)
+        assert label_cycles(e, [(1, -2)]) == ((4,),)
+        assert label_cycles(e, [(2, -2)]) == ((),)
+        assert label_cycles(e, [(-1,)]) == ((-4,),)
 
 
 class TestExpandMoment:
@@ -200,29 +201,80 @@ def scattered(expr, rng):
     return relabel_positions(expr, dict(zip(expr.positions, targets)))
 
 
+@st.composite
+def kernel_expressions(draw):
+    """1-3 colours on at most 8 positions in all and at most 6 per colour (a
+    colour on 8 has 11,025 gluings, seconds of premap oracle, so one fixed
+    example has one), odd counts too; 1-3 traces, identity and repeated
+    slots, on scattered positions."""
+    counts = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)
+                  .filter(lambda c: sum(c) <= 8))
+    colours = draw(st.permutations([c for c, m in zip((1, 2, 5), counts) for _ in range(m)]))
+    n = len(colours)
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=2))) if n > 1 else []
+    eps = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    slots = draw(st.lists(st.sampled_from((0, 1, -1, 2, -2)), min_size=n, max_size=n))
+    points = draw(st.permutations(sorted(draw(st.sets(st.integers(1, 3 * n), min_size=n,
+                                                      max_size=n)))))
+    return TraceExpression([points[a:b] for a, b in zip([0, *cuts], [*cuts, n])],
+                           dict(zip(points, eps)), dict(zip(points, colours)),
+                           dict(zip(points, slots)))
+
+
 class TestGluingKernel:
-    def test_against_premap_oracle(self):
-        rng = random.Random(2024)
-        for _ in range(25):
-            expr = random_expression(rng)
-            glu = _Gluings(expr, TABLES, TERM_CAP)
-            combos = list(glu.combos())
-            assert len(combos) == glu.total
-            phi = expr.phi()
-            for combo in rng.sample(combos, min(30, len(combos))):
-                chi, exponent, lambdas, vertex, labels = glu.term_for(combo)
-                arcs = glu.arcs(combo)
-                pairings = glu.pairings(combo)
-                expected = {k: v for p_plus, p_minus in pairings
-                            for k, v in pairings_to_premap(p_plus, p_minus)._map.items()}
-                assert arcs == expected
-                conj = delta_eps_conjugate(Premap(arcs), expr.eps)
-                assert chi == euler_characteristic(phi, conj)
-                assert exponent == chi - 2 * expr.num_traces
-                assert vertex == particular_cycles(K_inverse(phi, conj))
-                assert labels == expr.label_cycles(vertex)
-                assert lambdas == tuple(join_of_pairings_diagram(p_plus, p_minus)
-                                        for p_plus, p_minus in pairings)
+    @settings(max_examples=40, deadline=None)
+    @given(kernel_expressions())
+    # one colour on 8 positions, all 11,025 gluings: the worked example's shape
+    # on scattered positions, with identity and repeated slots
+    @example(TraceExpression([(3, 9, 4), (12, 1, 7, 15, 6)],
+                             dict(zip((3, 9, 4, 12, 1, 7, 15, 6), (1, 1, -1, 1, -1, -1, 1, 1))),
+                             {k: 2 for k in (1, 3, 4, 6, 7, 9, 12, 15)},
+                             dict(zip((3, 9, 4, 12, 1, 7, 15, 6), (1, 0, -1, 2, 1, -2, 0, 1)))))
+    def test_against_premap_oracle(self, expr):
+        # every gluing, in order: the cycle table's cycles and labels, each
+        # gluing's exponent and diagrams from `terms`, and each streamed term
+        glu = _Gluings(expr, TABLES, TERM_CAP)
+        expected = list(premap_gluings(expr))
+        combos = list(glu.combos())
+        assert len(combos) == len(expected) == glu.total
+        r = expr.num_traces
+        for combo, (pairings, chi, lambdas, vertex, labels) in zip(combos, expected):
+            ids = glu.term_for(combo)
+            assert tuple(tuple(glu.codes[c] for c in glu.cycles[i]) for i in ids) == vertex
+            assert tuple(glu.labels[i] for i in ids) == labels
+            assert glu.pairings(combo) == pairings
+            assert glu.arcs(combo) == {k: v for p, q in pairings
+                                       for k, v in pairings_to_premap(p, q)._map.items()}
+        # one id per distinct cycle, in first-seen order
+        assert list(glu.cycle_ids) == glu.cycles
+        assert list(glu.cycle_ids.values()) == list(range(len(glu.cycles)))
+        assert glu.bits == [sum({1 << expr.positions.index(abs(glu.codes[c])) for c in cyc})
+                            for cyc in glu.cycles]
+        other = _Gluings(expr, TABLES, TERM_CAP)
+        assert [(tuple(other.labels[i] for i in ids), exponent, other.lambdas[lam])
+                for ids, exponent, lam in other.terms()] == \
+            [(labels, chi - 2 * r, lambdas) for _, chi, lambdas, _, labels in expected]
+        terms = list(expand_moment(expr, TABLES))
+        assert [(t.pairings, t.chi, t.exponent, t.lambdas, t.vertex_cycles, t.vertex_labels)
+                for t in terms] == [(p, chi, chi - 2 * r, lambdas, vertex, labels)
+                                    for p, chi, lambdas, vertex, labels in expected]
+        assert all(t.wg_factor == TABLES.wg_product(t.lambdas) for t in terms)
+
+    def test_trace_value_called_in_first_seen_order(self):
+        # a caller's trace_value sees each label cycle once, in the order the
+        # gluings, taken in turn, first meet it
+        rng = random.Random(62)
+        for _ in range(12):
+            expr = random_expression(rng, max_positions=6)
+            exprs = random_single_traces(rng)
+            for value, cycles in ((lambda tv: moment_symbolic(expr, tv, TABLES), expr),
+                                  (lambda tv: trace_cumulant(exprs, trace_value=tv,
+                                                             symbolic=True, tables=TABLES),
+                                   concatenate(exprs))):
+                calls = []
+                value(lambda cycle: calls.append(cycle) or Fraction(len(cycle) + 1, 3))
+                assert calls == list(dict.fromkeys(
+                    c for *_, labels in premap_gluings(cycles) for c in labels))
 
     def test_expand_moment_terms_on_scattered_positions(self):
         # each colour's shared table, built on 1..m, is relabelled onto that
@@ -245,7 +297,7 @@ class TestGluingKernel:
                 conj = delta_eps_conjugate(alpha, expr.eps)
                 assert t.chi == euler_characteristic(phi, conj)
                 assert t.vertex_cycles == particular_cycles(K_inverse(phi, conj))
-                assert t.vertex_labels == expr.label_cycles(t.vertex_cycles)
+                assert t.vertex_labels == label_cycles(expr, t.vertex_cycles)
                 assert t.lambdas == tuple(join_of_pairings_diagram(p, q) for p, q in t.pairings)
         assert gapped >= 10
 
@@ -287,7 +339,13 @@ class TestGluingKernel:
             expr = random_expression(rng, max_positions=6)
             stream = Counter((t.vertex_labels, t.exponent, t.lambdas)
                              for t in expand_moment(expr, TABLES))
-            grouped = _Gluings(expr, TABLES, TERM_CAP).grouped()
+            glu = _Gluings(expr, TABLES, TERM_CAP)
+            terms = glu.terms()
+            # the ids tell gluings apart, so the sums by id are per gluing
+            assert len({ids for ids, _, _ in terms}) == len(terms) == glu.total
+            grouped = Counter()
+            for ids, exponent, lam in terms:
+                grouped[tuple(map(glu.labels.__getitem__, ids)), exponent, glu.lambdas[lam]] += 1
             assert grouped == stream and list(grouped) == list(stream)
 
     def test_rho_choices_follow_the_interval(self):
@@ -389,7 +447,7 @@ class TestAsymptotics:
 
     def test_straight_pair_vanishes(self):
         e = TraceExpression.single_trace([(1, 1, 1), (1, 1, 2)])
-        assert asymptotic_moment(e, TABLES).is_zero()
+        assert asymptotic_moment(e, TABLES).terms == ()
 
     def test_centred_alternating_length_two_vanishes(self):
         rng = random.Random(23)

@@ -100,6 +100,17 @@ class TestDenseMatrix:
             DenseMatrix([[1.0, 0.0], ["1/2", bad]])
         with pytest.raises(ValidationError, match="finite"):
             DenseMatrix.from_json(json.loads(json.dumps([[1, bad], [0, 1]])))
+        with pytest.raises(ValidationError, match=f"^matrix entries must be finite, got {bad}$"):
+            DenseMatrix(arr=[[1.0, 0.0], [0.5, bad]])
+
+    def test_float_overflow_refused(self):
+        # a float product, sum or multiple that overflows is refused like an input
+        big = DenseMatrix(arr=[[1e200, 0.0], [0.0, 1.0]])
+        huge = DenseMatrix(arr=[[1.5e308, 0.0], [0.0, 1.0]])
+        for overflow in (lambda: big @ big, lambda: huge.add(huge), lambda: huge.scale(2)):
+            with pytest.raises(ValidationError, match="^matrix entries must be finite, got inf$"):
+                with np.errstate(over="ignore"):
+                    overflow()
 
     def test_block_repeat(self):
         block = DenseMatrix([[1, 2], [3, 4]])
