@@ -41,7 +41,10 @@ def _canonical(obj):
 
 
 def emit(report: dict, out: str | None) -> None:
-    text = json.dumps(_canonical(report), sort_keys=True, indent=1) + "\n"
+    try:  # strict JSON: a value that is not finite is an error, and nothing is written
+        text = json.dumps(_canonical(report), sort_keys=True, indent=1, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValidationError(f"the report holds a value that is not finite ({exc})") from exc
     if out:
         with open(out, "w") as fh:
             fh.write(text)

@@ -26,24 +26,29 @@ and `_Gluings.term_for` joins one pair's halves per colour by concatenation
 and walks the vertex cycles, skipping mirrors with a bitmask of positions.
 Each call keeps one cycle table: every distinct cycle of codes gets an id,
 in first-seen order, with its label cycle and position bits made once, and
-`term_for` returns ids, which tell gluings apart.  Evaluators sum by id:
-moments read `_Gluings.terms` (each gluing's ids, exponent and diagram
-indices), cumulants key their entries on tuples of ints, and traces are
-computed once per distinct label cycle (`_TraceMemo`) and read per id.
-Only `expand_moment` decodes each gluing through the cycle table into an
-`ExpansionTerm`, which builds its `Premap` only when `alpha` is read.
+`term_for` returns ids, which tell gluings apart.
+
+`_Gluings.slices` is the one loop over gluings, and every evaluator runs on
+it: it yields at most GLUING_BLOCK gluings at a time, with the label cycles
+first met in the slice, whose traces (`_TraceMemo`) or caller's values are
+read once per slice.  So a call holds its cycle table, its sums and one
+slice.  Every gluing's diagrams (`lambdas`) are known before the loop, so
+each Weingarten factor, and each pole, comes before any trace.  Only
+`expand_moment` decodes each gluing into an `ExpansionTerm`, which builds
+its `Premap` only when `alpha` is read.
 
 Exact sums run on integers.  A gluing's vertex cycles hold each position
 exactly once, so the product of their trace denominators is D N^v for every
 gluing, D the product of the positions' matrix denominators and v the number
 of vertex cycles: an exact moment sums the products of integer trace
-numerators per (diagrams, v), and an exact cumulant sums per entry over
-the lcm of its terms' denominators.  A caller's `trace_value` and `kappa` are
-split once per argument into numerator and denominator (`_RationalValues`).
-Symbolic results gather the N-exponent weights of each coefficient into one
-Laurent polynomial (`_laurent`).  Float moments sum each label pattern's
+numerators per (diagrams, v).  Exact cumulant entries and symbolic moments
+sum over the running lcm of their terms' denominators (`_add_over`), a
+caller's values split once per argument (`_RationalValues`), and symbolic
+results gather the N-exponent weights of each coefficient into one Laurent
+polynomial (`_laurent`).  Float moments sum each label pattern's
 coefficients as ints over one denominator and divide once, the correctly
-rounded float of the exact sum; float cumulants add term by term.
+rounded float of the exact sum; float cumulants add term by term.  A float
+trace or result that is not finite raises ValidationError.
 """
 
 from __future__ import annotations
@@ -65,9 +70,9 @@ from .setpart import PARTITION_CAP, SetPartition, YoungDiagram, enumerate_partit
 from .weingarten import TableSet, join_blocks, pairing_partners, wg_cumulant
 
 TERM_CAP = 500_000
-# gluings per batch of cumulant traces: an untuned bound on the `term_for`
-# results held at once (expansions run up to TERM_CAP gluings); every
-# benchmark cumulant has a few hundred gluings and fits in one block
+# gluings per slice of every evaluator (`_Gluings.slices`): an untuned bound
+# on the gluings and traces held at once (expansions run up to TERM_CAP
+# gluings); every benchmark query has at most 225 gluings, so one slice
 GLUING_BLOCK = 4096
 # colours' trace-bit tuples whose pair block shapes are kept (`_block_shapes`)
 BLOCK_SHAPES_CAP = 256
@@ -269,6 +274,22 @@ def _pairing_table(m: int) -> tuple[tuple[tuple[int, ...], ...], tuple[_Pair, ..
 
 
 @functools.lru_cache(maxsize=None)
+def _diagram_table(sizes: tuple[int, ...]) -> tuple[tuple, tuple[int, ...], tuple]:
+    """(lambdas, rows, columns) of colours of these sizes, built once per
+    process: every tuple of the colours' diagrams, in the order the gluings
+    first meet them (the product of the colours' lists, colour 0 slowest, as
+    each colour's pairs meet its diagrams in index order); the rows of each;
+    and per colour, each pair's diagram index times the colour's stride, so
+    that a gluing's index in lambdas is the sum over its pairs."""
+    tables = [_pairing_table(m) for m in sizes]
+    lambdas = tuple(itertools.product(*(diagrams for _, _, diagrams in tables)))
+    strides = [math.prod(len(t[2]) for t in tables[c + 1:]) for c in range(len(tables))]
+    return (lambdas, tuple(sum(d.num_rows for d in lam) for lam in lambdas),
+            tuple(tuple(pair.lam * stride for pair in pairs)
+                  for (_, pairs, _), stride in zip(tables, strides)))
+
+
+@functools.lru_cache(maxsize=None)
 def _block_partitions(counts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Set partitions of the indices 0, 1, ... that keep each run of counts[c]
     consecutive indices apart: the product over runs of the set partitions of
@@ -286,7 +307,8 @@ class _Gluings:
     """The gluing kernel (see the module docstring) and the call's cycle
     table: each distinct vertex cycle of codes has an id in `cycle_ids`, and
     per id `cycles` holds its codes, `labels` its label cycle and `bits` its
-    positions (rank i as the bit 1 << i).  Pairings, arcs and blocks are
+    positions (rank i as the bit 1 << i); `lambdas` lists the gluings'
+    tuples of diagrams (`_diagram_table`).  Pairings, arcs and blocks are
     relabelled onto the real points only where they are read (`pairings`,
     `arcs`, `rho_choices`)."""
 
@@ -328,27 +350,23 @@ class _Gluings:
         self.halves: list[tuple[list[tuple[int, ...]], list[tuple[int, ...]]]] = []
         # per colour, (0, least position, ...): point i of the table is points[i]
         self.points: list[tuple[int, ...]] = []
-        self.diagrams: list[tuple[YoungDiagram, ...]] = []  # per colour, by index
         # choices run over colours in sorted order; ker(colour) orders them by least position
         firsts = [pts[0] for pts in by_color.values()]
         self.ker_order = sorted(range(len(firsts)), key=firsts.__getitem__)
         for pts in colours:
             tables.table(len(pts))  # a table beyond its cap fails before enumeration
             self.points.append((0, *pts))
-            partners, pairs, diagrams = _pairing_table(len(pts))
+            partners, pairs, _ = _pairing_table(len(pts))
             # the arc x -> -p(x) of p_plus and -x -> p(x) of p_minus
             to_minus = [code[dst[-k]] for k in pts]
             to_plus = [code[dst[k]] for k in pts]
             self.halves.append(([tuple(map(to_minus.__getitem__, p)) for p in partners],
                                 [tuple(map(to_plus.__getitem__, p)) for p in partners]))
             self.choices.append(pairs)
-            self.diagrams.append(diagrams)
         self._pairings: list[list[SetPartition]] | None = None
         self._arcs: list[tuple] | None = None
-        self.lambdas: dict[tuple[int, ...], tuple[YoungDiagram, ...]] = {}
-
-    def combos(self) -> Iterator[tuple[_Pair, ...]]:
-        return itertools.product(*self.choices)
+        self.lambdas, self._rows, self._columns = \
+            ((), (), ()) if odd else _diagram_table(tuple(map(len, colours)))
 
     def term_for(self, combo: tuple[_Pair, ...]) -> tuple[int, ...]:
         """The ids in `cycle_ids` of the gluing's vertex cycles: the particular
@@ -382,20 +400,25 @@ class _Gluings:
             free ^= bits[cid]
         return tuple(ids)
 
-    def terms(self) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
-        """(vertex cycle ids, exponent, diagram indices per colour) of every
-        gluing, in order, and `lambdas` the diagrams of each diagram indices,
-        in first-seen order.  No two gluings share their ids: the vertex
+    def slices(self) -> Iterator[tuple[list[tuple[tuple[_Pair, ...], tuple[int, ...], int, int]],
+                                       list[tuple[int, ...]]]]:
+        """Every gluing, in order, in slices of at most GLUING_BLOCK: the
+        slice's gluings, each as (combo, vertex cycle ids, exponent, index of
+        its diagrams in `lambdas`), and the label cycles of the ids first met
+        in the slice, one per id.  No two gluings share their ids: the vertex
         cycles and their mirrors make up K^{-1}, which fixes the premap."""
-        lams = itertools.product(*([pair.lam for pair in pairs] for pairs in self.choices))
-        rows: dict[tuple[int, ...], int] = {}  # join blocks of all colours, less r and n
-        out = []
-        for ids, lam in zip(map(self.term_for, self.combos()), lams):
-            if lam not in rows:
-                self.lambdas[lam] = tuple(map(tuple.__getitem__, self.diagrams, lam))
-                rows[lam] = sum(d.num_rows for d in self.lambdas[lam]) - self.num_traces - self.n
-            out.append((ids, rows[lam] + len(ids), lam))
-        return out
+        columns = self._columns
+        # each gluing's index in `lambdas`, in step with the combos (one colour: its column)
+        index = iter(columns[0]) if len(columns) == 1 else map(sum, itertools.product(*columns))
+        # per diagrams, the exponent less the number of vertex cycles
+        base = [k - self.num_traces - self.n for k in self._rows]
+        combos = itertools.product(*self.choices)
+        known = 0  # cycle ids of earlier slices
+        while block := list(itertools.islice(combos, GLUING_BLOCK)):
+            rows = [(combo, ids, base[lam] + len(ids), lam)
+                    for combo, ids, lam in zip(block, map(self.term_for, block), index)]
+            yield rows, self.labels[known:]
+            known = len(self.labels)
 
     def pairings(self, combo: tuple[_Pair, ...]) -> tuple[tuple[SetPartition, SetPartition], ...]:
         """Each colour's (p_plus, p_minus) on its positions; each colour's
@@ -441,22 +464,16 @@ def expand_moment(expr: TraceExpression, tables: TableSet | None = None,
     Empty for expressions with an odd number of O-factors of some colour."""
     glu = _Gluings(expr, tables or default_tables(), term_cap)
     vertex: list[tuple[int, ...]] = []  # per cycle id, on the signed positions
-    # each gluing's diagrams and join blocks, in step with the combos
-    lambdas_of = itertools.product(*([d[pair.lam] for pair in pairs]
-                                     for d, pairs in zip(glu.diagrams, glu.choices)))
-    blocks_of = map(sum, itertools.product(*([len(pair.blocks) for pair in pairs]
-                                            for pairs in glu.choices)))
-    for combo, lambdas, blocks in zip(glu.combos(), lambdas_of, blocks_of):
-        ids = glu.term_for(combo)
-        for c in glu.cycles[len(vertex):]:
-            vertex.append(tuple(map(glu.codes.__getitem__, c)))
-        chi = glu.num_traces + blocks + len(ids) - glu.n
-        yield ExpansionTerm(
-            pairings=glu.pairings(combo), arcs=glu.arcs(combo),
-            chi=chi, exponent=chi - 2 * glu.num_traces,
-            wg_factor=glu.tables.wg_product(lambdas), lambdas=lambdas,
-            vertex_cycles=tuple(map(vertex.__getitem__, ids)),
-            vertex_labels=tuple(map(glu.labels.__getitem__, ids)))
+    for rows, _ in glu.slices():
+        vertex += (tuple(map(glu.codes.__getitem__, c)) for c in glu.cycles[len(vertex):])
+        for combo, ids, exponent, lam in rows:
+            lambdas = glu.lambdas[lam]
+            yield ExpansionTerm(
+                pairings=glu.pairings(combo), arcs=glu.arcs(combo),
+                chi=exponent + 2 * glu.num_traces, exponent=exponent,
+                wg_factor=glu.tables.wg_product(lambdas), lambdas=lambdas,
+                vertex_cycles=tuple(map(vertex.__getitem__, ids)),
+                vertex_labels=tuple(map(glu.labels.__getitem__, ids)))
 
 
 @dataclass
@@ -519,25 +536,38 @@ class _TraceMemo(dict):
         return Fraction(self[cycle], self.dens[cycle])
 
     def fill(self, cycles: Iterable[tuple[int, ...]]) -> None:
-        """Compute the cycles not held yet, in one batch, in first-seen order."""
+        """Compute the cycles not held yet, in one batch, in first-seen order.
+        A float trace that is not finite raises ValidationError naming its
+        cycle."""
         fresh = [c for c in dict.fromkeys(cycles) if c not in self]
         nums, dens = trace_numerators(fresh, self.mats, normalized=True)
         if self.exact:
             self.update(zip(fresh, nums))
             self.dens.update(zip(fresh, dens))
-        else:
-            self.update(zip(fresh, (t / d for t, d in zip(nums, dens))))
+            return
+        for cycle, t, d in zip(fresh, nums, dens):
+            value = self[cycle] = t / d
+            if not math.isfinite(value):
+                raise ValidationError(f"the normalized trace along the label cycle {cycle} "
+                                      f"is not finite: {value!r}")
 
 
 def _pattern_sum(terms: Iterable[tuple[tuple, Fraction]], trace, mode: str):
     """Sum over (label pattern, coefficient) of the coefficient times the
-    product of traces along the pattern, in the given order."""
+    product of traces along the pattern, in the given order; a float sum
+    that is not finite raises ValidationError."""
     exact = mode != "float"
     total = Fraction(0) if exact else 0.0
     for pattern, coeff in terms:
         total += (coeff if exact else float(coeff)) * \
             math.prod(map(trace, pattern), start=Fraction(1) if exact else 1.0)
-    return total
+    return total if exact else _finite(total)
+
+
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise ValidationError(f"the result is not finite: {value!r}")
+    return value
 
 
 def evaluate_moment(expr: TraceExpression, matrices: Mapping[int, DenseMatrix],
@@ -551,32 +581,37 @@ def evaluate_moment(expr: TraceExpression, matrices: Mapping[int, DenseMatrix],
     traces is evaluated once."""
     memo = _TraceMemo(matrices, n, mode, expr.slot.values())
     glu = _Gluings(expr, tables or default_tables(), term_cap)
-    terms = glu.terms()
-    # the Weingarten factor at N once per distinct diagrams, in first-seen order
-    wg = {lam: glu.tables.wg_product_at(lambdas, n) for lam, lambdas in glu.lambdas.items()}
+    # the Weingarten factor at N once per diagrams, in first-seen order
+    wg = [glu.tables.wg_product_at(lambdas, n) for lambdas in glu.lambdas]
     labels = glu.labels
-    memo.fill(labels)
     if not memo.exact:
-        lo = min([0, *(exponent for _, exponent, _ in terms)])
-        scale = math.lcm(*(w.denominator for w in wg.values()))
-        scaled = {lam: w.numerator * (scale // w.denominator) for lam, w in wg.items()}
+        # every exponent is at least -r - n, and any lo at or below the least
+        # one gives each pattern the same correctly rounded s / den
+        lo = -glu.num_traces - glu.n
+        scale = math.lcm(*(w.denominator for w in wg))
+        scaled = [w.numerator * (scale // w.denominator) for w in wg]
         sums: dict[tuple, int] = {}  # per label pattern
-        for ids, exponent, lam in terms:
-            pattern = tuple(map(labels.__getitem__, ids))
-            sums[pattern] = sums.get(pattern, 0) + scaled[lam] * n ** (exponent - lo)
+        for rows, fresh in glu.slices():
+            memo.fill(fresh)
+            for _, ids, exponent, lam in rows:
+                pattern = tuple(map(labels.__getitem__, ids))
+                sums[pattern] = sums.get(pattern, 0) + scaled[lam] * n ** (exponent - lo)
         den = scale * n ** -lo
         return MomentResult(value=_pattern_sum(((pattern, s / den) for pattern, s in sums.items()),
                                                memo.value, mode),
                             term_count=glu.total)
-    nums = list(map(memo.__getitem__, labels))  # per cycle id
+    nums: list[int] = []  # per cycle id
     # (lam, cycles) -> [sum of prod T, the shared prod of dens, exponent]
     sums: dict[tuple, list[int]] = {}
-    for ids, exponent, lam in terms:
-        group = sums.get((lam, len(ids)))
-        if group is None:
-            group = sums[lam, len(ids)] = \
-                [0, math.prod(memo.dens[labels[i]] for i in ids), exponent]
-        group[0] += math.prod(map(nums.__getitem__, ids))
+    for rows, fresh in glu.slices():
+        memo.fill(fresh)
+        nums += map(memo.__getitem__, fresh)
+        for _, ids, exponent, lam in rows:
+            group = sums.get((lam, len(ids)))
+            if group is None:
+                group = sums[lam, len(ids)] = \
+                    [0, math.prod(memo.dens[labels[i]] for i in ids), exponent]
+            group[0] += math.prod(map(nums.__getitem__, ids))
     value = sum((wg[lam] * Fraction(n) ** exponent * Fraction(s, den)
                  for (lam, _), (s, den, exponent) in sums.items()), Fraction(0))
     return MomentResult(value=value, term_count=glu.total)
@@ -603,17 +638,18 @@ def asymptotic_moment(expr: TraceExpression, tables: TableSet | None = None,
                       term_cap: int = TERM_CAP) -> AsymptoticMoment:
     """Keep only exponent-zero gluings, with Weingarten limits as coefficients."""
     glu = _Gluings(expr, tables or default_tables(), term_cap)
-    limits: dict[tuple, Fraction] = {}  # per distinct diagrams
+    limits: dict[int, Fraction] = {}  # per diagrams index
     acc: dict[tuple, Fraction] = {}
-    terms = glu.terms()
     labels = glu.labels
-    for ids, exponent, lam in terms:
-        if exponent == 0:
-            limit = limits.get(lam)
-            if limit is None:
-                limit = limits[lam] = glu.tables.wg_product(glu.lambdas[lam]).limit_at_infinity()
-            pattern = tuple(map(labels.__getitem__, ids))
-            acc[pattern] = acc.get(pattern, Fraction(0)) + limit
+    for rows, _ in glu.slices():
+        for _, ids, exponent, lam in rows:
+            if exponent == 0:
+                limit = limits.get(lam)
+                if limit is None:
+                    limit = limits[lam] = \
+                        glu.tables.wg_product(glu.lambdas[lam]).limit_at_infinity()
+                pattern = tuple(map(labels.__getitem__, ids))
+                acc[pattern] = acc.get(pattern, Fraction(0)) + limit
     terms = tuple((c, pat) for pat, c in sorted(acc.items()) if c != 0)
     return AsymptoticMoment(terms=terms)
 
@@ -690,8 +726,8 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
     block shape id of each colour's pair (`_block_shapes`).  Exact and
     symbolic results sum per entry and expand the sums into one weight per
     (N exponent, relative cumulant); float results add term by term in
-    gluing and rho order.  Gluings run in blocks of GLUING_BLOCK, each with
-    one batch of traces of the built-in matrices.
+    gluing and rho order.  Gluings run in the slices of `_Gluings.slices`,
+    each with one batch of traces of the built-in matrices.
 
     Deterministic slot matrices are the built-in path (higher vertex-trace
     cumulants vanish), and a slot label with no matrix fails before any
@@ -785,13 +821,9 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
     # den, connecting (key, rho)s, N exponent, coefficients (float)]
     entries: dict[tuple, list] = {}
     total = 0.0  # float: each hit's coefficient times k, in gluing and rho order
-    known = 0  # cycle ids whose traces are filled
-    combos = glu.combos()
-    bids = itertools.product(*(ids for ids, _ in block_shapes))  # in step with combos
-    # one block of GLUING_BLOCK gluings at a time, with one batch of new traces
-    while block := list(itertools.islice(combos, GLUING_BLOCK)):
-        vertex = list(map(glu.term_for, block))
-        fresh, known = glu.labels[known:], len(glu.labels)
+    # each gluing's block shape ids, in step with the gluings
+    bids = itertools.product(*(ids for ids, _ in block_shapes))
+    for rows, fresh in glu.slices():
         if memo is not None:
             memo.fill(fresh)
         if kappa is None:  # a caller's trace_value once per new cycle, in first-seen order
@@ -799,7 +831,7 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
             dens += map(values.dens.__getitem__, fresh) if exact else [1] * len(fresh)
         trace_masks += [sum({*map(code_bits.__getitem__, c)})
                         for c in glu.cycles[len(trace_masks):]]
-        for combo, ids, bid in zip(block, vertex, bids):
+        for (combo, ids, exponent, _), bid in zip(rows, bids):
             if kappa is None:  # tau is the discrete partition
                 k = math.prod(map(nums.__getitem__, ids), start=one)
                 if not k:
@@ -816,7 +848,7 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
                                             tuple((i,) for i in range(len(ids)))
                                             if tau is None else tau)
                     build_cumulants(combo, hits)
-                    e = sum(map(len, shape)) + len(ids) - expr.n  # chi - r
+                    e = exponent + r  # chi - r
                     entry = entries[masks, bid, t] = [
                         0, den, hits, e,
                         None if exact else [float(c_at_n[key] * Fraction(n) ** e)
@@ -825,35 +857,24 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
                     for coeff in entry[4]:
                         total = total + coeff * k
                     continue
-                if den == entry[1]:
+                if den == entry[1]:  # the common case, without a call
                     entry[0] += k
-                else:  # k / den onto the entry's sum, over the lcm of both dens
-                    if entry[1] % den:
-                        lcm = math.lcm(entry[1], den)
-                        entry[0] *= lcm // entry[1]
-                        entry[1] = lcm
-                    entry[0] += k * (entry[1] // den)
+                else:
+                    _add_over(entry, k, den)
     if not exact:
-        return total
-    # per N exponent, the lcm of its entries' denominators
-    lcms: dict[int, int] = {}
-    for _, den, _, e, _ in entries.values():
-        lcms[e] = math.lcm(lcms.get(e, 1), den)
-    # per (N exponent, key), in first-hit order: the sum over that lcm
-    weights: dict[tuple, int] = {}
+        return _finite(total)
+    # per (N exponent, key), in first-hit order: [sum, den]
+    weights: dict[tuple, list[int]] = {}
     for k_sum, den, hits, e, _ in entries.values():
-        if den != lcms[e]:
-            k_sum *= lcms[e] // den
         for key, _ in hits:
-            weights[e, key] = weights.get((e, key), 0) + k_sum
+            _add_over(weights.setdefault((e, key), [0, 1]), k_sum, den)
     if symbolic:
-        return _symbolic_sum({(e, key): (w, lcms[e]) for (e, key), w in weights.items()},
-                             c_cache.__getitem__)
-    # sum c(key) w per N exponent, then one power and one division each
+        return _symbolic_sum(weights, c_cache.__getitem__)
+    # sum c(key) w / d per N exponent, then one power each
     sums: dict[int, Fraction] = {}
-    for (e, key), w in weights.items():
-        sums[e] = sums.get(e, 0) + c_at_n[key] * w
-    return sum((s * Fraction(n) ** e / lcms[e] for e, s in sums.items()), Fraction(0))
+    for (e, key), (w, d) in weights.items():
+        sums[e] = sums.get(e, 0) + c_at_n[key] * Fraction(w, d)
+    return sum((s * Fraction(n) ** e for e, s in sums.items()), Fraction(0))
 
 
 class _RationalValues(dict):
@@ -875,6 +896,18 @@ class _RationalValues(dict):
         self.dens[arg] = v.denominator
         self[arg] = v.numerator
         return v.numerator
+
+
+def _add_over(acc: list, k: int, den: int) -> None:
+    """Add k / den onto acc[0] / acc[1], over the lcm of both denominators."""
+    if den == acc[1]:
+        acc[0] += k
+        return
+    if acc[1] % den:
+        lcm = math.lcm(acc[1], den)
+        acc[0] *= lcm // acc[1]
+        acc[1] = lcm
+    acc[0] += k * (acc[1] // den)
 
 
 def _laurent(terms: Mapping[int, tuple[int, int]]) -> PolyFrac:
@@ -910,21 +943,20 @@ def moment_symbolic(expr: TraceExpression,
     names the cycle; it is called once per distinct cycle, in first-seen
     order."""
     glu = _Gluings(expr, tables or default_tables(), term_cap)
-    terms = glu.terms()
     values = _RationalValues(trace_value, "trace_value")
-    labels = glu.labels
-    cycles = dict.fromkeys(labels)
-    nums = [values[c] for c in cycles]  # trace_value once per cycle, in first-seen order
-    scale = math.lcm(*values.dens.values())
-    scaled = {c: v * (scale // values.dens[c]) for c, v in zip(cycles, nums)}
-    scaled = list(map(scaled.__getitem__, labels))  # per cycle id
-    # (exponent, lam) -> [sum over scale^v, scale^v]; v is fixed by the two
+    nums: list[int] = []  # per cycle id, over dens
+    dens: list[int] = []
+    # (exponent, lam) -> [sum of the products of traces, over den]
     weights: dict[tuple, list[int]] = {}
-    for ids, exponent, lam in terms:
-        weight = weights.get((exponent, lam))
-        if weight is None:
-            weight = weights[exponent, lam] = [0, scale ** len(ids)]
-        weight[0] += math.prod(map(scaled.__getitem__, ids))
+    for rows, fresh in glu.slices():
+        nums += map(values.__getitem__, fresh)  # trace_value once per cycle, in first-seen order
+        dens += map(values.dens.__getitem__, fresh)
+        for _, ids, exponent, lam in rows:
+            weight = weights.get((exponent, lam))
+            if weight is None:
+                weight = weights[exponent, lam] = [0, 1]
+            _add_over(weight, math.prod(map(nums.__getitem__, ids)),
+                      math.prod(map(dens.__getitem__, ids)))
     return _symbolic_sum(weights, lambda lam: glu.tables.wg_product(glu.lambdas[lam]))
 
 

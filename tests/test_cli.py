@@ -209,6 +209,45 @@ class TestBadInput:
         assert "positive integer" in result.stderr and "Traceback" not in result.stderr
 
 
+class TestNonFiniteFloats:
+    """Finite float matrices whose traces or results overflow exit 2 with
+    the cause named, and no report holds a value that JSON cannot hold."""
+
+    BIG = [[1e200, 1e200], [1e200, 1e200]]
+    # tr(X X^T): finite traces whose product overflows
+    XXT = [{"color": 1, "eps": 1, "slot": 1}, {"color": 1, "eps": -1, "slot": -1}]
+    # tr(O X) tr(O^T X): the label cycle (1, 1), X X, overflows
+    SPLIT = [[{"color": 1, "eps": 1, "slot": 1}], [{"color": 1, "eps": -1, "slot": 1}]]
+
+    @pytest.mark.parametrize("traces, extra, text", [
+        ([XXT], [], "the result is not finite: inf"),
+        ([XXT], ["--asymptotic"], "the result is not finite: inf"),
+        (SPLIT, [], "the label cycle (1, 1) is not finite: inf")])
+    def test_moment(self, tmp_path, capsys, traces, extra, text):
+        path = tmp_path / "expr.json"
+        path.write_text(json.dumps({"traces": traces, "matrices": {"1": self.BIG}}))
+        assert main(["moment", "--expr", str(path), "--N", "2", "--mode", "float",
+                     *extra]) == 2
+        captured = capsys.readouterr()
+        assert text in captured.err and captured.out == ""
+
+    def test_cumulant(self, tmp_path, capsys):
+        path = tmp_path / "exprs.json"
+        path.write_text(json.dumps({"exprs": [{"traces": [self.XXT]}],
+                                    "matrices": {"1": self.BIG}}))
+        assert main(["cumulant", "--exprs", str(path), "--N", "2", "--mode", "float"]) == 2
+        captured = capsys.readouterr()
+        assert "the result is not finite: inf" in captured.err and captured.out == ""
+
+    def test_emit_refuses_non_finite(self, capsys):
+        from haargenus.cli import emit
+        from haargenus.errors import ValidationError
+
+        with pytest.raises(ValidationError, match="not finite"):
+            emit({"value": float("nan")}, None)
+        assert capsys.readouterr().out == ""
+
+
 class TestMatricesFlag:
     def test_override_file(self, tmp_path, capsys):
         bare = {"traces": MOMENT_EXPR["traces"]}

@@ -230,12 +230,18 @@ class TestGluingKernel:
                              dict(zip((3, 9, 4, 12, 1, 7, 15, 6), (1, 1, -1, 1, -1, -1, 1, 1))),
                              {k: 2 for k in (1, 3, 4, 6, 7, 9, 12, 15)},
                              dict(zip((3, 9, 4, 12, 1, 7, 15, 6), (1, 0, -1, 2, 1, -2, 0, 1)))))
+    # two colours of two diagrams each: a gluing's index into `lambdas`
+    # weighs colour 0's diagram by colour 1's count
+    @example(TraceExpression([(1, 2, 3, 4), (5, 6, 7, 8)],
+                             dict(zip(range(1, 9), (1, -1, -1, 1, 1, 1, -1, -1))),
+                             dict(zip(range(1, 9), (1, 2, 1, 2, 2, 1, 1, 2))),
+                             dict(zip(range(1, 9), (1, 2, -1, 0, 2, 1, 1, -2)))))
     def test_against_premap_oracle(self, expr):
         # every gluing, in order: the cycle table's cycles and labels, each
         # gluing's exponent and diagrams from `terms`, and each streamed term
         glu = _Gluings(expr, TABLES, TERM_CAP)
         expected = list(premap_gluings(expr))
-        combos = list(glu.combos())
+        combos = list(itertools.product(*glu.choices))
         assert len(combos) == len(expected) == glu.total
         r = expr.num_traces
         for combo, (pairings, chi, lambdas, vertex, labels) in zip(combos, expected):
@@ -251,30 +257,40 @@ class TestGluingKernel:
         assert glu.bits == [sum({1 << expr.positions.index(abs(glu.codes[c])) for c in cyc})
                             for cyc in glu.cycles]
         other = _Gluings(expr, TABLES, TERM_CAP)
-        assert [(tuple(other.labels[i] for i in ids), exponent, other.lambdas[lam])
-                for ids, exponent, lam in other.terms()] == \
-            [(labels, chi - 2 * r, lambdas) for _, chi, lambdas, _, labels in expected]
+        slices = list(other.slices())
+        assert [(combo, tuple(other.labels[i] for i in ids), exponent, other.lambdas[lam])
+                for rows, _ in slices for combo, ids, exponent, lam in rows] == \
+            [(combo, labels, chi - 2 * r, lambdas)
+             for combo, (_, chi, lambdas, _, labels) in zip(combos, expected)]
+        # each slice brings the label cycles of the ids it meets first
+        assert [c for _, fresh in slices for c in fresh] == other.labels
+        # `lambdas` lists each gluing's diagrams once, in first-seen order
+        assert other.lambdas == tuple(dict.fromkeys(lambdas for _, _, lambdas, _, _ in expected))
         terms = list(expand_moment(expr, TABLES))
         assert [(t.pairings, t.chi, t.exponent, t.lambdas, t.vertex_cycles, t.vertex_labels)
                 for t in terms] == [(p, chi, chi - 2 * r, lambdas, vertex, labels)
                                     for p, chi, lambdas, vertex, labels in expected]
         assert all(t.wg_factor == TABLES.wg_product(t.lambdas) for t in terms)
 
-    def test_trace_value_called_in_first_seen_order(self):
+    def test_trace_value_called_in_first_seen_order(self, monkeypatch):
         # a caller's trace_value sees each label cycle once, in the order the
-        # gluings, taken in turn, first meet it
-        rng = random.Random(62)
-        for _ in range(12):
-            expr = random_expression(rng, max_positions=6)
-            exprs = random_single_traces(rng)
-            for value, cycles in ((lambda tv: moment_symbolic(expr, tv, TABLES), expr),
-                                  (lambda tv: trace_cumulant(exprs, trace_value=tv,
-                                                             symbolic=True, tables=TABLES),
-                                   concatenate(exprs))):
-                calls = []
-                value(lambda cycle: calls.append(cycle) or Fraction(len(cycle) + 1, 3))
-                assert calls == list(dict.fromkeys(
-                    c for *_, labels in premap_gluings(cycles) for c in labels))
+        # gluings, taken in turn, first meet it, in slices of any size
+        from haargenus import expansion
+
+        for block in (3, expansion.GLUING_BLOCK):
+            monkeypatch.setattr(expansion, "GLUING_BLOCK", block)
+            rng = random.Random(62)
+            for _ in range(12):
+                expr = random_expression(rng, max_positions=6)
+                exprs = random_single_traces(rng)
+                for value, cycles in ((lambda tv: moment_symbolic(expr, tv, TABLES), expr),
+                                      (lambda tv: trace_cumulant(exprs, trace_value=tv,
+                                                                 symbolic=True, tables=TABLES),
+                                       concatenate(exprs))):
+                    calls = []
+                    value(lambda cycle: calls.append(cycle) or Fraction(len(cycle) + 1, 3))
+                    assert calls == list(dict.fromkeys(
+                        c for *_, labels in premap_gluings(cycles) for c in labels))
 
     def test_expand_moment_terms_on_scattered_positions(self):
         # each colour's shared table, built on 1..m, is relabelled onto that
@@ -340,7 +356,7 @@ class TestGluingKernel:
             stream = Counter((t.vertex_labels, t.exponent, t.lambdas)
                              for t in expand_moment(expr, TABLES))
             glu = _Gluings(expr, TABLES, TERM_CAP)
-            terms = glu.terms()
+            terms = [row for rows, _ in glu.slices() for _, *row in rows]
             # the ids tell gluings apart, so the sums by id are per gluing
             assert len({ids for ids, _, _ in terms}) == len(terms) == glu.total
             grouped = Counter()
@@ -355,7 +371,7 @@ class TestGluingKernel:
             expr = random_expression(rng)
             glu = _Gluings(expr, TABLES, TERM_CAP)
             ker = kernel_of(expr.color)
-            for combo in rng.sample(list(glu.combos()), min(5, glu.total)):
+            for combo in rng.sample(list(itertools.product(*glu.choices)), min(5, glu.total)):
                 blocks, rhos = glu.rho_choices(combo)
                 pi = SetPartition(blocks)
                 assert pi == SetPartition([b for p_plus, p_minus in glu.pairings(combo)
@@ -804,14 +820,16 @@ class TestBatchedTraces:
     def test_cumulants_in_blocks(self, monkeypatch):
         from haargenus import expansion
 
-        # float and kappa sums run in gluing order, so the block size must not
-        # change them by one bit
+        # every evaluator runs in slices of GLUING_BLOCK gluings; float and
+        # kappa sums run in gluing order, so the slice size must not change
+        # any result by one bit
         reports = {}
         for block in (3, expansion.GLUING_BLOCK):
             monkeypatch.setattr(expansion, "GLUING_BLOCK", block)
             rng = random.Random(61)
             for _ in range(6):
                 exprs = random_single_traces(rng)
+                expr = concatenate(exprs)
                 n = rng.randint(3, 5)
                 x = {l: self._wide(rng, n) for l in (1, 2)}
 
@@ -829,7 +847,12 @@ class TestBatchedTraces:
                     trace_cumulant(exprs, matrices=x, n=n, kappa=kappa, tables=TABLES),
                     repr(trace_cumulant(exprs, trace_value=lambda c: float(tv(c)),
                                         kappa=lambda c: float(kappa(c)), n=n, mode="float",
-                                        tables=TABLES))])
+                                        tables=TABLES)),
+                    evaluate_moment(expr, x, n, tables=TABLES).value,
+                    repr(evaluate_moment(expr, x, n, mode="float", tables=TABLES).value),
+                    asymptotic_moment(expr, TABLES),
+                    moment_symbolic(expr, tv, TABLES),
+                    [(t, t.arcs) for t in expand_moment(expr, TABLES)]])
         assert reports[3] == reports[expansion.GLUING_BLOCK]
 
 
@@ -1347,6 +1370,22 @@ class TestErrorOrder:
                                 tables=TABLES)
             with pytest.raises(ValidationError, match="no matrix for label 2"):
                 limit.evaluate({1: DenseMatrix.identity(n)}, n, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_pole_before_any_trace_across_slices(self, mode, monkeypatch):
+        # every diagrams' coefficient is evaluated before the first slice's
+        # traces, though the 9 gluings run in three slices
+        import haargenus.expansion as ex
+
+        def traced(*args, **kwargs):
+            raise AssertionError("traced")
+
+        monkeypatch.setattr(ex, "GLUING_BLOCK", 3)
+        monkeypatch.setattr(ex, "trace_numerators", traced)
+        for n, error in ((1, PoleError), (2, AssertionError)):
+            x = dict.fromkeys((1, 2), DenseMatrix.identity(n))
+            with pytest.raises(error, match="N=1" if n == 1 else "traced"):
+                evaluate_moment(self.EXPR, x, n, mode=mode, tables=TABLES)
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     @pytest.mark.parametrize("kappa", [None, lambda cycles: Fraction(0)])
