@@ -37,18 +37,19 @@ each Weingarten factor, and each pole, comes before any trace.  Only
 `expand_moment` decodes each gluing into an `ExpansionTerm`, which builds
 its `Premap` only when `alpha` is read.
 
-Exact sums run on integers.  A gluing's vertex cycles hold each position
-exactly once, so the product of their trace denominators is D N^v for every
-gluing, D the product of the positions' matrix denominators and v the number
-of vertex cycles: an exact moment sums the products of integer trace
-numerators per (diagrams, v).  Exact cumulant entries and symbolic moments
-sum over the running lcm of their terms' denominators (`_add_over`), a
-caller's values split once per argument (`_RationalValues`), and symbolic
-results gather the N-exponent weights of each coefficient into one Laurent
-polynomial (`_laurent`).  Float moments sum each label pattern's
-coefficients as ints over one denominator and divide once, the correctly
-rounded float of the exact sum; float cumulants add term by term.  A float
-trace or result that is not finite raises ValidationError.
+Sums run on integers, in every mode.  A float trace is a dyadic rational,
+held exactly as the numerator of its `as_integer_ratio()` over N times the
+denominator, so float mode runs the exact sums and rounds the result once
+(`_to_float`): no rounding is left but in the float traces themselves, and
+no result depends on the order of the gluings.  Moments sum the products of
+integer trace numerators per (exponent, diagrams) over the running lcm of
+the gluings' denominators (`_moment_sums`, shared by `evaluate_moment` and
+`moment_symbolic`; an exact moment's gluings of one group share theirs),
+and cumulant entries sum the same way (`_add_over`).  A caller's values
+split once per argument (`_RationalValues`), and symbolic results gather
+the N-exponent weights of each coefficient into one Laurent polynomial
+(`_laurent`).  A float trace that is not finite, or a float result beyond
+the float range, raises ValidationError.
 """
 
 from __future__ import annotations
@@ -504,14 +505,13 @@ def _resolve_for_mode(matrices: Mapping[int, DenseMatrix], n: int, mode: str):
 
 
 class _TraceMemo(dict):
-    """Traces along label cycles for one evaluation at N, keyed by cycle.
-
-    Exact: the integer numerator T of each normalized trace T / dens[cycle]
-    (the empty cycle has N over N).  Float: the normalized trace.  `value`
-    gives the normalized trace in both modes.  `fill` computes the cycles
-    not held yet in one `trace_numerators` batch; a lookup only reads.  A
-    slot label in `labels` with no matrix fails here, before any
-    enumeration or coefficient."""
+    """Traces along label cycles for one evaluation at N, keyed by cycle: the
+    integer numerator of each normalized trace in `self[cycle]`, over the int
+    `dens[cycle]` (the empty cycle has N over N).  A float trace is held
+    exactly, its `as_integer_ratio()` over N.  `value` gives the normalized
+    trace as a Fraction.  `fill` computes the cycles not held yet in one
+    `trace_numerators` batch; a lookup only reads.  A slot label in `labels`
+    with no matrix fails here, before any enumeration or coefficient."""
 
     def __init__(self, matrices: Mapping[int, DenseMatrix], n: int, mode: str,
                  labels: Iterable[int]):
@@ -521,16 +521,14 @@ class _TraceMemo(dict):
         for label in labels:
             if label:
                 _slot_matrix(self.mats, label)
-        self.exact = mode == "exact"
         self.dens = {(): n}
-        self[()] = n if self.exact else 1.0
+        self[()] = n
 
     @property
-    def value(self) -> Callable[[tuple[int, ...]], Fraction | float]:
-        """The normalized trace of a filled cycle, forming each exact Fraction
-        once; made per read, as one kept on the memo would be a reference cycle."""
-        return functools.lru_cache(maxsize=None)(self._fraction) if self.exact \
-            else self.__getitem__
+    def value(self) -> Callable[[tuple[int, ...]], Fraction]:
+        """The normalized trace of a filled cycle, forming each Fraction once;
+        made per read, as one kept on the memo would be a reference cycle."""
+        return functools.lru_cache(maxsize=None)(self._fraction)
 
     def _fraction(self, cycle: tuple[int, ...]) -> Fraction:
         return Fraction(self[cycle], self.dens[cycle])
@@ -541,33 +539,53 @@ class _TraceMemo(dict):
         cycle."""
         fresh = [c for c in dict.fromkeys(cycles) if c not in self]
         nums, dens = trace_numerators(fresh, self.mats, normalized=True)
-        if self.exact:
-            self.update(zip(fresh, nums))
-            self.dens.update(zip(fresh, dens))
-            return
         for cycle, t, d in zip(fresh, nums, dens):
-            value = self[cycle] = t / d
-            if not math.isfinite(value):
-                raise ValidationError(f"the normalized trace along the label cycle {cycle} "
-                                      f"is not finite: {value!r}")
+            if isinstance(t, float):
+                if not math.isfinite(t):
+                    raise ValidationError(f"the normalized trace along the label cycle {cycle} "
+                                          f"is not finite: {t / d!r}")
+                t, scale = t.as_integer_ratio()
+                d *= scale
+            self[cycle] = t
+            self.dens[cycle] = d
 
 
-def _pattern_sum(terms: Iterable[tuple[tuple, Fraction]], trace, mode: str):
-    """Sum over (label pattern, coefficient) of the coefficient times the
-    product of traces along the pattern, in the given order; a float sum
-    that is not finite raises ValidationError."""
-    exact = mode != "float"
-    total = Fraction(0) if exact else 0.0
-    for pattern, coeff in terms:
-        total += (coeff if exact else float(coeff)) * \
-            math.prod(map(trace, pattern), start=Fraction(1) if exact else 1.0)
-    return total if exact else _finite(total)
+def _to_float(value: Fraction) -> float:
+    """The float nearest value; one beyond the float range raises
+    ValidationError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(
+            f"the result is not finite: {'-' if value < 0 else ''}inf") from None
 
 
-def _finite(value: float) -> float:
-    if not math.isfinite(value):
-        raise ValidationError(f"the result is not finite: {value!r}")
-    return value
+def _moment_sums(glu: _Gluings, values: Mapping, fill: Callable | None = None) -> dict:
+    """Per (exponent, diagrams index), in first-met order: [the sum of the
+    gluings' products of trace numerators, over den], den the running lcm of
+    the gluings' products of denominators.  `values` holds a numerator per
+    label cycle, with its denominator in `.dens`, and is read once per new
+    cycle, in first-seen order; `fill` first computes each slice's new
+    cycles."""
+    nums: list[int] = []  # per cycle id, over dens
+    dens: list[int] = []
+    sums: dict[tuple, list[int]] = {}
+    for rows, fresh in glu.slices():
+        if fill is not None:
+            fill(fresh)
+        nums += map(values.__getitem__, fresh)
+        dens += map(values.dens.__getitem__, fresh)
+        for _, ids, exponent, lam in rows:
+            k = math.prod(map(nums.__getitem__, ids))
+            den = math.prod(map(dens.__getitem__, ids))
+            acc = sums.get((exponent, lam))
+            if acc is None:
+                sums[exponent, lam] = [k, den]
+            elif den == acc[1]:  # the common case, without a call
+                acc[0] += k
+            else:
+                _add_over(acc, k, den)
+    return sums
 
 
 def evaluate_moment(expr: TraceExpression, matrices: Mapping[int, DenseMatrix],
@@ -576,45 +594,18 @@ def evaluate_moment(expr: TraceExpression, matrices: Mapping[int, DenseMatrix],
     """Exact (or float) value of the expected product of normalized traces.
 
     A slot label with no matrix fails first; then coefficients are evaluated
-    at N with pole detection, all of them before any trace.  Float sums the
-    coefficients per vertex trace pattern, so each distinct product of
-    traces is evaluated once."""
+    at N with pole detection, all of them before any trace.  Both modes sum
+    exactly (`_moment_sums`); float mode rounds the sum over its float
+    traces once."""
     memo = _TraceMemo(matrices, n, mode, expr.slot.values())
     glu = _Gluings(expr, tables or default_tables(), term_cap)
     # the Weingarten factor at N once per diagrams, in first-seen order
     wg = [glu.tables.wg_product_at(lambdas, n) for lambdas in glu.lambdas]
-    labels = glu.labels
-    if not memo.exact:
-        # every exponent is at least -r - n, and any lo at or below the least
-        # one gives each pattern the same correctly rounded s / den
-        lo = -glu.num_traces - glu.n
-        scale = math.lcm(*(w.denominator for w in wg))
-        scaled = [w.numerator * (scale // w.denominator) for w in wg]
-        sums: dict[tuple, int] = {}  # per label pattern
-        for rows, fresh in glu.slices():
-            memo.fill(fresh)
-            for _, ids, exponent, lam in rows:
-                pattern = tuple(map(labels.__getitem__, ids))
-                sums[pattern] = sums.get(pattern, 0) + scaled[lam] * n ** (exponent - lo)
-        den = scale * n ** -lo
-        return MomentResult(value=_pattern_sum(((pattern, s / den) for pattern, s in sums.items()),
-                                               memo.value, mode),
-                            term_count=glu.total)
-    nums: list[int] = []  # per cycle id
-    # (lam, cycles) -> [sum of prod T, the shared prod of dens, exponent]
-    sums: dict[tuple, list[int]] = {}
-    for rows, fresh in glu.slices():
-        memo.fill(fresh)
-        nums += map(memo.__getitem__, fresh)
-        for _, ids, exponent, lam in rows:
-            group = sums.get((lam, len(ids)))
-            if group is None:
-                group = sums[lam, len(ids)] = \
-                    [0, math.prod(memo.dens[labels[i]] for i in ids), exponent]
-            group[0] += math.prod(map(nums.__getitem__, ids))
     value = sum((wg[lam] * Fraction(n) ** exponent * Fraction(s, den)
-                 for (lam, _), (s, den, exponent) in sums.items()), Fraction(0))
-    return MomentResult(value=value, term_count=glu.total)
+                 for (exponent, lam), (s, den) in _moment_sums(glu, memo, memo.fill).items()),
+                Fraction(0))
+    return MomentResult(value=value if mode == "exact" else _to_float(value),
+                        term_count=glu.total)
 
 
 @dataclass
@@ -624,10 +615,15 @@ class AsymptoticMoment:
     terms: tuple[tuple[Fraction, tuple[tuple[int, ...], ...]], ...]
 
     def evaluate(self, matrices: Mapping[int, DenseMatrix], n: int, mode: str = "exact"):
+        """The sum of each coefficient times its product of normalized traces,
+        exact; float mode rounds it once."""
         cycles = [c for _, pattern in self.terms for c in pattern]
         memo = _TraceMemo(matrices, n, mode, itertools.chain.from_iterable(cycles))
         memo.fill(cycles)
-        return _pattern_sum(((pattern, c) for c, pattern in self.terms), memo.value, mode)
+        trace = memo.value
+        value = sum((c * math.prod(map(trace, pattern), start=Fraction(1))
+                     for c, pattern in self.terms), Fraction(0))
+        return value if mode == "exact" else _to_float(value)
 
     def to_json(self) -> list:
         return [{"coefficient": str(c), "traces": [list(cc) for cc in pat]}
@@ -723,11 +719,12 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
     Which (rho, tau) connect, and which relative cumulants they name, is
     scanned once per entry (`_connecting_rhos`): a tau and a gluing shape,
     the trace masks (trace t as the bit 1 << t) of the vertex cycles and the
-    block shape id of each colour's pair (`_block_shapes`).  Exact and
-    symbolic results sum per entry and expand the sums into one weight per
-    (N exponent, relative cumulant); float results add term by term in
-    gluing and rho order.  Gluings run in the slices of `_Gluings.slices`,
-    each with one batch of traces of the built-in matrices.
+    block shape id of each colour's pair (`_block_shapes`).  Every mode
+    sums exactly per entry and expands the sums into one weight per (N
+    exponent, relative cumulant); float mode takes its float traces and
+    values exactly and rounds the result once.  Gluings run in the slices of
+    `_Gluings.slices`, each with one batch of traces of the built-in
+    matrices.
 
     Deterministic slot matrices are the built-in path (higher vertex-trace
     cumulants vanish), and a slot label with no matrix fails before any
@@ -735,8 +732,8 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
     symbolic=True the result is a PolyFrac in N and `trace_value` must return
     exact N-free values for label cycles.  In exact and symbolic mode a
     caller's `trace_value` and `kappa` must return ints or Fractions, else
-    ValidationError names the argument; float mode takes floats too.  Both
-    are called once per distinct argument, in first-met order.
+    ValidationError names the argument; float mode takes finite floats too.
+    Both are called once per distinct argument, in first-met order.
     """
     _check_mode(mode)
     tables = tables or default_tables()
@@ -756,14 +753,11 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
     elif matrices is None or n is None:
         raise ValidationError("numeric cumulants need matrices and N")
     memo = _TraceMemo(matrices, n, mode, expr.slot.values()) if trace_value is None else None
-    exact = symbolic or mode == "exact"
-    if exact:  # numerators, with their denominators in `.dens`
-        values = memo if memo is not None else _RationalValues(trace_value, "trace_value")
-        kappas = None if kappa is None else _RationalValues(kappa, "kappa")
-    else:
-        tv = memo.value if memo is not None else functools.lru_cache(maxsize=None)(trace_value)
-        if kappa is not None:
-            kappa = functools.lru_cache(maxsize=None)(kappa)
+    # numerators, with their denominators in `.dens`
+    values_mode = "exact" if symbolic else mode
+    values = memo if memo is not None else _RationalValues(trace_value, "trace_value",
+                                                           values_mode)
+    kappas = None if kappa is None else _RationalValues(kappa, "kappa", values_mode)
 
     glu = _Gluings(expr, tables, term_cap)
     bit = {k: 1 << t for t, cyc in enumerate(expr.cycles) for k in cyc}  # trace t
@@ -775,10 +769,9 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
     ground = expr.positions
     c_cache = tables.relative_cumulants
     c_at_n: dict[tuple, Fraction | None] = {}  # this call's keys, at N unless symbolic
-    # without kappa, per cycle id: the trace (float) or its numerator, over dens
-    nums: list = []
+    # without kappa, per cycle id: the trace's numerator, over dens
+    nums: list[int] = []
     dens: list[int] = []
-    one = 1 if exact else Fraction(1)
 
     def build_cumulants(combo: tuple[_Pair, ...], hits: Sequence[tuple[tuple, tuple]]) -> None:
         """C_{pi,pi,rho} for each key of hits new to the call, built on this
@@ -796,44 +789,38 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
                 c_cache[key] = wg_cumulant(tables, pi, pi, rho_part)
             c_at_n[key] = None if symbolic else tables.cumulant_at(key, n)
 
-    def kappa_terms(ids: tuple[int, ...]) -> Iterator[tuple[int, tuple, object, int]]:
+    def kappa_terms(ids: tuple[int, ...]) -> Iterator[tuple[int, tuple, int, int]]:
         """(index, tau, k, den) per partition tau of the vertex cycles whose
-        product of vertex-trace cumulants k / den (floats over 1) is not 0."""
+        product of vertex-trace cumulants k / den is not 0."""
         labels = tuple(map(glu.labels.__getitem__, ids))
         for t, tau in enumerate(_block_partitions((len(ids),))):
-            if not exact:
-                k, den = math.prod((tv(labels[b[0]]) if len(b) == 1 else
-                                    kappa(tuple(map(labels.__getitem__, b))) for b in tau),
-                                   start=Fraction(1)), 1
-            else:
-                k = den = 1
-                for b in tau:
-                    if len(b) == 1:
-                        memo_b, arg = values, labels[b[0]]
-                    else:
-                        memo_b, arg = kappas, tuple(map(labels.__getitem__, b))
-                    k *= memo_b[arg]
-                    den *= memo_b.dens[arg]
+            k = den = 1
+            for b in tau:
+                if len(b) == 1:
+                    memo_b, arg = values, labels[b[0]]
+                else:
+                    memo_b, arg = kappas, tuple(map(labels.__getitem__, b))
+                k *= memo_b[arg]
+                den *= memo_b.dens[arg]
             if k:
                 yield t, tau, k, den
 
-    # (vertex masks, block shape ids, tau index) -> [k summed over den (exact),
-    # den, connecting (key, rho)s, N exponent, coefficients (float)]
+    # (vertex masks, block shape ids, tau index) -> [k summed over den, den,
+    # connecting (key, rho)s, N exponent]
     entries: dict[tuple, list] = {}
-    total = 0.0  # float: each hit's coefficient times k, in gluing and rho order
     # each gluing's block shape ids, in step with the gluings
     bids = itertools.product(*(ids for ids, _ in block_shapes))
     for rows, fresh in glu.slices():
         if memo is not None:
             memo.fill(fresh)
         if kappa is None:  # a caller's trace_value once per new cycle, in first-seen order
-            nums += map(values.__getitem__ if exact else tv, fresh)
-            dens += map(values.dens.__getitem__, fresh) if exact else [1] * len(fresh)
+            nums += map(values.__getitem__, fresh)
+            dens += map(values.dens.__getitem__, fresh)
         trace_masks += [sum({*map(code_bits.__getitem__, c)})
                         for c in glu.cycles[len(trace_masks):]]
         for (combo, ids, exponent, _), bid in zip(rows, bids):
             if kappa is None:  # tau is the discrete partition
-                k = math.prod(map(nums.__getitem__, ids), start=one)
+                k = math.prod(map(nums.__getitem__, ids))
                 if not k:
                     continue
                 terms = ((0, None, k, math.prod(map(dens.__getitem__, ids))),)
@@ -848,24 +835,15 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
                                             tuple((i,) for i in range(len(ids)))
                                             if tau is None else tau)
                     build_cumulants(combo, hits)
-                    e = exponent + r  # chi - r
-                    entry = entries[masks, bid, t] = [
-                        0, den, hits, e,
-                        None if exact else [float(c_at_n[key] * Fraction(n) ** e)
-                                            for key, _ in hits]]
-                if not exact:
-                    for coeff in entry[4]:
-                        total = total + coeff * k
-                    continue
+                    # N^(chi - r)
+                    entry = entries[masks, bid, t] = [0, den, hits, exponent + r]
                 if den == entry[1]:  # the common case, without a call
                     entry[0] += k
                 else:
                     _add_over(entry, k, den)
-    if not exact:
-        return _finite(total)
     # per (N exponent, key), in first-hit order: [sum, den]
     weights: dict[tuple, list[int]] = {}
-    for k_sum, den, hits, e, _ in entries.values():
+    for k_sum, den, hits, e in entries.values():
         for key, _ in hits:
             _add_over(weights.setdefault((e, key), [0, 1]), k_sum, den)
     if symbolic:
@@ -874,25 +852,31 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
     sums: dict[int, Fraction] = {}
     for (e, key), (w, d) in weights.items():
         sums[e] = sums.get(e, 0) + c_at_n[key] * Fraction(w, d)
-    return sum((s * Fraction(n) ** e for e, s in sums.items()), Fraction(0))
+    value = sum((s * Fraction(n) ** e for e, s in sums.items()), Fraction(0))
+    return value if mode == "exact" else _to_float(value)
 
 
 class _RationalValues(dict):
-    """A caller's rational values per argument, as `_TraceMemo` holds traces:
+    """A caller's values per argument, as `_TraceMemo` holds traces:
     `self[arg]` calls `func(arg)` on the first read only and keeps its
-    numerator, `dens[arg]` its denominator.  A value that is not an int or a
-    Fraction (a bool or a float among them) raises ValidationError."""
+    numerator, `dens[arg]` its denominator.  A value must be an int or a
+    Fraction, or in float mode a finite float, held exactly; any other (a
+    bool among them) raises ValidationError naming the argument."""
 
-    def __init__(self, func: Callable, name: str):
+    def __init__(self, func: Callable, name: str, mode: str):
         super().__init__()
         self.func, self.name = func, name
+        self.floats = mode == "float"
         self.dens: dict = {}
 
     def __missing__(self, arg) -> int:
         v = self.func(arg)
+        if self.floats and isinstance(v, float) and math.isfinite(v):
+            v = Fraction(v)
         if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-            raise ValidationError(f"{self.name}({arg!r}) must be rational (an int or a "
-                                  f"Fraction), got {v!r}")
+            kinds = "a finite float, an int or a Fraction" if self.floats else \
+                "rational (an int or a Fraction)"
+            raise ValidationError(f"{self.name}({arg!r}) must be {kinds}, got {v!r}")
         self.dens[arg] = v.denominator
         self[arg] = v.numerator
         return v.numerator
@@ -943,20 +927,7 @@ def moment_symbolic(expr: TraceExpression,
     names the cycle; it is called once per distinct cycle, in first-seen
     order."""
     glu = _Gluings(expr, tables or default_tables(), term_cap)
-    values = _RationalValues(trace_value, "trace_value")
-    nums: list[int] = []  # per cycle id, over dens
-    dens: list[int] = []
-    # (exponent, lam) -> [sum of the products of traces, over den]
-    weights: dict[tuple, list[int]] = {}
-    for rows, fresh in glu.slices():
-        nums += map(values.__getitem__, fresh)  # trace_value once per cycle, in first-seen order
-        dens += map(values.dens.__getitem__, fresh)
-        for _, ids, exponent, lam in rows:
-            weight = weights.get((exponent, lam))
-            if weight is None:
-                weight = weights[exponent, lam] = [0, 1]
-            _add_over(weight, math.prod(map(nums.__getitem__, ids)),
-                      math.prod(map(dens.__getitem__, ids)))
+    weights = _moment_sums(glu, _RationalValues(trace_value, "trace_value", "exact"))
     return _symbolic_sum(weights, lambda lam: glu.tables.wg_product(glu.lambdas[lam]))
 
 

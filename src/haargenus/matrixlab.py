@@ -385,9 +385,12 @@ def trace_numerators(cycles: Sequence[Sequence[int]], matrices: Mapping[int, Den
         base = np.array([zero if sizes[j] != dim or factors[j][pick] is None else factors[j][pick]
                          for j in range(pad)] + [np.identity(dim, dtype)], dtype=dtype)
         whole = len(places) == count
-        traces = _stack_traces(base, padded if whole else padded[places],
-                               lengths if whole else [lengths[p] for p in places],
-                               exact)
+        # a float trace that overflows is refused by the caller, which names
+        # its cycle, so numpy's overflow warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            traces = _stack_traces(base, padded if whole else padded[places],
+                                   lengths if whole else [lengths[p] for p in places],
+                                   exact)
         for place, t in zip(places, traces.tolist()):
             nums[place] = t
     # back to the caller's order

@@ -4,8 +4,8 @@ They are written for plainness, not speed: the literal index sum for traces,
 Gauss-Jordan elimination over PolyFrac, traces of matrix products taken one
 cycle and one DenseMatrix product at a time, gluings enumerated as
 premaps, the SetPartition-join form of the trace-cumulant sum, and the
-symbolic moment and the float moment's coefficients accumulated as
-Fractions.
+symbolic moment accumulated as Fractions.  A float result is the float of
+the exact sum over the float traces' exact ratios.
 """
 
 from __future__ import annotations
@@ -146,14 +146,15 @@ def join_trace_cumulant(exprs, *, matrices=None, n=None, mode="exact", trace_val
         memo.fill(c for *_, labels in gluings for c in labels)
         tv = memo.value
     else:
-        tv = trace_value
+        def tv(cycle):
+            return Fraction(trace_value(cycle))
     phi_part = expr.phi().orbit_partition()
     ker_w = kernel_of(expr.color)
     ground = expr.positions
     full = SetPartition.full(ground)
     c_cache: dict = {}
     weights: dict = {}
-    total = Fraction(0) if mode == "exact" else 0.0
+    total = Fraction(0)
     for pairings, chi, _, vertex, labels in gluings:
         pi = SetPartition([b for p_plus, p_minus in pairings
                            for b in (p_plus | p_minus).blocks], ground=ground)
@@ -169,7 +170,7 @@ def join_trace_cumulant(exprs, *, matrices=None, n=None, mode="exact", trace_val
             k_tau = Fraction(1)
             for blk in tau_blocks:
                 k_tau *= tv(labels[blk[0]]) if len(blk) == 1 else \
-                    kappa(tuple(labels[i] for i in blk))
+                    Fraction(kappa(tuple(labels[i] for i in blk)))
             if not k_tau:
                 continue
             base = phi_part | tau_sigma
@@ -181,15 +182,13 @@ def join_trace_cumulant(exprs, *, matrices=None, n=None, mode="exact", trace_val
                 if key not in c_cache:
                     c_cache[key] = wg_cumulant(tables, pi, pi, rho)
                 if symbolic:
-                    weights[chi - r, key] = weights.get((chi - r, key), 0) + Fraction(k_tau)
+                    weights[chi - r, key] = weights.get((chi - r, key), 0) + k_tau
                 else:
-                    coeff = c_cache[key].eval_at(n) * Fraction(n) ** (chi - r)
-                    total = total + (coeff * k_tau if mode == "exact"
-                                     else float(coeff) * k_tau)
+                    total += c_cache[key].eval_at(n) * Fraction(n) ** (chi - r) * k_tau
     if symbolic:
         return sum((c_cache[key] * PolyFrac.n_power(e) * PolyFrac.from_fraction(w)
                     for (e, key), w in weights.items() if w), PolyFrac(0))
-    return total
+    return total if mode == "exact" else float(total)
 
 
 def fraction_moment_symbolic(expr, trace_value, tables=None):
@@ -208,18 +207,16 @@ def fraction_moment_symbolic(expr, trace_value, tables=None):
 
 
 def fraction_float_moment(expr, matrices, n, tables=None):
-    """Float `evaluate_moment` with Fraction coefficients: wg(lambdas, N)
-    N^exponent summed over the gluings of each vertex trace pattern as a Fraction,
-    then float(coefficient) times the product of the pattern's float traces,
-    added in first-seen order."""
+    """Float `evaluate_moment` as the float of an exact sum: wg(lambdas, N)
+    N^exponent times the product of the vertex cycles' float traces, each as
+    its exact ratio, summed as a Fraction over the premap gluings."""
     tables = tables or default_tables()
     memo = _TraceMemo(matrices, n, "float", expr.slot.values())
-    coeffs: dict = {}
-    for _, chi, lambdas, _, labels in premap_gluings(expr):
-        coeff = tables.wg_product_at(lambdas, n) * Fraction(n) ** (chi - 2 * expr.num_traces)
-        coeffs[labels] = coeffs.get(labels, 0) + coeff
-    memo.fill(itertools.chain.from_iterable(coeffs))
-    total = 0.0
-    for pattern, coeff in coeffs.items():
-        total += float(coeff) * math.prod(map(memo.__getitem__, pattern), start=1.0)
-    return total
+    gluings = list(premap_gluings(expr))
+    memo.fill(c for *_, labels in gluings for c in labels)
+    trace = memo.value
+    total = Fraction(0)
+    for _, chi, lambdas, _, labels in gluings:
+        total += tables.wg_product_at(lambdas, n) * Fraction(n) ** (chi - 2 * expr.num_traces) \
+            * math.prod(map(trace, labels), start=Fraction(1))
+    return float(total)

@@ -1,6 +1,9 @@
 import json
+import random
 import subprocess
 import sys
+import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -211,7 +214,9 @@ class TestBadInput:
 
 class TestNonFiniteFloats:
     """Finite float matrices whose traces or results overflow exit 2 with
-    the cause named, and no report holds a value that JSON cannot hold."""
+    the cause named, and no report holds a value that JSON cannot hold.
+    Every warning is an error here: the exit-2 message is the only report of
+    an overflow."""
 
     BIG = [[1e200, 1e200], [1e200, 1e200]]
     # tr(X X^T): finite traces whose product overflows
@@ -226,8 +231,10 @@ class TestNonFiniteFloats:
     def test_moment(self, tmp_path, capsys, traces, extra, text):
         path = tmp_path / "expr.json"
         path.write_text(json.dumps({"traces": traces, "matrices": {"1": self.BIG}}))
-        assert main(["moment", "--expr", str(path), "--N", "2", "--mode", "float",
-                     *extra]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["moment", "--expr", str(path), "--N", "2", "--mode", "float",
+                         *extra]) == 2
         captured = capsys.readouterr()
         assert text in captured.err and captured.out == ""
 
@@ -235,7 +242,9 @@ class TestNonFiniteFloats:
         path = tmp_path / "exprs.json"
         path.write_text(json.dumps({"exprs": [{"traces": [self.XXT]}],
                                     "matrices": {"1": self.BIG}}))
-        assert main(["cumulant", "--exprs", str(path), "--N", "2", "--mode", "float"]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["cumulant", "--exprs", str(path), "--N", "2", "--mode", "float"]) == 2
         captured = capsys.readouterr()
         assert "the result is not finite: inf" in captured.err and captured.out == ""
 
@@ -292,6 +301,44 @@ class TestCumulant:
         path.write_text(json.dumps({"exprs": [], "matrices": MOMENT_EXPR["matrices"]}))
         assert main(["cumulant", "--exprs", str(path), "--N", "2"]) == 2
         assert "at least one expression" in capsys.readouterr().err
+
+
+class TestFloatIsExactRounded:
+    """With entries k/4 (|k| <= 8) and N <= 5 every float trace is exact, so
+    `--mode float` must report float() of the exact report's value, bit for
+    bit."""
+
+    @staticmethod
+    def random_traces(rng):
+        """2-3 single traces over one or two colours, each colour on 2 or 4
+        positions."""
+        counts = rng.choice([(2,), (4,), (2, 2), (4, 2), (2, 4)])
+        colours = [c for c, m in zip((1, 2), counts) for _ in range(m)]
+        rng.shuffle(colours)
+        entries = [{"color": c, "eps": rng.choice((1, -1)), "slot": rng.choice((0, 1, -1, 2, -2))}
+                   for c in colours]
+        cuts = sorted(rng.sample(range(1, len(entries)), rng.randint(1, min(2, len(entries) - 1))))
+        return [entries[a:b] for a, b in zip([0, *cuts], [*cuts, len(entries)])]
+
+    def test_moment_and_cumulant(self, tmp_path, capsys):
+        rng = random.Random(72)
+        path = tmp_path / "input.json"
+        for _ in range(12):
+            traces = self.random_traces(rng)
+            n = rng.randint(3, 5)
+            matrices = {str(l): [[f"{rng.randint(-8, 8)}/4" for _ in range(n)] for _ in range(n)]
+                        for l in (1, 2)}
+            for command, payload in (
+                    (["moment", "--expr"], {"traces": traces, "matrices": matrices}),
+                    (["cumulant", "--exprs"], {"exprs": [{"traces": [t]} for t in traces],
+                                               "matrices": matrices})):
+                path.write_text(json.dumps(payload))
+                values = []
+                for mode in ("exact", "float"):
+                    assert main([*command, str(path), "--N", str(n), "--mode", mode]) == 0
+                    values.append(json.loads(capsys.readouterr().out)["value"])
+                exact, got = values
+                assert repr(got) == repr(float(Fraction(exact)))
 
 
 class TestVerify:

@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import random
+import re
 import sys
 import tracemalloc
 import weakref
@@ -12,7 +13,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from haargenus.errors import CapExceededError, PoleError, ValidationError
@@ -365,7 +366,7 @@ class TestGluingKernel:
             assert grouped == stream and list(grouped) == list(stream)
 
     def test_rho_choices_follow_the_interval(self):
-        # float cumulants add their terms in this order
+        # trace cumulants build and evaluate the relative cumulants in this order
         rng = random.Random(11)
         for _ in range(15):
             expr = random_expression(rng)
@@ -632,8 +633,8 @@ def random_single_traces(rng):
 
 class TestCumulantAgainstJoins:
     """trace_cumulant tests connectivity on trace indices; the oracle joins
-    SetPartitions.  Float results must match by repr, so the terms must come
-    in the same order."""
+    SetPartitions.  A float result is the float of the exact sum over the
+    float traces, so floats match by repr."""
 
     def test_exact_and_float(self):
         rng = random.Random(50)
@@ -820,9 +821,9 @@ class TestBatchedTraces:
     def test_cumulants_in_blocks(self, monkeypatch):
         from haargenus import expansion
 
-        # every evaluator runs in slices of GLUING_BLOCK gluings; float and
-        # kappa sums run in gluing order, so the slice size must not change
-        # any result by one bit
+        # every evaluator runs in slices of GLUING_BLOCK gluings; every sum
+        # is exact and a float result is rounded once, so the slice size must
+        # not change any result by one bit
         reports = {}
         for block in (3, expansion.GLUING_BLOCK):
             monkeypatch.setattr(expansion, "GLUING_BLOCK", block)
@@ -1135,6 +1136,65 @@ class TestMetamorphic:
 
 
 @st.composite
+def dyadic_matrices(draw, n):
+    """Matrices for labels 1 and 2 with entries k/4, |k| <= 8: at N <= 5 every
+    float trace along a cycle of at most 6 of them is exact (no partial sum
+    needs more than 53 bits)."""
+    entry = st.integers(-8, 8).map(lambda k: Fraction(k, 4))
+    return {label: DenseMatrix([[draw(entry) for _ in range(n)] for _ in range(n)])
+            for label in (1, 2)}
+
+
+def exactly_float(value: Fraction) -> float:
+    """value as a float, which must hold it exactly."""
+    assert float(value) == value
+    return float(value)
+
+
+class TestFloatIsExactRounded:
+    """Float mode sums exactly over its float traces and rounds once, so
+    where every float trace is exact, each float result is float() of the
+    exact result, bit for bit, whatever N does to the normalized traces."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_expressions(), st.sampled_from((2, 3, 4, 5)), st.data())
+    def test_moments(self, expr, n, data):
+        x = data.draw(dyadic_matrices(n))
+        try:
+            exact = evaluate_moment(expr, x, n, tables=TABLES).value
+        except PoleError as exc:
+            with pytest.raises(PoleError, match=re.escape(str(exc))):
+                evaluate_moment(expr, x, n, mode="float", tables=TABLES)
+        else:
+            assert repr(evaluate_moment(expr, x, n, mode="float", tables=TABLES).value) == \
+                repr(float(exact))
+        limit = asymptotic_moment(expr, TABLES)
+        assert repr(limit.evaluate(x, n, mode="float")) == repr(float(limit.evaluate(x, n)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_expressions(), st.sampled_from((3, 4, 5)), st.data())
+    def test_cumulants(self, expr, n, data):
+        args = single_traces(expr)
+        x = data.draw(dyadic_matrices(n))
+        block = data.draw(dyadic_matrices(2))
+
+        def tv(cycle):
+            return _trace_value(cycle, block, 2)
+
+        def kappa(cycles):
+            return Fraction(len(cycles), 4) * tv(cycles[0])
+
+        exact = trace_cumulant(args, matrices=x, n=n, tables=TABLES)
+        assert repr(trace_cumulant(args, matrices=x, n=n, mode="float", tables=TABLES)) == \
+            repr(float(exact))
+        exact = trace_cumulant(args, trace_value=tv, kappa=kappa, n=n, tables=TABLES)
+        got = trace_cumulant(args, trace_value=lambda c: exactly_float(tv(c)),
+                             kappa=lambda c: exactly_float(kappa(c)), n=n, mode="float",
+                             tables=TABLES)
+        assert repr(got) == repr(float(exact))
+
+
+@st.composite
 def integer_sum_matrices(draw, n):
     """Exact matrices for labels 1 and 2 at N = n, over different denominators
     (3 and 4): small entries, entries of at least 2^40 (so stacks run on
@@ -1252,6 +1312,21 @@ class TestCallerValueSums:
                 with pytest.raises(ValidationError, match=r"(trace_value|kappa)\(\(.*\)\) must be rational"):
                     call()
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, True, "x", None])
+    def test_float_mode_caller_values_must_be_finite(self, bad):
+        y = TraceExpression.single_trace([(1, 1, 1), (1, -1, 2)])
+        calls = {
+            "trace_value": lambda: trace_cumulant([y, y], trace_value=lambda c: bad, n=3,
+                                                  mode="float", tables=TABLES),
+            "kappa": lambda: trace_cumulant([y, y], trace_value=lambda c: 0.5,
+                                            kappa=lambda c: bad, n=3, mode="float",
+                                            tables=TABLES)}
+        for name, call in calls.items():
+            with pytest.raises(ValidationError,
+                               match=rf"{name}\(\(.*\)\) must be a finite float, an int or a "
+                                     rf"Fraction, got {re.escape(repr(bad))}"):
+                call()
+
     def test_values_called_once_in_first_seen_order(self):
         rng = random.Random(63)
         for _ in range(6):
@@ -1304,6 +1379,25 @@ class TestConnectivityMemo:
     @given(three_traces_two_colours(), st.sampled_from((3, 4)),
            st.randoms(use_true_random=False))
     def test_three_traces_against_joins(self, args, n, rng):
+        keys = self.against_joins(args, n, rng)
+        # with all-zero matrices (a draw Hypothesis may shrink to) every
+        # product of vertex traces is 0, so no gluing reaches the scan and
+        # the draw has no key to check
+        assume(keys)
+        assert all(map(ints_and_tuples, keys))
+
+    def test_fixed_three_traces_build_keys(self):
+        args = [TraceExpression.single_trace([(1, 1, 1), (2, 1, 2)]),
+                TraceExpression.single_trace([(1, -1, 1)]),
+                TraceExpression.single_trace([(2, -1, -2)])]
+        keys = self.against_joins(args, 3, random.Random(62))
+        assert keys and all(map(ints_and_tuples, keys))
+
+    @staticmethod
+    def against_joins(args, n, rng) -> list:
+        """Check the cumulant of args, warm and cold, against the oracle in
+        every mode, and return the arguments of every `_connecting_rhos`
+        call."""
         from haargenus import expansion
 
         x = {l: rational_matrix(rng, n) for l in (1, 2)}
@@ -1325,7 +1419,7 @@ class TestConnectivityMemo:
             return scan(*key)
 
         def values(cumulant):
-            # float sums must add in the same order, so floats compare by repr
+            # a float result is the float of the exact sum, so floats compare by repr
             out = [cumulant(args, tables=TABLES, **kw) for kw in modes]
             return [repr(v) if isinstance(v, float) else v for v in out]
 
@@ -1334,7 +1428,7 @@ class TestConnectivityMemo:
             assert warm == values(join_trace_cumulant)
             scan.cache_clear()
             assert values(trace_cumulant) == warm
-        assert keys and all(map(ints_and_tuples, keys))
+        return keys
 
 
 class TestErrorOrder:
