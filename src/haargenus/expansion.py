@@ -26,7 +26,11 @@ and `_Gluings.term_for` joins one pair's halves per colour by concatenation
 and walks the vertex cycles, skipping mirrors with a bitmask of positions.
 Each call keeps one cycle table: every distinct cycle of codes gets an id,
 in first-seen order, with its label cycle and position bits made once, and
-`term_for` returns ids, which tell gluings apart.
+`term_for` returns ids, which tell gluings apart.  An empty trace, tr(I) / N
+= 1, is one vertex cycle of its own on every gluing, with no position and
+the empty label cycle.  The kernel is set up from plain dicts and lists, and
+`concatenate` relabels expressions that are valid already without
+validating them again.
 
 `_Gluings.slices` is the one loop over gluings, and every evaluator runs on
 it: it yields at most GLUING_BLOCK gluings at a time, with the label cycles
@@ -37,15 +41,18 @@ each Weingarten factor, and each pole, comes before any trace.  Only
 `expand_moment` decodes each gluing into an `ExpansionTerm`, which builds
 its `Premap` only when `alpha` is read.
 
-Sums run on integers, in every mode.  A float trace is a dyadic rational,
-held exactly as the numerator of its `as_integer_ratio()` over N times the
-denominator, so float mode runs the exact sums and rounds the result once
-(`_to_float`): no rounding is left but in the float traces themselves, and
-no result depends on the order of the gluings.  Moments sum the products of
-integer trace numerators per (exponent, diagrams) over the running lcm of
-the gluings' denominators (`_moment_sums`, shared by `evaluate_moment` and
-`moment_symbolic`; an exact moment's gluings of one group share theirs),
-and cumulant entries sum the same way (`_add_over`).  A caller's values
+Sums run on integers, in every mode, to the end: a numeric result forms
+one Fraction.  A float trace is a dyadic rational, held exactly over N
+times one power of two for all the call's float traces, so float mode runs
+the exact sums and rounds the result once (`_to_float`): no rounding is
+left but in the float traces themselves, and no result depends on the
+order of the gluings.  Moments sum the products of integer trace
+numerators per (exponent, diagrams) over the running lcm of the gluings'
+denominators (`_moment_sums`, shared by `evaluate_moment` and
+`moment_symbolic`; the gluings of one group share theirs, but for a
+caller's values), and cumulant entries sum the same way (`_add_over`).
+Each group's sum times its Weingarten value or relative cumulant at N and
+its power of N is then added on ints too (`_add_term`).  A caller's values
 split once per argument (`_RationalValues`), and symbolic results gather
 the N-exponent weights of each coefficient into one Laurent polynomial
 (`_laurent`).  A float trace that is not finite, or a float result beyond
@@ -143,14 +150,7 @@ class TraceExpression:
         out: dict[int, list[int]] = {}
         for k in self.positions:
             out.setdefault(self.color[k], []).append(k)
-        return {c: sorted(v) for c, v in sorted(out.items())}
-
-    def vertex_label(self, k: int) -> int:
-        """Effective matrix label at signed position k (transposed if k < 0)."""
-        s = self.slot[abs(k)]
-        if s == IDENTITY_SLOT:
-            return IDENTITY_SLOT
-        return s if k > 0 else -s
+        return dict(sorted(out.items()))  # each list in order, as the positions are
 
     # -- builders -------------------------------------------------------------
 
@@ -209,22 +209,20 @@ class TraceExpression:
 
 
 def concatenate(exprs: Sequence[TraceExpression]) -> TraceExpression:
-    """Relabel a list of expressions to consecutive positions, one after another."""
-    cycles = []
-    eps: dict[int, int] = {}
-    color: dict[int, int] = {}
-    slot: dict[int, int] = {}
+    """Relabel a list of expressions to consecutive positions, one after
+    another; each is valid already, so the result is not validated again."""
+    out = TraceExpression.__new__(TraceExpression)
+    cycles: list[tuple[int, ...]] = []
+    out.eps, out.color, out.slot = eps, color, slot = {}, {}, {}
     offset = 0
     for e in exprs:
-        remap = {k: i + 1 + offset for i, k in enumerate(e.positions)}
-        for c in e.cycles:
-            cycles.append([remap[k] for k in c])
-        for k in e.positions:
-            eps[remap[k]] = e.eps[k]
-            color[remap[k]] = e.color[k]
-            slot[remap[k]] = e.slot[k]
+        remap = {k: i for i, k in enumerate(e.positions, offset + 1)}
+        cycles += (tuple(map(remap.__getitem__, c)) for c in e.cycles)
+        for k, i in remap.items():
+            eps[i], color[i], slot[i] = e.eps[k], e.color[k], e.slot[k]
         offset += e.n
-    return TraceExpression(cycles, eps, color, slot)
+    out.cycles, out.positions = tuple(cycles), tuple(range(1, offset + 1))
+    return out
 
 
 @dataclass(frozen=True)
@@ -258,12 +256,15 @@ class _Pair(NamedTuple):
 
 
 @functools.lru_cache(maxsize=None)
-def _pairing_table(m: int) -> tuple[tuple[tuple[int, ...], ...], tuple[_Pair, ...], tuple]:
-    """(partners, pairs, diagrams) of the points 1..m, built once per colour
-    size: the pairings as partner arrays on 0..m-1, in `enumerate_pairings`
-    order, and every pair of indices (p_plus major) with its join blocks and
-    the index of its diagram.  A colour's positions in increasing order
-    relabel 1..m monotonically, which keeps the order of pairings and blocks."""
+def _pairing_table(m: int) -> tuple[tuple[tuple[int, ...], ...], tuple[_Pair, ...], tuple,
+                                    tuple[Callable, ...]]:
+    """(partners, pairs, diagrams, takes) of the points 1..m, built once per
+    colour size: the pairings as partner arrays on 0..m-1, in
+    `enumerate_pairings` order, every pair of indices (p_plus major) with its
+    join blocks and the index of its diagram, and per pairing p the
+    itemgetter that reads a list at p's entries.  A colour's positions in
+    increasing order relabel 1..m monotonically, which keeps the order of
+    pairings and blocks."""
     partners = tuple(pairing_partners(m))
     pairs, diagrams = [], {}  # diagram -> index
     for i, p_plus in enumerate(partners):
@@ -271,7 +272,8 @@ def _pairing_table(m: int) -> tuple[tuple[tuple[int, ...], ...], tuple[_Pair, ..
             blocks = tuple(tuple(k + 1 for k in b) for b in join_blocks(p_plus, p_minus))
             lam = YoungDiagram(len(b) // 2 for b in blocks)
             pairs.append(_Pair(i, j, blocks, diagrams.setdefault(lam, len(diagrams))))
-    return partners, tuple(pairs), tuple(diagrams)
+    takes = tuple(operator.itemgetter(*p) for p in partners)
+    return partners, tuple(pairs), tuple(diagrams), takes
 
 
 @functools.lru_cache(maxsize=None)
@@ -283,11 +285,11 @@ def _diagram_table(sizes: tuple[int, ...]) -> tuple[tuple, tuple[int, ...], tupl
     and per colour, each pair's diagram index times the colour's stride, so
     that a gluing's index in lambdas is the sum over its pairs."""
     tables = [_pairing_table(m) for m in sizes]
-    lambdas = tuple(itertools.product(*(diagrams for _, _, diagrams in tables)))
+    lambdas = tuple(itertools.product(*(t[2] for t in tables)))
     strides = [math.prod(len(t[2]) for t in tables[c + 1:]) for c in range(len(tables))]
     return (lambdas, tuple(sum(d.num_rows for d in lam) for lam in lambdas),
             tuple(tuple(pair.lam * stride for pair in pairs)
-                  for (_, pairs, _), stride in zip(tables, strides)))
+                  for (_, pairs, *_), stride in zip(tables, strides)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -324,45 +326,50 @@ class _Gluings:
             raise CapExceededError(
                 f"expansion has {self.total} terms, beyond the cap of {term_cap}")
         colours = [] if odd else list(by_color.values())
-        phi_inv = expr.phi().inverse()
+        phi_inv = {b: a for c in expr.cycles for a, b in zip(c, c[1:] + c[:1])}
         # an arc x -> a of the premap becomes the arc src[x] -> dst[a] of K^{-1}
         src: dict[int, int] = {}
         dst: dict[int, int] = {}
-        for k in expr.positions:
+        for k, e in expr.eps.items():
             for x in (k, -k):
-                y = expr.eps[k] * x  # x -> y under d_eps
-                src[x] = phi_inv(y) if y > 0 else y
-                dst[x] = -phi_inv(-y) if y < 0 else y
+                y = e * x  # x -> y under d_eps
+                src[x] = phi_inv[y] if y > 0 else y
+                dst[x] = -phi_inv[-y] if y < 0 else y
         # code i stands for codes[i], the src of the i-th signed point of the
         # colours in turn, positive points then negative ones
         self.codes = [src[s * k] for pts in colours for s in (1, -1) for k in pts]
         code = {x: i for i, x in enumerate(self.codes)}
         rank = {k: 1 << i for i, k in enumerate(expr.positions)}
         self._code_bits = [rank[abs(x)] for x in self.codes]
-        self._code_labels = [expr.vertex_label(x) for x in self.codes]
+        # the matrix label at each code, negative for the transpose (IDENTITY_SLOT is 0)
+        slot = expr.slot
+        self._code_labels = [slot[x] if x > 0 else -slot[-x] for x in self.codes]
         # the code of each position, by the bit length of its bit
         self._starts = [None, *map(code.get, expr.positions)]
+        # an empty trace, tr(I) / N = 1, is a vertex cycle of its own, with no
+        # position: ids 0, 1, ... in trace order, on every gluing
+        self.empty = tuple(range(expr.cycles.count(())))
         self.cycle_ids: dict[tuple[int, ...], int] = {}
-        self.cycles: list[tuple[int, ...]] = []
-        self.labels: list[tuple[int, ...]] = []
-        self.bits: list[int] = []
+        self.cycles: list[tuple[int, ...]] = [()] * len(self.empty)
+        self.labels: list[tuple[int, ...]] = [()] * len(self.empty)
+        self.bits: list[int] = [0] * len(self.empty)
         self.choices: list[Sequence[_Pair]] = [[]] if odd else []  # no gluing when odd
         # per colour, each pairing's half of K^{-1} as p_plus and as p_minus
         self.halves: list[tuple[list[tuple[int, ...]], list[tuple[int, ...]]]] = []
         # per colour, (0, least position, ...): point i of the table is points[i]
         self.points: list[tuple[int, ...]] = []
         # choices run over colours in sorted order; ker(colour) orders them by least position
-        firsts = [pts[0] for pts in by_color.values()]
+        firsts = [pts[0] for pts in colours]
         self.ker_order = sorted(range(len(firsts)), key=firsts.__getitem__)
         for pts in colours:
             tables.table(len(pts))  # a table beyond its cap fails before enumeration
             self.points.append((0, *pts))
-            partners, pairs, _ = _pairing_table(len(pts))
+            _, pairs, _, takes = _pairing_table(len(pts))
             # the arc x -> -p(x) of p_plus and -x -> p(x) of p_minus
             to_minus = [code[dst[-k]] for k in pts]
             to_plus = [code[dst[k]] for k in pts]
-            self.halves.append(([tuple(map(to_minus.__getitem__, p)) for p in partners],
-                                [tuple(map(to_plus.__getitem__, p)) for p in partners]))
+            self.halves.append(([take(to_minus) for take in takes],
+                                [take(to_plus) for take in takes]))
             self.choices.append(pairs)
         self._pairings: list[list[SetPartition]] | None = None
         self._arcs: list[tuple] | None = None
@@ -370,14 +377,15 @@ class _Gluings:
             ((), (), ()) if odd else _diagram_table(tuple(map(len, colours)))
 
     def term_for(self, combo: tuple[_Pair, ...]) -> tuple[int, ...]:
-        """The ids in `cycle_ids` of the gluing's vertex cycles: the particular
-        cycles of K^{-1}, one cycle of each mirror pair, the one through the
-        pair's least point, which is positive; in order of that point."""
+        """The ids of the gluing's vertex cycles: those of the empty traces,
+        then the ids in `cycle_ids` of the particular cycles of K^{-1}, one
+        cycle of each mirror pair, the one through the pair's least point,
+        which is positive; in order of that point."""
         kinv = ()
         for (plus, minus), pair in zip(self.halves, combo):
             kinv += plus[pair.plus] + minus[pair.minus]
         cycle_ids, cycles, labels, bits = self.cycle_ids, self.cycles, self.labels, self.bits
-        ids = []
+        ids = [*self.empty]
         free = (1 << self.n) - 1  # the positions on no vertex cycle yet
         while free:
             start = self._starts[(free & -free).bit_length()]
@@ -508,21 +516,26 @@ class _TraceMemo(dict):
     """Traces along label cycles for one evaluation at N, keyed by cycle: the
     integer numerator of each normalized trace in `self[cycle]`, over the int
     `dens[cycle]` (the empty cycle has N over N).  A float trace is held
-    exactly, its `as_integer_ratio()` over N.  `value` gives the normalized
-    trace as a Fraction.  `fill` computes the cycles not held yet in one
-    `trace_numerators` batch; a lookup only reads.  A slot label in `labels`
-    with no matrix fails here, before any enumeration or coefficient."""
+    exactly, over N times `scale`, the least power of two that holds every
+    float trace of the call so far, and so is the empty cycle once a float
+    trace is held, so that the gluings of one group share a denominator.  `value` gives the
+    normalized trace as a Fraction.  `fill` computes the cycles not held yet
+    in one `trace_numerators` batch; a lookup only reads.  A slot label in
+    `labels` with no matrix fails here, before any enumeration or
+    coefficient."""
 
     def __init__(self, matrices: Mapping[int, DenseMatrix], n: int, mode: str,
                  labels: Iterable[int]):
         super().__init__()
         check_dimension(n)
+        self.n = int(n)
         self.mats = _resolve_for_mode(matrices, n, mode)
         for label in labels:
             if label:
                 _slot_matrix(self.mats, label)
-        self.dens = {(): n}
-        self[()] = n
+        self.floats, self.scale = mode == "float", 1
+        self.dens = {(): self.n}
+        self[()] = self.n
 
     @property
     def value(self) -> Callable[[tuple[int, ...]], Fraction]:
@@ -539,15 +552,18 @@ class _TraceMemo(dict):
         cycle."""
         fresh = [c for c in dict.fromkeys(cycles) if c not in self]
         nums, dens = trace_numerators(fresh, self.mats, normalized=True)
-        for cycle, t, d in zip(fresh, nums, dens):
-            if isinstance(t, float):
+        if self.floats and fresh:
+            for cycle, t, d in zip(fresh, nums, dens):
                 if not math.isfinite(t):
                     raise ValidationError(f"the normalized trace along the label cycle {cycle} "
                                           f"is not finite: {t / d!r}")
-                t, scale = t.as_integer_ratio()
-                d *= scale
-            self[cycle] = t
-            self.dens[cycle] = d
+            ratios = [t.as_integer_ratio() for t in nums]
+            self.scale = max(self.scale, *(q for _, q in ratios))
+            nums = [p * (self.scale // q) for p, q in ratios]
+            dens = [d * self.scale for d in dens]
+            self[()] = self.dens[()] = self.n * self.scale
+        self.update(zip(fresh, nums))
+        self.dens.update(zip(fresh, dens))
 
 
 def _to_float(value: Fraction) -> float:
@@ -601,9 +617,10 @@ def evaluate_moment(expr: TraceExpression, matrices: Mapping[int, DenseMatrix],
     glu = _Gluings(expr, tables or default_tables(), term_cap)
     # the Weingarten factor at N once per diagrams, in first-seen order
     wg = [glu.tables.wg_product_at(lambdas, n) for lambdas in glu.lambdas]
-    value = sum((wg[lam] * Fraction(n) ** exponent * Fraction(s, den)
-                 for (exponent, lam), (s, den) in _moment_sums(glu, memo, memo.fill).items()),
-                Fraction(0))
+    acc = [0, 1]
+    for (exponent, lam), (s, den) in _moment_sums(glu, memo, memo.fill).items():
+        _add_term(acc, wg[lam], s, den, memo.n, exponent)
+    value = Fraction(*acc)
     return MomentResult(value=value if mode == "exact" else _to_float(value),
                         term_count=glu.total)
 
@@ -721,10 +738,13 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
     the trace masks (trace t as the bit 1 << t) of the vertex cycles and the
     block shape id of each colour's pair (`_block_shapes`).  Every mode
     sums exactly per entry and expands the sums into one weight per (N
-    exponent, relative cumulant); float mode takes its float traces and
-    values exactly and rounds the result once.  Gluings run in the slices of
-    `_Gluings.slices`, each with one batch of traces of the built-in
-    matrices.
+    exponent, relative cumulant), which a numeric result adds on ints with
+    its relative cumulant at N (`_add_term`); float mode takes its float
+    traces and values exactly and rounds the result once.  Gluings run in
+    the slices of `_Gluings.slices`, each with one batch of traces of the
+    built-in matrices.  An empty trace is the constant tr(I) = N: its vertex
+    cycle touches its own trace only, so with deterministic slots k_r for
+    r >= 2 is 0 when one argument is empty.
 
     Deterministic slot matrices are the built-in path (higher vertex-trace
     cumulants vanish), and a slot label with no matrix fails before any
@@ -761,11 +781,17 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
 
     glu = _Gluings(expr, tables, term_cap)
     bit = {k: 1 << t for t, cyc in enumerate(expr.cycles) for k in cyc}  # trace t
-    code_bits = [bit[abs(x)] for x in glu.codes]
-    trace_masks: list[int] = []  # per cycle id, the traces it touches
+    rank = {k: 1 << i for i, k in enumerate(expr.positions)}
+    # per trace, its bit and the bits of its positions, as in `glu.bits`
+    trace_positions = [(1 << t, sum(map(rank.__getitem__, cyc)))
+                       for t, cyc in enumerate(expr.cycles)]
+    mask_of: dict[int, int] = {}  # position bits -> the mask of the traces they meet
+    # per cycle id, the traces it touches: an empty trace's own
+    trace_masks = [1 << t for t, cyc in enumerate(expr.cycles) if not cyc]
     # per colour, the block shape id of each pair and the shapes by id
     block_shapes = [_block_shapes(tuple(map(bit.__getitem__, pts[1:]))) for pts in glu.points]
-    order = glu.ker_order
+    # per colour in ker(colour) order, its index and its shapes
+    ordered_shapes = [(c, block_shapes[c][1]) for c in glu.ker_order]
     ground = expr.positions
     c_cache = tables.relative_cumulants
     c_at_n: dict[tuple, Fraction | None] = {}  # this call's keys, at N unless symbolic
@@ -816,8 +842,11 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
         if kappa is None:  # a caller's trace_value once per new cycle, in first-seen order
             nums += map(values.__getitem__, fresh)
             dens += map(values.dens.__getitem__, fresh)
-        trace_masks += [sum({*map(code_bits.__getitem__, c)})
-                        for c in glu.cycles[len(trace_masks):]]
+        for b in glu.bits[len(trace_masks):]:
+            m = mask_of.get(b)
+            if m is None:
+                m = mask_of[b] = sum(t for t, pm in trace_positions if b & pm)
+            trace_masks.append(m)
         for (combo, ids, exponent, _), bid in zip(rows, bids):
             if kappa is None:  # tau is the discrete partition
                 k = math.prod(map(nums.__getitem__, ids))
@@ -830,10 +859,9 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
             for t, tau, k, den in terms:
                 entry = entries.get((masks, bid, t))
                 if entry is None:
-                    shape = [shapes[i] for (_, shapes), i in zip(block_shapes, bid)]
-                    hits = _connecting_rhos(r, masks, tuple(map(shape.__getitem__, order)),
-                                            tuple((i,) for i in range(len(ids)))
-                                            if tau is None else tau)
+                    hits = _connecting_rhos(r, masks, tuple([shapes[bid[c]] for c, shapes in
+                                                             ordered_shapes]),
+                                            tuple(zip(range(len(ids)))) if tau is None else tau)
                     build_cumulants(combo, hits)
                     # N^(chi - r)
                     entry = entries[masks, bid, t] = [0, den, hits, exponent + r]
@@ -848,11 +876,10 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
             _add_over(weights.setdefault((e, key), [0, 1]), k_sum, den)
     if symbolic:
         return _symbolic_sum(weights, c_cache.__getitem__)
-    # sum c(key) w / d per N exponent, then one power each
-    sums: dict[int, Fraction] = {}
+    acc = [0, 1]
     for (e, key), (w, d) in weights.items():
-        sums[e] = sums.get(e, 0) + c_at_n[key] * Fraction(w, d)
-    value = sum((s * Fraction(n) ** e for e, s in sums.items()), Fraction(0))
+        _add_term(acc, c_at_n[key], w, d, int(n), e)
+    value = Fraction(*acc)
     return value if mode == "exact" else _to_float(value)
 
 
@@ -892,6 +919,14 @@ def _add_over(acc: list, k: int, den: int) -> None:
         acc[0] *= lcm // acc[1]
         acc[1] = lcm
     acc[0] += k * (acc[1] // den)
+
+
+def _add_term(acc: list, c: Fraction, k: int, den: int, n: int, e: int) -> None:
+    """Add c N^e k / den onto acc[0] / acc[1] (`_add_over`)."""
+    if e < 0:
+        _add_over(acc, c.numerator * k, c.denominator * den * n ** -e)
+    else:
+        _add_over(acc, c.numerator * k * n ** e, c.denominator * den)
 
 
 def _laurent(terms: Mapping[int, tuple[int, int]]) -> PolyFrac:

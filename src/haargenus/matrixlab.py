@@ -6,13 +6,18 @@ over one common denominator, with their bound and int64 array; its Fraction
 rows are formed on demand.  Float matrices hold numpy arrays.  Traces along
 label cycles run in one kernel for both modes, `trace_numerators`: the
 cycles of one call form one stack per dimension and dtype, sorted by length,
-that multiplies level by level on a shrinking leading slice.  An exact cycle
-runs in the int64 stack where a bound proves that no partial sum overflows
-and in the Python-int stack otherwise, and its trace is an integer numerator
-over the product of its factors' denominators; `traces_along` forms one
-Fraction per cycle from them.  A float stack multiplies from the
-left and sums each trace as numpy sums one matrix's, so every float trace is
-the one of multiplying that cycle's matrices in turn.
+that multiplies level by level on a shrinking leading slice.  Small calls
+are common (a call's new cycles, often a handful), so the set-up takes few
+numpy calls: a cached mask per row width places the factors, the stack of
+factors is filled by assignment, and numpy's error state is entered for
+float stacks only.  An exact cycle runs in the int64 stack where a bound
+proves that no partial sum overflows and in the Python-int stack otherwise,
+and its trace is an integer numerator over the product of its factors'
+denominators; `traces_along` forms one Fraction per cycle from them.  A
+float stack multiplies from the left and sums each trace as numpy sums one
+matrix's, so every float trace is the one of multiplying that cycle's
+matrices in turn.  The brute-force oracle and the Monte Carlo estimators
+take an empty trace as tr(I) / N = 1.
 
 The Monte Carlo estimators use per-sample Philox substreams on a fixed chunk
 grid: sample i draws from the counter-based stream keyed by (seed, i), and
@@ -34,6 +39,8 @@ two threads as on one for N = 8-24, the same at N = 32 and 0.64x at 48.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import math
 import numbers
@@ -312,11 +319,12 @@ def trace_numerators(cycles: Sequence[Sequence[int]], matrices: Mapping[int, Den
     order); the denominator is 1, or N when normalized."""
     if not cycles:
         return [], []
-    row: dict[int, int] = {}  # label -> its place in the per-label lists
+    flat = list(itertools.chain.from_iterable(cycles))
+    row = dict.fromkeys(flat)  # label -> its place in the per-label lists
     sizes, dens, bounds = [], [], []
     factors = []  # per label: (int64 array, None if too large, or float array; Python-int rows)
     mode = None
-    for label in dict.fromkeys(itertools.chain.from_iterable(cycles)):
+    for label in row:
         m = _slot_matrix(matrices, label)
         mode = mode or m.mode
         if m.mode != mode:
@@ -350,20 +358,18 @@ def trace_numerators(cycles: Sequence[Sequence[int]], matrices: Mapping[int, Den
     top = max(sizes)
     pad = len(sizes)  # the place of the identity factor
 
-    # each cycle's factors as places in the per-label lists: an exact row
-    # holds factors 0..L-2 from the left and factor L-1 in its last column
+    # each cycle's factors as places in the per-label lists
     width = max(lengths[0], 2) if exact else lengths[0]
-    column, long = np.arange(width), np.array(lengths)[:, None]
     padded = np.full((count, width), pad, dtype=np.intp)
-    padded[(column < long - 1) | (column == width - 1) if exact else column < long] = \
-        np.fromiter(map(row.__getitem__, itertools.chain.from_iterable(
-            map(cycles.__getitem__, order))), np.intp)
+    padded[_filled(width, exact)[lengths]] = np.fromiter(
+        map(row.__getitem__, itertools.chain.from_iterable(map(cycles.__getitem__, order))),
+        np.intp, len(flat))
     fits = [True] * count
     if exact:
         scale = top if normalized else 1
         den = np.array(dens + [1], dtype=np.int64 if max(dens) ** lengths[0] * scale
                        < INT64_LIMIT else object)[padded].prod(axis=1)
-        den = (den * np.array(n) if normalized else den).tolist()
+        den = (den * (top if one_size else np.array(n)) if normalized else den).tolist()
         if (top * max(bounds)) ** lengths[0] >= INT64_LIMIT:
             bound = np.array(bounds + [1], dtype=object)[padded].prod(axis=1).tolist()
             fits = [k ** length * b < INT64_LIMIT for k, length, b in zip(n, lengths, bound)]
@@ -371,9 +377,13 @@ def trace_numerators(cycles: Sequence[Sequence[int]], matrices: Mapping[int, Den
         den = n if normalized else [1] * count
 
     # one stack per (dimension, int64 or not): its rows, in length order
-    stacks: dict[tuple[int, bool], list[int]] = {}
-    for place, key in enumerate(zip(n, fits)):
-        stacks.setdefault(key, []).append(place)
+    keys = list(zip(n, fits))
+    if keys.count(keys[0]) == count:
+        stacks = {keys[0]: None}  # every row
+    else:
+        stacks = {}
+        for place, key in enumerate(keys):
+            stacks.setdefault(key, []).append(place)
     nums = [None] * count
     for (dim, fit), places in stacks.items():
         # every label's factor by its place, then the identity; a label of
@@ -381,21 +391,39 @@ def trace_numerators(cycles: Sequence[Sequence[int]], matrices: Mapping[int, Den
         # read and stands as zeros
         dtype = float if not exact else np.int64 if fit else object
         pick = 0 if fit else 1
-        zero = np.zeros((dim, dim), dtype)
-        base = np.array([zero if sizes[j] != dim or factors[j][pick] is None else factors[j][pick]
-                         for j in range(pad)] + [np.identity(dim, dtype)], dtype=dtype)
-        whole = len(places) == count
+        base = np.zeros((pad + 1, dim, dim), dtype)
+        for j, factor in enumerate(factors):
+            if sizes[j] == dim and factor[pick] is not None:
+                base[j] = factor[pick]
+        base[pad].flat[::dim + 1] = 1
+        whole = places is None
         # a float trace that overflows is refused by the caller, which names
         # its cycle, so numpy's overflow warnings would only repeat it
-        with np.errstate(over="ignore", invalid="ignore"):
+        with contextlib.nullcontext() if exact else np.errstate(over="ignore", invalid="ignore"):
             traces = _stack_traces(base, padded if whole else padded[places],
                                    lengths if whole else [lengths[p] for p in places],
-                                   exact)
-        for place, t in zip(places, traces.tolist()):
-            nums[place] = t
+                                   exact).tolist()
+        if whole:
+            nums = traces
+        else:
+            for place, t in zip(places, traces):
+                nums[place] = t
     # back to the caller's order
     inverse = sorted(range(count), key=order.__getitem__)
     return list(map(nums.__getitem__, inverse)), list(map(den.__getitem__, inverse))
+
+
+@functools.lru_cache(maxsize=None)
+def _filled(width: int, exact: bool) -> np.ndarray:
+    """Row L marks the columns of a stack row `width` wide that a cycle of
+    length L fills with its factors: an exact row holds factors 0..L-2 from
+    the left and factor L-1 in its last column, a float row factors 0..L-1.
+    Kept per width, the longest cycle of a call, so a few small arrays."""
+    filled = np.arange(width) < np.arange(width + 1)[:, None] - exact
+    if exact:
+        filled[1:, -1] = True
+    filled.flags.writeable = False
+    return filled
 
 
 def _stack_traces(base: np.ndarray, index: np.ndarray, lengths: list[int],
@@ -421,7 +449,7 @@ def _stack_traces(base: np.ndarray, index: np.ndarray, lengths: list[int],
     if done:
         prod = np.concatenate([prod] + done[::-1])
     if exact:
-        return (prod * base[index[:, -1]].swapaxes(1, 2)).sum(axis=(1, 2))
+        return np.einsum("kij,kji->k", prod, base[index[:, -1]])
     return np.trace(prod, axis1=1, axis2=2)
 
 
@@ -533,7 +561,7 @@ def _expr_sampler(expr, matrices: Mapping[int, DenseMatrix], n: int):
             mats[k] = resolve_slot(matrices, label).to_float().as_numpy()
         if mats[k].shape[0] != n:
             raise ValidationError("matrix dimension does not match N")
-    cycles = [tuple(c) for c in expr.cycles]
+    cycles = [tuple(c) for c in expr.cycles if c]  # an empty trace, tr(I) / N, is 1
     colors = sorted({expr.color[k] for k in expr.positions})
 
     def statistic(o: np.ndarray, column: Mapping[int, int]) -> np.ndarray:
@@ -733,7 +761,7 @@ def brute_force_moment(expr, matrices: Mapping[int, DenseMatrix], n: int,
 
     phi_next = {}
     for cyc in expr.cycles:
-        for a, b in zip(cyc, tuple(cyc[1:]) + (cyc[0],)):
+        for a, b in zip(cyc, tuple(cyc[1:]) + tuple(cyc[:1])):
             phi_next[a] = b
 
     # integer-scaled entries; one common denominator per slot occurrence
@@ -807,4 +835,5 @@ def brute_force_moment(expr, matrices: Mapping[int, DenseMatrix], n: int,
         for w in wkey:
             weight *= w
         total += weight * s
-    return total / scale / Fraction(n) ** len(expr.cycles)
+    # an empty trace adds no index and no factor: its tr(I) / N is 1
+    return total / scale / Fraction(n) ** sum(1 for c in expr.cycles if c)

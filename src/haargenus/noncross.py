@@ -10,7 +10,7 @@ The premap predicates characterize Euler characteristic 2 gluings.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import ValidationError
 from .permap import Premap, SignedPermutation, phi_minus, phi_plus
@@ -246,17 +246,3 @@ def premap_chi2_annular(frame: AnnularFrame, a: Premap) -> bool:
         if is_annular_noncrossing(sub_frame, a.restrict_induced(j)):
             return True
     return False
-
-
-def find_phi_neighbor(phi: SignedPermutation, alpha: SignedPermutation) -> Optional[int]:
-    """A point k with alpha^{-1}(k) = phi(k), if one exists."""
-    inv = alpha.inverse()
-    for k in sorted(phi.domain):
-        if inv(k) == phi(k):
-            return k
-    return None
-
-
-def count_phi_neighbors(phi: SignedPermutation, alpha: SignedPermutation) -> int:
-    inv = alpha.inverse()
-    return sum(1 for k in phi.domain if inv(k) == phi(k))

@@ -109,13 +109,6 @@ class SignedPermutation:
     def cycle_count(self) -> int:
         return len(self.cycles())
 
-    def transposition_length(self) -> int:
-        """Minimal number of transpositions: |domain| - #cycles."""
-        return len(self._domain) - self.cycle_count
-
-    def orbit_partition(self) -> SetPartition:
-        return SetPartition([set(c) for c in self.cycles()])
-
     # -- group operations --------------------------------------------------
 
     def compose(self, other: "SignedPermutation") -> "SignedPermutation":
@@ -128,10 +121,6 @@ class SignedPermutation:
 
     def inverse(self) -> "SignedPermutation":
         return SignedPermutation({v: k for k, v in self._map.items()})
-
-    def conjugate_by(self, r: "SignedPermutation") -> "SignedPermutation":
-        """r * self * r^{-1}; relabels every cycle point k as r(k)."""
-        return r.compose(self).compose(r.inverse())
 
     def extend(self, domain: Iterable[int]) -> "SignedPermutation":
         """Extend by fixed points to a larger domain."""
@@ -229,13 +218,6 @@ def _premap_violation(s: SignedPermutation) -> str | None:
     return None
 
 
-def is_premap(s: SignedPermutation) -> bool:
-    """Check d s d = s^{-1} and s(k) != -k on a symmetric domain."""
-    if frozenset(-k for k in s.domain) != s.domain:
-        raise ValidationError("premap test requires a symmetric domain")
-    return _premap_violation(s) is None
-
-
 def as_premap(s: SignedPermutation) -> Premap:
     return s if isinstance(s, Premap) else Premap(s._map)
 
@@ -323,15 +305,6 @@ def enumerate_premaps(positive: Iterable[int]) -> Iterator[Premap]:
     yield from rec({}, set())
 
 
-def enumerate_alternating_premaps(positive: Iterable[int]) -> Iterator[Premap]:
-    from .setpart import enumerate_pairings
-
-    pos = sorted(frozenset(positive))
-    for p_plus in enumerate_pairings(pos):
-        for p_minus in enumerate_pairings(pos):
-            yield pairings_to_premap(p_plus, p_minus)
-
-
 # -- gluing bookkeeping ------------------------------------------------------
 
 
@@ -398,7 +371,3 @@ def young_of_premap(a: Premap) -> YoungDiagram:
             raise ValidationError("alternating premap has an odd cycle")
         rows.append(len(c) // 2)
     return YoungDiagram(rows)
-
-
-def induced_permutation(s: SignedPermutation, subset: Iterable[int]) -> SignedPermutation:
-    return s.restrict_induced(subset)

@@ -1,8 +1,8 @@
 """Set partitions over finite signed-integer ground sets.
 
 Partitions form a lattice under refinement; this module provides join/meet,
-the Mobius function of the partition lattice, enumeration of partitions and
-pairings, Young diagrams, and the classical moment/cumulant conversion.
+the Mobius function of the partition lattice, enumeration of partitions,
+intervals and pairings, and Young diagrams.
 
 Ground sets are arbitrary finite sets of nonzero integers (a point k and its
 negative -k may both be present), since the downstream surface machinery
@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .errors import CapExceededError, GroundMismatchError, ValidationError
 
@@ -93,12 +92,6 @@ class SetPartition:
     def __repr__(self) -> str:
         body = "".join("{" + ",".join(map(str, sorted(b))) + "}" for b in self._blocks)
         return f"SetPartition({body})"
-
-    def block_of(self, k: int) -> frozenset[int]:
-        for b in self._blocks:
-            if k in b:
-                return b
-        raise KeyError(k)
 
     def is_finer_than(self, other: "SetPartition") -> bool:
         """True iff every block of self sits inside a block of other (self <= other)."""
@@ -283,14 +276,6 @@ def enumerate_pairings(ground: Iterable[int], cap: int = PAIRING_CAP) -> Iterato
     yield from rec(elems, [])
 
 
-def kernel_of(f: Mapping[int, object]) -> SetPartition:
-    """Partition of the domain of f by equal values."""
-    groups: dict[object, list[int]] = {}
-    for k, v in f.items():
-        groups.setdefault(v, []).append(k)
-    return SetPartition(groups.values())
-
-
 def mobius(p: SetPartition, q: SetPartition) -> int:
     """Mobius function of the partition lattice.
 
@@ -329,51 +314,3 @@ def enumerate_interval(lower: SetPartition, upper: SetPartition) -> Iterator[Set
         per_block.append(choices)
     for combo in itertools.product(*per_block):
         yield SetPartition([b for group in combo for b in group])
-
-
-def _scalar_mode(values) -> str:
-    has_float = any(isinstance(v, float) for v in values)
-    has_exact = any(isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in values)
-    if has_float and has_exact:
-        raise ValidationError("mixed exact and floating-point values")
-    return "float" if has_float else "exact"
-
-
-def cumulants_from_moments(moments: Callable[[SetPartition], object], target: SetPartition):
-    """Cumulant indexed by `target` from a partition-indexed moment oracle.
-
-    k_target = sum over rho <= target of mu(rho, target) * a_rho.  The oracle
-    must be defined on every partition below target; exact (int/Fraction) and
-    float values may not be mixed.
-    """
-    terms = []
-    for rho in enumerate_interval(SetPartition.singletons(target.ground), target):
-        try:
-            a = moments(rho)
-        except KeyError as exc:
-            raise ValidationError(f"moment oracle missing partition {rho!r}") from exc
-        if a is None:
-            raise ValidationError(f"moment oracle missing partition {rho!r}")
-        terms.append(mobius(rho, target) * a)
-    _scalar_mode(terms)
-    return sum(terms)
-
-
-def moments_from_cumulants(cumulants: Callable[[SetPartition], object], target: SetPartition):
-    """Inverse relation: a_target = sum over rho <= target of k_rho."""
-    terms = []
-    for rho in enumerate_interval(SetPartition.singletons(target.ground), target):
-        terms.append(cumulants(rho))
-    _scalar_mode(terms)
-    return sum(terms)
-
-
-def bell_number(n: int) -> int:
-    """Number of partitions of an n-set, by the standard recurrence."""
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-    return row[0]

@@ -86,14 +86,6 @@ def pairing_join_diagram(p: SetPartition, q: SetPartition) -> YoungDiagram:
     return _join_diagram(_partner_tuple(p, order), _partner_tuple(q, order))
 
 
-def gram_matrix(n: int, cap: int = WG_CAP) -> tuple[list[SetPartition], list[list[Poly]]]:
-    """All pairings of [n] and the matrix of monomials N^{#(p v q)}."""
-    _check_size(n, cap)
-    partners = pairing_partners(n)
-    rows = [[monomial(len(join_blocks(a, b))) for b in partners] for a in partners]
-    return list(enumerate_pairings(range(1, n + 1))), rows
-
-
 def _check_size(n: int, cap: int) -> None:
     if n <= 0 or n % 2:
         raise ValidationError(f"table size must be a positive even integer, got {n}")
@@ -214,16 +206,6 @@ def write_golden(n: int, path: str | None = None, cap: int = WG_CAP) -> str:
 def load_golden(n: int, path: str | None = None) -> WeingartenTable:
     with open(path or golden_path(n)) as fh:
         return WeingartenTable.from_json(json.load(fh))
-
-
-def wg_normalized(table: WeingartenTable, p_plus: SetPartition, p_minus: SetPartition) -> PolyFrac:
-    """wg(p+, p-) = N^{n - #(p+ v p-)} Wg(p+, p-)."""
-    if p_plus.ground != p_minus.ground:
-        raise ValidationError("pairings on different ground sets")
-    lam = pairing_join_diagram(p_plus, p_minus)
-    if 2 * lam.n != table.n:
-        raise ValidationError("pairing size does not match the table")
-    return table.wg(lam)
 
 
 def leading_order(lam: YoungDiagram) -> tuple[int, int, int]:

@@ -4,8 +4,13 @@ They are written for plainness, not speed: the literal index sum for traces,
 Gauss-Jordan elimination over PolyFrac, traces of matrix products taken one
 cycle and one DenseMatrix product at a time, gluings enumerated as
 premaps, the SetPartition-join form of the trace-cumulant sum, and the
-symbolic moment accumulated as Fractions.  A float result is the float of
+moments accumulated as Fractions.  A float result is the float of
 the exact sum over the float traces' exact ratios.
+
+The helpers at the end (partitions of permutations, moment-cumulant
+conversion, phi-neighbours, the Gram matrix, normalized wg per pair of
+pairings) are used by the tests only, so they live here and not in the
+library.
 """
 
 from __future__ import annotations
@@ -14,25 +19,28 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
+from haargenus.errors import ValidationError
 from haargenus.expansion import IDENTITY_SLOT, ExpansionTerm, TraceExpression, _TraceMemo, \
     concatenate, default_tables
 from haargenus.matrixlab import DenseMatrix, resolve_slot
-from haargenus.permap import K_inverse, Premap, delta_eps_conjugate, euler_characteristic, \
-    pairings_to_premap, particular_cycles
-from haargenus.ratpoly import PolyFrac
+from haargenus.permap import K_inverse, Premap, SignedPermutation, _premap_violation, \
+    delta_eps_conjugate, euler_characteristic, pairings_to_premap, particular_cycles
+from haargenus.ratpoly import Poly, PolyFrac, monomial
 from haargenus.setpart import SetPartition, enumerate_interval, enumerate_pairings, \
-    enumerate_partitions, join_of_pairings_diagram, kernel_of
-from haargenus.weingarten import wg_cumulant
+    enumerate_partitions, join_of_pairings_diagram, mobius
+from haargenus.weingarten import WG_CAP, WeingartenTable, _check_size, join_blocks, \
+    pairing_join_diagram, pairing_partners, wg_cumulant
 
 
 def label_cycles(expr: TraceExpression,
                  cycles: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Map position cycles through the slots, dropping identity factors."""
+    """Map position cycles through the slots, a negative position to the
+    transposed (negated) label, dropping identity factors."""
     out = []
     for c in cycles:
-        labels = tuple(expr.vertex_label(k) for k in c)
+        labels = tuple(expr.slot[abs(k)] * (1 if k > 0 else -1) for k in c)
         out.append(tuple(l for l in labels if l != IDENTITY_SLOT))
     return tuple(out)
 
@@ -148,7 +156,7 @@ def join_trace_cumulant(exprs, *, matrices=None, n=None, mode="exact", trace_val
     else:
         def tv(cycle):
             return Fraction(trace_value(cycle))
-    phi_part = expr.phi().orbit_partition()
+    phi_part = orbit_partition(expr.phi())
     ker_w = kernel_of(expr.color)
     ground = expr.positions
     full = SetPartition.full(ground)
@@ -206,17 +214,154 @@ def fraction_moment_symbolic(expr, trace_value, tables=None):
                 for (exponent, lambdas), w in weights.items() if w), PolyFrac(0))
 
 
-def fraction_float_moment(expr, matrices, n, tables=None):
-    """Float `evaluate_moment` as the float of an exact sum: wg(lambdas, N)
-    N^exponent times the product of the vertex cycles' float traces, each as
-    its exact ratio, summed as a Fraction over the premap gluings."""
+def fraction_moment(expr, matrices, n, mode="exact", tables=None):
+    """`evaluate_moment` as one Fraction sum over the premap gluings, as the
+    library closed its sums before they ran on ints: every gluing's
+    Weingarten factor at N, in first-seen order and before any trace (so the
+    first pole raises the library's PoleError), times N^exponent and the
+    product of the vertex cycles' traces, each a Fraction (a float trace as
+    its exact ratio).  Float mode rounds the sum once."""
     tables = tables or default_tables()
-    memo = _TraceMemo(matrices, n, "float", expr.slot.values())
+    memo = _TraceMemo(matrices, n, mode, expr.slot.values())
     gluings = list(premap_gluings(expr))
+    wg = {lambdas: tables.wg_product_at(lambdas, n) for _, _, lambdas, _, _ in gluings}
     memo.fill(c for *_, labels in gluings for c in labels)
     trace = memo.value
     total = Fraction(0)
     for _, chi, lambdas, _, labels in gluings:
-        total += tables.wg_product_at(lambdas, n) * Fraction(n) ** (chi - 2 * expr.num_traces) \
+        total += wg[lambdas] * Fraction(n) ** (chi - 2 * expr.num_traces) \
             * math.prod(map(trace, labels), start=Fraction(1))
-    return float(total)
+    return total if mode == "exact" else float(total)
+
+
+# -- helpers that only the tests use ---------------------------------------------
+
+
+def orbit_partition(s: SignedPermutation) -> SetPartition:
+    """The partition of the domain into the cycles of s."""
+    return SetPartition([set(c) for c in s.cycles()])
+
+
+def transposition_length(s: SignedPermutation) -> int:
+    """Minimal number of transpositions: |domain| - #cycles."""
+    return len(s.domain) - s.cycle_count
+
+
+def conjugate_by(s: SignedPermutation, r: SignedPermutation) -> SignedPermutation:
+    """r * s * r^{-1}; relabels every cycle point k as r(k)."""
+    return r.compose(s).compose(r.inverse())
+
+
+def induced_permutation(s: SignedPermutation, subset: Iterable[int]) -> SignedPermutation:
+    return s.restrict_induced(subset)
+
+
+def is_premap(s: SignedPermutation) -> bool:
+    """Check d s d = s^{-1} and s(k) != -k on a symmetric domain."""
+    if frozenset(-k for k in s.domain) != s.domain:
+        raise ValidationError("premap test requires a symmetric domain")
+    return _premap_violation(s) is None
+
+
+def enumerate_alternating_premaps(positive: Iterable[int]):
+    pos = sorted(frozenset(positive))
+    for p_plus in enumerate_pairings(pos):
+        for p_minus in enumerate_pairings(pos):
+            yield pairings_to_premap(p_plus, p_minus)
+
+
+def block_of(p: SetPartition, k: int) -> frozenset[int]:
+    """The block of p that holds k."""
+    for b in p.blocks:
+        if k in b:
+            return b
+    raise KeyError(k)
+
+
+def kernel_of(f: Mapping[int, object]) -> SetPartition:
+    """Partition of the domain of f by equal values."""
+    groups: dict[object, list[int]] = {}
+    for k, v in f.items():
+        groups.setdefault(v, []).append(k)
+    return SetPartition(groups.values())
+
+
+def _scalar_mode(values) -> str:
+    has_float = any(isinstance(v, float) for v in values)
+    has_exact = any(isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in values)
+    if has_float and has_exact:
+        raise ValidationError("mixed exact and floating-point values")
+    return "float" if has_float else "exact"
+
+
+def cumulants_from_moments(moments: Callable[[SetPartition], object], target: SetPartition):
+    """Cumulant indexed by `target` from a partition-indexed moment oracle.
+
+    k_target = sum over rho <= target of mu(rho, target) * a_rho.  The oracle
+    must be defined on every partition below target; exact (int/Fraction) and
+    float values may not be mixed.
+    """
+    terms = []
+    for rho in enumerate_interval(SetPartition.singletons(target.ground), target):
+        try:
+            a = moments(rho)
+        except KeyError as exc:
+            raise ValidationError(f"moment oracle missing partition {rho!r}") from exc
+        if a is None:
+            raise ValidationError(f"moment oracle missing partition {rho!r}")
+        terms.append(mobius(rho, target) * a)
+    _scalar_mode(terms)
+    return sum(terms)
+
+
+def moments_from_cumulants(cumulants: Callable[[SetPartition], object], target: SetPartition):
+    """Inverse relation: a_target = sum over rho <= target of k_rho."""
+    terms = []
+    for rho in enumerate_interval(SetPartition.singletons(target.ground), target):
+        terms.append(cumulants(rho))
+    _scalar_mode(terms)
+    return sum(terms)
+
+
+def bell_number(n: int) -> int:
+    """Number of partitions of an n-set, by the standard recurrence."""
+    row = [1]
+    for _ in range(n):
+        nxt = [row[-1]]
+        for v in row:
+            nxt.append(nxt[-1] + v)
+        row = nxt
+    return row[0]
+
+
+def find_phi_neighbor(phi: SignedPermutation, alpha: SignedPermutation) -> int | None:
+    """A point k with alpha^{-1}(k) = phi(k), if one exists."""
+    inv = alpha.inverse()
+    for k in sorted(phi.domain):
+        if inv(k) == phi(k):
+            return k
+    return None
+
+
+def count_phi_neighbors(phi: SignedPermutation, alpha: SignedPermutation) -> int:
+    inv = alpha.inverse()
+    return sum(1 for k in phi.domain if inv(k) == phi(k))
+
+
+def gram_matrix(n: int, cap: int = WG_CAP) -> tuple[list[SetPartition], list[list[Poly]]]:
+    """All pairings of [n] and the matrix of monomials N^{#(p v q)}."""
+    _check_size(n, cap)
+    partners = pairing_partners(n)
+    rows = [[monomial(len(join_blocks(a, b))) for b in partners] for a in partners]
+    return list(enumerate_pairings(range(1, n + 1))), rows
+
+
+def wg_normalized(table: WeingartenTable, p_plus: SetPartition,
+                  p_minus: SetPartition) -> PolyFrac:
+    """wg(p+, p-) = N^{n - #(p+ v p-)} Wg(p+, p-)."""
+    if p_plus.ground != p_minus.ground:
+        raise ValidationError("pairings on different ground sets")
+    lam = pairing_join_diagram(p_plus, p_minus)
+    if 2 * lam.n != table.n:
+        raise ValidationError("pairing size does not match the table")
+    return table.wg(lam)

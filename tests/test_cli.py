@@ -204,6 +204,17 @@ class TestBadInput:
             captured = capsys.readouterr()
             assert "N must be a positive integer" in captured.err and captured.out == ""
 
+    def test_empty_trace_is_one(self, tmp_path, capsys):
+        # tr(I) / N = 1 at every N, as one vertex cycle of Euler characteristic 2
+        path = tmp_path / "expr.json"
+        path.write_text(json.dumps({"traces": [[]]}))
+        for n in ("1", "2", "5"):
+            assert main(["moment", "--expr", str(path), "--N", n]) == 0
+            assert json.loads(capsys.readouterr().out)["value"] == "1"
+        assert main(["expand", "--expr", str(path)]) == 0
+        [term] = json.loads(capsys.readouterr().out)["terms"]
+        assert (term["chi"], term["exponent"], term["vertex"]) == (2, 0, [[]])
+
     def test_zero_dimension_no_traceback(self, tmp_path):
         path = tmp_path / "expr.json"
         path.write_text(json.dumps({"traces": [[]]}))

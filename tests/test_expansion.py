@@ -27,10 +27,10 @@ from haargenus.permap import (K_inverse, Premap, delta_eps_conjugate, euler_char
                               pairings_to_premap, particular_cycles)
 from haargenus.ratpoly import PolyFrac, format_polyfrac
 from haargenus.setpart import (SetPartition, enumerate_interval, enumerate_pairings,
-                               enumerate_partitions, join_of_pairings_diagram, kernel_of, mobius)
+                               enumerate_partitions, join_of_pairings_diagram, mobius)
 from haargenus.weingarten import TableSet, wg_cumulant
-from oracles import (check_conjugated_color_consistency, dense_trace_along,
-                     fraction_float_moment, fraction_moment_symbolic, join_trace_cumulant,
+from oracles import (check_conjugated_color_consistency, dense_trace_along, kernel_of,
+                     fraction_moment, fraction_moment_symbolic, join_trace_cumulant,
                      label_cycles, premap_gluings)
 
 TABLES = TableSet()
@@ -1245,6 +1245,101 @@ class TestIntegerSums:
             join_trace_cumulant(args, matrices=x, n=n, kappa=kappa, tables=TABLES)
 
 
+def outcome(call):
+    """What a call returns, or the text of the PoleError it raises."""
+    try:
+        return call()
+    except PoleError as exc:
+        return f"PoleError: {exc}"
+
+
+def has_negative_exponent(expr) -> bool:
+    return any(t.exponent < 0 for t in expand_moment(expr, TABLES))
+
+
+class TestClosingSums:
+    """Exact moments and cumulants sum on ints from the Weingarten values at
+    N to the end and form one Fraction per result.  They must equal the
+    Fraction sums the library closed with before (`fraction_moment`, and
+    `join_trace_cumulant`'s total), over gluings with negative N exponents,
+    and a pole must raise the same PoleError text."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_expressions(), st.sampled_from((1, 2, 3, 4, 5)), st.data())
+    def test_moment(self, expr, n, data):
+        assume(has_negative_exponent(expr))
+        x = data.draw(integer_sum_matrices(n))
+        got = outcome(lambda: evaluate_moment(expr, x, n, tables=TABLES).value)
+        assert type(got) in (Fraction, str)
+        assert got == outcome(lambda: fraction_moment(expr, x, n, tables=TABLES))
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_expressions(), st.sampled_from((1, 2, 3, 4, 5)), st.data())
+    def test_cumulant(self, expr, n, data):
+        assume(has_negative_exponent(expr))
+        x = data.draw(integer_sum_matrices(n))
+        args = single_traces(expr)
+        got = outcome(lambda: trace_cumulant(args, matrices=x, n=n, tables=TABLES))
+        assert type(got) in (Fraction, str)
+        assert got == outcome(lambda: join_trace_cumulant(args, matrices=x, n=n,
+                                                          tables=TABLES))
+
+
+class TestEmptyTrace:
+    """An empty trace stands for tr(I) / N = 1: a vertex cycle of its own,
+    with the empty label cycle, on every gluing; in a cumulant it is the
+    constant tr(I) = N, independent of every other trace."""
+
+    EMPTY = TraceExpression.from_json({"traces": [[]]})
+
+    @settings(max_examples=25, deadline=None)
+    @given(small_expressions(), st.sampled_from((3, 4)), st.integers(0, 2), st.data())
+    def test_moment_of_a_product_with_it(self, expr, n, at, data):
+        x = data.draw(integer_sum_matrices(n))
+        parts = single_traces(expr)
+        with_empty = concatenate(parts[:at] + [self.EMPTY] + parts[at:])
+        for mode in ("exact", "float"):
+            assert outcome(lambda: evaluate_moment(with_empty, x, n, mode, TABLES).value) == \
+                outcome(lambda: evaluate_moment(expr, x, n, mode, TABLES).value)
+        assert moment_symbolic(with_empty, _block_trace, TABLES) == \
+            moment_symbolic(expr, _block_trace, TABLES)
+        limit = asymptotic_moment(with_empty, TABLES)
+        assert limit.evaluate(x, n) == asymptotic_moment(expr, TABLES).evaluate(x, n)
+        if expr.n <= 4 and n == 3:
+            assert brute_force_moment(with_empty, x, n, TABLES) == \
+                brute_force_moment(expr, x, n, TABLES)
+        # a cumulant of the constant tr(I) with anything is zero
+        assert trace_cumulant(parts[:1] + [self.EMPTY], matrices=x, n=n, tables=TABLES) == 0
+
+    def test_every_evaluator_alone(self):
+        x = {1: DenseMatrix([[1, 2, 0], [Fraction(1, 3), -1, 4], [0, 1, 1]])}
+        assert evaluate_moment(self.EMPTY, x, 3, tables=TABLES).value == 1
+        assert evaluate_moment(self.EMPTY, {}, 2, mode="float", tables=TABLES).value == 1.0
+        [term] = expand_moment(self.EMPTY, TABLES)
+        assert (term.chi, term.exponent, term.vertex_cycles, term.vertex_labels) == \
+            (2, 0, ((),), ((),))
+        assert asymptotic_moment(self.EMPTY, TABLES).terms == ((Fraction(1), ((),)),)
+        assert moment_symbolic(self.EMPTY, lambda c: Fraction(1), TABLES) == PolyFrac(1)
+        # k1 is the unnormalized trace tr(I) = N
+        assert trace_cumulant([self.EMPTY], matrices=x, n=3, tables=TABLES) == 3
+        assert trace_cumulant([self.EMPTY], symbolic=True, trace_value=lambda c: 1,
+                              tables=TABLES) == PolyFrac.n_power(1)
+        assert trace_cumulant([self.EMPTY, self.EMPTY], matrices=x, n=3, tables=TABLES) == 0
+        assert brute_force_moment(self.EMPTY, x, 3, TABLES) == 1
+
+    def test_monte_carlo(self):
+        from haargenus.matrixlab import mc_cumulant, mc_moment
+
+        x = {1: DenseMatrix([[1, 2], [0, -1]])}
+        w = TraceExpression.from_json({"traces": [[{"color": 1, "eps": 1, "slot": 1},
+                                                   {"color": 1, "eps": -1, "slot": 1}]]})
+        assert mc_moment(self.EMPTY, x, 2, samples=64, seed=3).mean == 1.0
+        assert mc_moment(concatenate([self.EMPTY, w]), x, 2, samples=64, seed=3) == \
+            mc_moment(w, x, 2, samples=64, seed=3)
+        assert abs(mc_cumulant([self.EMPTY, w], x, 2, samples=64, seed=3, order=2).mean) \
+            < 1e-12
+
+
 # odd counts have no gluing: every evaluator must give zero
 ONE_OR_TWO_COLOURS = ((2,), (4,), (6,), (2, 2), (4, 2), (2, 4), (3,), (2, 1))
 
@@ -1286,7 +1381,7 @@ class TestCallerValueSums:
         x = {l: DenseMatrix(arr=[[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(n)])
              for l in (1, 2)}
         try:
-            want = repr(fraction_float_moment(expr, x, n, tables=TABLES))
+            want = repr(fraction_moment(expr, x, n, "float", TABLES))
         except PoleError as exc:
             want = str(exc)
         try:

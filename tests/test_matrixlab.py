@@ -397,6 +397,48 @@ def _batches(draw, exact: bool):
     return n, mats, cycles
 
 
+# at least 2^63: no int64 array holds such a matrix, so its cycles run on
+# Python-int rows alone
+_HUGE = st.builds(lambda sign, k, d: Fraction(sign * (2**63 + k), d),
+                  st.sampled_from((1, -1)), st.integers(0, 2**12), st.integers(1, 3))
+
+
+@st.composite
+def _small_mixed_batches(draw, exact: bool):
+    """(matrices, cycles): labels 1-3 of size n and 4-6 of size m (n, m in
+    1..5, maybe equal), and 1-4 cycles of 1-4 signed labels of one size each,
+    as the evaluators' small calls pass them.  Exact labels 3 and 6 are
+    drawn from small, near-2^40 or at-least-2^63 entries, so int64 and
+    Python-int stacks of both sizes share a call."""
+    sizes = {1: draw(st.integers(1, 5)), 2: draw(st.integers(1, 5))}
+    mats = {}
+    for label in range(1, 7):
+        n = sizes[1 if label <= 3 else 2]
+        if exact:
+            entries = _SMALL if label % 3 else st.one_of(_SMALL, _LARGE, _HUGE)
+            mats[label] = DenseMatrix(draw(_square(entries, n)))
+        else:
+            entry = st.one_of(st.just(0.0), st.floats(-2.0, 2.0, allow_nan=False))
+            mats[label] = DenseMatrix(arr=np.array(draw(_square(entry, n)), dtype=float))
+    group = st.sampled_from(((1, -1, 2, -2, 3, -3), (4, -4, 5, -5, 6, -6)))
+    cycles = draw(st.lists(group.flatmap(lambda labels: st.lists(
+        st.sampled_from(labels), min_size=1, max_size=4).map(tuple)), min_size=1, max_size=4))
+    return mats, cycles
+
+
+def _chain_numerators(cycles, mats, normalized):
+    """(nums, dens) of `trace_numerators` from one DenseMatrix product chain
+    per cycle, each cycle at its own dimension."""
+    dens, nums = [], []
+    for cycle in cycles:
+        n = mats[abs(cycle[0])].n if normalized else 1
+        dens.append(math.prod(mats[abs(l)].integer_form()[0] for l in cycle) * n)
+        scaled = _product_chain(cycle, mats).trace() * dens[-1] / n
+        assert scaled.denominator == 1
+        nums.append(scaled.numerator)
+    return nums, dens
+
+
 class TestTraceKernelProperties:
     """`trace_numerators` against one naive product chain per cycle."""
 
@@ -404,16 +446,9 @@ class TestTraceKernelProperties:
     @given(_batches(exact=True), st.booleans())
     def test_exact_equals_matmul_chain(self, batch, normalized):
         n, mats, cycles = batch
-        want_dens = [math.prod(mats[abs(l)].integer_form()[0] for l in c) *
-                     (n if normalized else 1) for c in cycles]
-        want_nums = []
-        for cycle, den in zip(cycles, want_dens):
-            scaled = _product_chain(cycle, mats).trace() * den / (n if normalized else 1)
-            assert scaled.denominator == 1
-            want_nums.append(scaled.numerator)
         nums, dens = trace_numerators(cycles, mats, normalized)
         assert all(type(t) is int for t in nums) and all(type(d) is int for d in dens)
-        assert (nums, dens) == (want_nums, want_dens)
+        assert (nums, dens) == _chain_numerators(cycles, mats, normalized)
 
     @settings(max_examples=60, deadline=None)
     @given(_batches(exact=False), st.booleans())
@@ -423,6 +458,35 @@ class TestTraceKernelProperties:
         assert all(type(t) is float for t in nums)
         assert list(map(repr, nums)) == [repr(_product_chain(c, mats).trace()) for c in cycles]
         assert dens == [n if normalized else 1] * len(cycles)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_small_mixed_batches(exact=True), st.booleans())
+    def test_small_mixed_exact_batches(self, batch, normalized):
+        mats, cycles = batch
+        nums, dens = trace_numerators(cycles, mats, normalized)
+        assert all(type(t) is int for t in nums) and all(type(d) is int for d in dens)
+        assert (nums, dens) == _chain_numerators(cycles, mats, normalized)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_small_mixed_batches(exact=False), st.booleans())
+    def test_small_mixed_float_batches(self, batch, normalized):
+        mats, cycles = batch
+        nums, dens = trace_numerators(cycles, mats, normalized)
+        assert all(type(t) is float for t in nums)
+        assert list(map(repr, nums)) == [repr(_product_chain(c, mats).trace()) for c in cycles]
+        assert dens == [mats[abs(c[0])].n if normalized else 1 for c in cycles]
+
+    def test_python_int_stack_alone(self):
+        # every factor beyond int64: the call holds no int64 stack at all
+        rng = random.Random(49)
+        mats = {l: DenseMatrix([[Fraction(rng.choice((1, -1)) * (2**64 + rng.randrange(9)),
+                                          rng.randint(1, 3)) for _ in range(3)]
+                                for _ in range(3)]) for l in (1, 2)}
+        assert all(m._int64 is None for m in mats.values())
+        cycles = [(1,), (-2,), (1, 2), (2, -1, 1)]
+        for normalized in (False, True):
+            assert trace_numerators(cycles, mats, normalized) == \
+                _chain_numerators(cycles, mats, normalized)
 
     def test_error_texts(self):
         good = {1: DenseMatrix([[1, 2], [3, 4]]), 2: DenseMatrix.identity(2)}

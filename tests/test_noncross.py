@@ -3,8 +3,7 @@ import itertools
 import pytest
 
 from haargenus.errors import ValidationError
-from haargenus.noncross import (AnnularFrame, biane_criterion, count_phi_neighbors,
-                                find_phi_neighbor, is_annular_noncrossing,
+from haargenus.noncross import (AnnularFrame, biane_criterion, is_annular_noncrossing,
                                 is_annular_nonstandard, is_disc_crossing,
                                 is_disc_noncrossing, is_disc_nonstandard,
                                 mingo_nica_criterion, premap_chi2_annular,
@@ -14,6 +13,7 @@ from haargenus.permap import (Premap, SignedPermutation, enumerate_premaps,
 from haargenus.setpart import SetPartition
 from haargenus.verify import (biane_scan, mingo_nica_scan, premap_annular_scan,
                               premap_disc_scan)
+from oracles import count_phi_neighbors, find_phi_neighbor
 
 
 def perm(*cycles, domain=None):

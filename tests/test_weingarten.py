@@ -12,13 +12,13 @@ from haargenus.setpart import (SetPartition, YoungDiagram, enumerate_interval,
                                enumerate_pairings, enumerate_partitions, mobius,
                                young_diagrams)
 from haargenus.weingarten import (TableSet, WeingartenTable, catalan, compute_table,
-                                  gram_matrix, golden_path, join_blocks, leading_order,
+                                  golden_path, join_blocks, leading_order,
                                   load_golden, pairing_join_diagram, pairing_partners,
                                   verify_gram_identity,
                                   weingarten_table, wg_cumulant,
-                                  wg_cumulant_order_check, wg_limit, wg_normalized,
+                                  wg_cumulant_order_check, wg_limit,
                                   write_golden, _class_representative)
-from oracles import polyfrac_solve
+from oracles import gram_matrix, polyfrac_solve, wg_normalized
 
 
 def lam(*rows):
