@@ -122,18 +122,28 @@ class TraceExpression:
 
     def __init__(self, cycles: Sequence[Sequence[int]], eps: Mapping[int, int],
                  color: Mapping[int, int], slot: Mapping[int, int]):
-        self.cycles = tuple(tuple(c) for c in cycles)
-        pts = [k for c in self.cycles for k in c]
+        cycles = tuple(tuple(c) for c in cycles)
+        pts = [k for c in cycles for k in c]
         if len(set(pts)) != len(pts):
             raise ValidationError("trace cycles overlap")
         if any(k <= 0 for k in pts):
             raise ValidationError("positions must be positive")
-        self.positions = tuple(sorted(pts))
-        self.eps = _integer_field("eps", eps, self.positions)
-        self.color = _integer_field("color", color, self.positions)
-        self.slot = _integer_field("slot", slot, self.positions)
-        if any(v not in (1, -1) for v in self.eps.values()):
+        positions = tuple(sorted(pts))
+        eps = _integer_field("eps", eps, positions)
+        color = _integer_field("color", color, positions)
+        slot = _integer_field("slot", slot, positions)
+        if any(v not in (1, -1) for v in eps.values()):
             raise ValidationError("eps values must be +1 or -1")
+        self._hold(cycles, positions, eps, color, slot)
+
+    def _hold(self, cycles: tuple[tuple[int, ...], ...], positions: tuple[int, ...],
+              eps: dict[int, int], color: dict[int, int],
+              slot: dict[int, int]) -> "TraceExpression":
+        """Take parts that are valid already, as `__init__` makes them: the
+        one place that sets the attributes; `concatenate` builds on it."""
+        self.cycles, self.positions = cycles, positions
+        self.eps, self.color, self.slot = eps, color, slot
+        return self
 
     @property
     def n(self) -> int:
@@ -211,9 +221,8 @@ class TraceExpression:
 def concatenate(exprs: Sequence[TraceExpression]) -> TraceExpression:
     """Relabel a list of expressions to consecutive positions, one after
     another; each is valid already, so the result is not validated again."""
-    out = TraceExpression.__new__(TraceExpression)
     cycles: list[tuple[int, ...]] = []
-    out.eps, out.color, out.slot = eps, color, slot = {}, {}, {}
+    eps, color, slot = {}, {}, {}
     offset = 0
     for e in exprs:
         remap = {k: i for i, k in enumerate(e.positions, offset + 1)}
@@ -221,8 +230,8 @@ def concatenate(exprs: Sequence[TraceExpression]) -> TraceExpression:
         for k, i in remap.items():
             eps[i], color[i], slot[i] = e.eps[k], e.color[k], e.slot[k]
         offset += e.n
-    out.cycles, out.positions = tuple(cycles), tuple(range(1, offset + 1))
-    return out
+    return TraceExpression.__new__(TraceExpression)._hold(
+        tuple(cycles), tuple(range(1, offset + 1)), eps, color, slot)
 
 
 @dataclass(frozen=True)
@@ -743,8 +752,9 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
     traces and values exactly and rounds the result once.  Gluings run in
     the slices of `_Gluings.slices`, each with one batch of traces of the
     built-in matrices.  An empty trace is the constant tr(I) = N: its vertex
-    cycle touches its own trace only, so with deterministic slots k_r for
-    r >= 2 is 0 when one argument is empty.
+    cycle touches its own trace only, and a vertex-trace cumulant that holds
+    the constant `()` is 0, so k_r for r >= 2 is 0 when one argument is
+    empty.
 
     Deterministic slot matrices are the built-in path (higher vertex-trace
     cumulants vanish), and a slot label with no matrix fails before any
@@ -817,7 +827,9 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
 
     def kappa_terms(ids: tuple[int, ...]) -> Iterator[tuple[int, tuple, int, int]]:
         """(index, tau, k, den) per partition tau of the vertex cycles whose
-        product of vertex-trace cumulants k / den is not 0."""
+        product of vertex-trace cumulants k / den is not 0.  A cumulant of two
+        or more vertex traces, one of them the constant `()`, is 0 and is not
+        asked for."""
         labels = tuple(map(glu.labels.__getitem__, ids))
         for t, tau in enumerate(_block_partitions((len(ids),))):
             k = den = 1
@@ -826,6 +838,9 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
                     memo_b, arg = values, labels[b[0]]
                 else:
                     memo_b, arg = kappas, tuple(map(labels.__getitem__, b))
+                    if () in arg:
+                        k = 0  # the other blocks are still read, in order
+                        continue
                 k *= memo_b[arg]
                 den *= memo_b.dens[arg]
             if k:
@@ -888,13 +903,14 @@ class _RationalValues(dict):
     `self[arg]` calls `func(arg)` on the first read only and keeps its
     numerator, `dens[arg]` its denominator.  A value must be an int or a
     Fraction, or in float mode a finite float, held exactly; any other (a
-    bool among them) raises ValidationError naming the argument."""
+    bool among them) raises ValidationError naming the argument.  The empty
+    label cycle `()` is tr(I) / N = 1 and is not asked for."""
 
     def __init__(self, func: Callable, name: str, mode: str):
-        super().__init__()
+        super().__init__({(): 1})
         self.func, self.name = func, name
         self.floats = mode == "float"
-        self.dens: dict = {}
+        self.dens: dict = {(): 1}
 
     def __missing__(self, arg) -> int:
         v = self.func(arg)

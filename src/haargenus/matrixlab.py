@@ -377,13 +377,9 @@ def trace_numerators(cycles: Sequence[Sequence[int]], matrices: Mapping[int, Den
         den = n if normalized else [1] * count
 
     # one stack per (dimension, int64 or not): its rows, in length order
-    keys = list(zip(n, fits))
-    if keys.count(keys[0]) == count:
-        stacks = {keys[0]: None}  # every row
-    else:
-        stacks = {}
-        for place, key in enumerate(keys):
-            stacks.setdefault(key, []).append(place)
+    stacks: dict[tuple[int, bool], list[int]] = {}
+    for place, key in enumerate(zip(n, fits)):
+        stacks.setdefault(key, []).append(place)
     nums = [None] * count
     for (dim, fit), places in stacks.items():
         # every label's factor by its place, then the identity; a label of
@@ -396,18 +392,15 @@ def trace_numerators(cycles: Sequence[Sequence[int]], matrices: Mapping[int, Den
             if sizes[j] == dim and factor[pick] is not None:
                 base[j] = factor[pick]
         base[pad].flat[::dim + 1] = 1
-        whole = places is None
+        whole = len(places) == count
         # a float trace that overflows is refused by the caller, which names
         # its cycle, so numpy's overflow warnings would only repeat it
         with contextlib.nullcontext() if exact else np.errstate(over="ignore", invalid="ignore"):
             traces = _stack_traces(base, padded if whole else padded[places],
                                    lengths if whole else [lengths[p] for p in places],
-                                   exact).tolist()
-        if whole:
-            nums = traces
-        else:
-            for place, t in zip(places, traces):
-                nums[place] = t
+                                   exact)
+        for place, t in zip(places, traces.tolist()):
+            nums[place] = t
     # back to the caller's order
     inverse = sorted(range(count), key=order.__getitem__)
     return list(map(nums.__getitem__, inverse)), list(map(den.__getitem__, inverse))
@@ -449,7 +442,7 @@ def _stack_traces(base: np.ndarray, index: np.ndarray, lengths: list[int],
     if done:
         prod = np.concatenate([prod] + done[::-1])
     if exact:
-        return np.einsum("kij,kji->k", prod, base[index[:, -1]])
+        return (prod * base[index[:, -1]].swapaxes(1, 2)).sum(axis=(1, 2))
     return np.trace(prod, axis1=1, axis2=2)
 
 

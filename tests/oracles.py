@@ -154,8 +154,9 @@ def join_trace_cumulant(exprs, *, matrices=None, n=None, mode="exact", trace_val
         memo.fill(c for *_, labels in gluings for c in labels)
         tv = memo.value
     else:
+        # the empty label cycle is tr(I) / N = 1, whatever the caller's value
         def tv(cycle):
-            return Fraction(trace_value(cycle))
+            return Fraction(trace_value(cycle)) if cycle else Fraction(1)
     phi_part = orbit_partition(expr.phi())
     ker_w = kernel_of(expr.color)
     ground = expr.positions
@@ -177,8 +178,10 @@ def join_trace_cumulant(exprs, *, matrices=None, n=None, mode="exact", trace_val
                                       for blk in tau_blocks], ground=ground)
             k_tau = Fraction(1)
             for blk in tau_blocks:
-                k_tau *= tv(labels[blk[0]]) if len(blk) == 1 else \
-                    Fraction(kappa(tuple(labels[i] for i in blk)))
+                args = tuple(labels[i] for i in blk)
+                # a joint cumulant with the constant tr(I) / N is 0
+                k_tau *= tv(args[0]) if len(blk) == 1 else \
+                    Fraction(kappa(args)) if () not in args else 0
             if not k_tau:
                 continue
             base = phi_part | tau_sigma
@@ -202,9 +205,9 @@ def join_trace_cumulant(exprs, *, matrices=None, n=None, mode="exact", trace_val
 def fraction_moment_symbolic(expr, trace_value, tables=None):
     """`moment_symbolic` on Fractions: the weight of each (exponent, diagrams)
     summed as a Fraction, then each weight times N^exponent and the
-    Weingarten factor as its own PolyFrac."""
+    Weingarten factor as its own PolyFrac; the empty label cycle is 1."""
     tables = tables or default_tables()
-    trace = functools.lru_cache(maxsize=None)(trace_value)
+    trace = functools.lru_cache(maxsize=None)(lambda c: trace_value(c) if c else 1)
     weights: dict = {}
     for _, chi, lambdas, _, labels in premap_gluings(expr):
         key = (chi - 2 * expr.num_traces, lambdas)

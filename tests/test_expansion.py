@@ -275,7 +275,8 @@ class TestGluingKernel:
 
     def test_trace_value_called_in_first_seen_order(self, monkeypatch):
         # a caller's trace_value sees each label cycle once, in the order the
-        # gluings, taken in turn, first meet it, in slices of any size
+        # gluings, taken in turn, first meet it, in slices of any size; the
+        # empty label cycle, tr(I) / N = 1, is not asked for
         from haargenus import expansion
 
         for block in (3, expansion.GLUING_BLOCK):
@@ -291,7 +292,7 @@ class TestGluingKernel:
                     calls = []
                     value(lambda cycle: calls.append(cycle) or Fraction(len(cycle) + 1, 3))
                     assert calls == list(dict.fromkeys(
-                        c for *_, labels in premap_gluings(cycles) for c in labels))
+                        c for *_, labels in premap_gluings(cycles) for c in labels if c))
 
     def test_expand_moment_terms_on_scattered_positions(self):
         # each colour's shared table, built on 1..m, is relabelled onto that
@@ -1326,6 +1327,36 @@ class TestEmptyTrace:
                               tables=TABLES) == PolyFrac.n_power(1)
         assert trace_cumulant([self.EMPTY, self.EMPTY], matrices=x, n=3, tables=TABLES) == 0
         assert brute_force_moment(self.EMPTY, x, 3, TABLES) == 1
+
+    def test_caller_values_are_not_asked_for_it(self):
+        # the empty label cycle is 1 and a vertex-trace cumulant that holds it
+        # is 0, whatever a caller's trace_value or kappa would answer; an
+        # identity-only trace has the empty label cycle too
+        w = TraceExpression.from_json({"traces": [[{"color": 1, "eps": 1, "slot": 1},
+                                                   {"color": 1, "eps": -1, "slot": 1}]]})
+        ident = TraceExpression.from_json({"traces": [[{"color": 2, "eps": 1, "slot": 0},
+                                                       {"color": 2, "eps": -1, "slot": 0}]]})
+        asked = []
+
+        def trace_value(cycle):
+            asked.append(cycle)
+            return Fraction(1, 2)
+
+        def kappa(cycles):
+            asked.append(cycles)
+            return Fraction(1, 3)
+
+        for constant in (self.EMPTY, ident):
+            for kw in (dict(kappa=kappa, n=3), dict(n=3)):
+                assert trace_cumulant([constant, w], trace_value=trace_value, tables=TABLES,
+                                      **kw) == 0
+                assert trace_cumulant([w, constant], trace_value=trace_value, tables=TABLES,
+                                      **kw) == 0
+            assert trace_cumulant([constant], trace_value=trace_value, n=3, tables=TABLES) == 3
+            assert trace_cumulant([constant], trace_value=trace_value, symbolic=True,
+                                  tables=TABLES) == PolyFrac.n_power(1)
+            assert moment_symbolic(constant, trace_value, TABLES) == PolyFrac(1)
+        assert asked and all(c and () not in c for c in asked)
 
     def test_monte_carlo(self):
         from haargenus.matrixlab import mc_cumulant, mc_moment
