@@ -8,16 +8,15 @@ label cycles run in one kernel for both modes, `trace_numerators`: the
 cycles of one call form one stack per dimension and dtype, sorted by length,
 that multiplies level by level on a shrinking leading slice.  Small calls
 are common (a call's new cycles, often a handful), so the set-up takes few
-numpy calls: a cached mask per row width places the factors, the stack of
-factors is filled by assignment, and numpy's error state is entered for
-float stacks only.  An exact cycle runs in the int64 stack where a bound
-proves that no partial sum overflows and in the Python-int stack otherwise,
-and its trace is an integer numerator over the product of its factors'
-denominators; `traces_along` forms one Fraction per cycle from them.  A
-float stack multiplies from the left and sums each trace as numpy sums one
-matrix's, so every float trace is the one of multiplying that cycle's
-matrices in turn.  The brute-force oracle and the Monte Carlo estimators
-take an empty trace as tr(I) / N = 1.
+numpy calls: a cached mask per row width places the factors and the stack
+of factors is filled by assignment.  An exact cycle runs in the int64 stack
+where a bound proves that no partial sum overflows and in the Python-int
+stack otherwise, and its trace is an integer numerator over the product of
+its factors' denominators; `traces_along` forms one Fraction per cycle from
+them.  A float stack multiplies from the left and sums each trace as numpy
+sums one matrix's, so every float trace is the one of multiplying that
+cycle's matrices in turn.  The brute-force oracle and the Monte Carlo
+estimators take an empty trace as tr(I) / N = 1.
 
 The Monte Carlo estimators use per-sample Philox substreams on a fixed chunk
 grid: sample i draws from the counter-based stream keyed by (seed, i), and
@@ -39,7 +38,6 @@ two threads as on one for N = 8-24, the same at N = 32 and 0.64x at 48.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
@@ -395,7 +393,7 @@ def trace_numerators(cycles: Sequence[Sequence[int]], matrices: Mapping[int, Den
         whole = len(places) == count
         # a float trace that overflows is refused by the caller, which names
         # its cycle, so numpy's overflow warnings would only repeat it
-        with contextlib.nullcontext() if exact else np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             traces = _stack_traces(base, padded if whole else padded[places],
                                    lengths if whole else [lengths[p] for p in places],
                                    exact)
