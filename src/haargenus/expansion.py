@@ -18,7 +18,7 @@ All evaluators share one kernel, `_Gluings`, which runs on ints.  A pair of
 pairings (p_plus, p_minus) glues a colour by the premap that takes each
 positive point to minus its p_plus partner and each negative point to its
 p_minus partner; each colour size's pairings, as partner arrays, and pairs
-(with join blocks and diagram) are built once per process (`_pairing_table`).
+(with their join's diagram) are built once per process (`_pairing_table`).
 K^{-1} is a tuple over codes 0..2n-1, one per signed position, given colour
 by colour so that each colour's p_plus and p_minus halves of K^{-1} are
 fixed runs of codes: each pairing's halves are built once per expression,
@@ -65,17 +65,17 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import CapExceededError, ValidationError
 from .matrixlab import DenseMatrix, _integer_at_least, _slot_matrix, check_dimension, \
     trace_numerators
-from .permap import Premap, SignedPermutation
+from .permap import Premap, SignedPermutation, pairings_to_premap
 from .ratpoly import PolyFrac, monomial
 from .setpart import PARTITION_CAP, SetPartition, YoungDiagram, enumerate_partitions
-from .weingarten import TableSet, join_blocks, pairing_partners, wg_cumulant
+from .weingarten import TableSet, join_blocks, pairing_partners
 
 TERM_CAP = 500_000
 # gluings per slice of every evaluator (`_Gluings.slices`): an untuned bound
@@ -239,8 +239,6 @@ class ExpansionTerm:
     """One gluing of the expansion and everything needed to evaluate it."""
 
     pairings: tuple[tuple[SetPartition, SetPartition], ...]  # per colour
-    # the premap's arcs; a function of the pairings, so left out of == and hash
-    arcs: Mapping[int, int] = field(repr=False, compare=False)
     chi: int
     exponent: int
     wg_factor: PolyFrac
@@ -250,8 +248,10 @@ class ExpansionTerm:
 
     @functools.cached_property
     def alpha(self) -> Premap:
-        """The gluing's alternating premap, built and validated on first read."""
-        return Premap(self.arcs)
+        """The gluing's alternating premap, built from the colours' pairings
+        and validated on first read."""
+        return pairings_to_premap(SetPartition([b for p, _ in self.pairings for b in p.blocks]),
+                                  SetPartition([b for _, q in self.pairings for b in q.blocks]))
 
 
 class _Pair(NamedTuple):
@@ -260,8 +260,7 @@ class _Pair(NamedTuple):
 
     plus: int  # index of p_plus in the table's pairings
     minus: int  # index of p_minus
-    blocks: tuple[tuple[int, ...], ...]  # blocks of the join p_plus v p_minus
-    lam: int  # index of that join's diagram in the table's diagrams
+    lam: int  # index of the diagram of p_plus v p_minus in the table's diagrams
 
 
 @functools.lru_cache(maxsize=None)
@@ -269,18 +268,16 @@ def _pairing_table(m: int) -> tuple[tuple[tuple[int, ...], ...], tuple[_Pair, ..
                                     tuple[Callable, ...]]:
     """(partners, pairs, diagrams, takes) of the points 1..m, built once per
     colour size: the pairings as partner arrays on 0..m-1, in
-    `enumerate_pairings` order, every pair of indices (p_plus major) with its
-    join blocks and the index of its diagram, and per pairing p the
-    itemgetter that reads a list at p's entries.  A colour's positions in
-    increasing order relabel 1..m monotonically, which keeps the order of
-    pairings and blocks."""
+    `enumerate_pairings` order, every pair of indices (p_plus major) with the
+    index of its join's diagram, and per pairing p the itemgetter that reads
+    a list at p's entries.  A colour's positions in increasing order relabel
+    1..m monotonically, which keeps the order of pairings and join blocks."""
     partners = tuple(pairing_partners(m))
     pairs, diagrams = [], {}  # diagram -> index
     for i, p_plus in enumerate(partners):
         for j, p_minus in enumerate(partners):
-            blocks = tuple(tuple(k + 1 for k in b) for b in join_blocks(p_plus, p_minus))
-            lam = YoungDiagram(len(b) // 2 for b in blocks)
-            pairs.append(_Pair(i, j, blocks, diagrams.setdefault(lam, len(diagrams))))
+            lam = YoungDiagram(len(b) // 2 for b in join_blocks(p_plus, p_minus))
+            pairs.append(_Pair(i, j, diagrams.setdefault(lam, len(diagrams))))
     takes = tuple(operator.itemgetter(*p) for p in partners)
     return partners, tuple(pairs), tuple(diagrams), takes
 
@@ -320,9 +317,8 @@ class _Gluings:
     table: each distinct vertex cycle of codes has an id in `cycle_ids`, and
     per id `cycles` holds its codes, `labels` its label cycle and `bits` its
     positions (rank i as the bit 1 << i); `lambdas` lists the gluings'
-    tuples of diagrams (`_diagram_table`).  Pairings, arcs and blocks are
-    relabelled onto the real points only where they are read (`pairings`,
-    `arcs`, `rho_choices`)."""
+    tuples of diagrams (`_diagram_table`).  Pairings are relabelled onto the
+    real points only where they are read (`pairings`)."""
 
     def __init__(self, expr: TraceExpression, tables: TableSet, term_cap: int):
         self.tables = tables
@@ -381,7 +377,6 @@ class _Gluings:
                                 [take(to_plus) for take in takes]))
             self.choices.append(pairs)
         self._pairings: list[list[SetPartition]] | None = None
-        self._arcs: list[tuple] | None = None
         self.lambdas, self._rows, self._columns = \
             ((), (), ()) if odd else _diagram_table(tuple(map(len, colours)))
 
@@ -449,31 +444,6 @@ class _Gluings:
         return tuple((real[pair.plus], real[pair.minus])
                      for real, pair in zip(self._pairings, combo))
 
-    def arcs(self, combo: tuple[_Pair, ...]) -> dict[int, int]:
-        """The arcs of the gluing's premap on the signed positions; each
-        pairing's arc ends are relabelled once per kernel, on the first read."""
-        if self._arcs is None:
-            self._arcs = []
-            for pts in self.points:
-                partners = _pairing_table(len(pts) - 1)[0]
-                self._arcs.append(((*pts[1:], *(-k for k in pts[1:])),
-                                   [tuple(-pts[a + 1] for a in p) for p in partners],
-                                   [tuple(pts[a + 1] for a in p) for p in partners]))
-        out: dict[int, int] = {}
-        for (points, plus, minus), pair in zip(self._arcs, combo):
-            out.update(zip(points, plus[pair.plus] + minus[pair.minus]))
-        return out
-
-    def rho_choices(self, combo: tuple[_Pair, ...]) -> tuple[list[tuple[int, ...]], tuple]:
-        """The blocks of pi (the join of the gluing's pairings) on the
-        positions, colour by colour, and every rho in [pi, ker(colour)] as
-        groups of block indices, in the order `enumerate_interval(pi,
-        ker(colour))` yields them."""
-        order = self.ker_order
-        blocks = [tuple(map(self.points[i].__getitem__, b))
-                  for i in order for b in combo[i].blocks]
-        return blocks, _block_partitions(tuple(len(combo[i].blocks) for i in order))
-
 
 def expand_moment(expr: TraceExpression, tables: TableSet | None = None,
                   term_cap: int = TERM_CAP) -> Iterator[ExpansionTerm]:
@@ -487,9 +457,8 @@ def expand_moment(expr: TraceExpression, tables: TableSet | None = None,
         for combo, ids, exponent, lam in rows:
             lambdas = glu.lambdas[lam]
             yield ExpansionTerm(
-                pairings=glu.pairings(combo), arcs=glu.arcs(combo),
-                chi=exponent + 2 * glu.num_traces, exponent=exponent,
-                wg_factor=glu.tables.wg_product(lambdas), lambdas=lambdas,
+                pairings=glu.pairings(combo), chi=exponent + 2 * glu.num_traces,
+                exponent=exponent, wg_factor=glu.tables.wg_product(lambdas), lambdas=lambdas,
                 vertex_cycles=tuple(map(vertex.__getitem__, ids)),
                 vertex_labels=tuple(map(glu.labels.__getitem__, ids)))
 
@@ -681,31 +650,35 @@ def asymptotic_moment(expr: TraceExpression, tables: TableSet | None = None,
 
 @functools.lru_cache(maxsize=BLOCK_SHAPES_CAP)
 def _block_shapes(bits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
-    """(ids, shapes) on a colour whose point i (1..m) lies on the trace of bit
-    bits[i - 1]: the join of the i-th pair of `_pairing_table(m)` has the
-    shape shapes[ids[i]], the (size, mask of traces) of each of its blocks.
-    Indexed by position in that table, so a rebuilt table reads it alike;
-    memoised for the process, for at most BLOCK_SHAPES_CAP bit tuples."""
-    pairs = _pairing_table(len(bits))[1]
+    """(ids, shapes) on a colour whose point i (0..m-1) lies on the trace of
+    bit bits[i]: the join of the i-th pair of `_pairing_table(m)` has the
+    shape shapes[ids[i]], the (size, mask of traces) of each of its blocks,
+    in order of their least points.  Indexed by position in that table, so a
+    rebuilt table reads it alike; memoised for the process, for at most
+    BLOCK_SHAPES_CAP bit tuples."""
+    partners = _pairing_table(len(bits))[0]
     shapes: dict[tuple, int] = {}  # shape -> id
-    ids = tuple(shapes.setdefault(tuple((len(b), sum({bits[i - 1] for i in b}))
-                                        for b in pair.blocks), len(shapes))
-                for pair in pairs)
+    ids = tuple(shapes.setdefault(tuple((len(b), sum({bits[i] for i in b}))
+                                        for b in join_blocks(p_plus, p_minus)), len(shapes))
+                for p_plus in partners for p_minus in partners)
     return ids, tuple(shapes)
 
 
 @functools.lru_cache(maxsize=None)
 def _connecting_rhos(r: int, vertex_masks: tuple[int, ...],
                      block_shape: tuple[tuple[tuple[int, int], ...], ...],
-                     tau_blocks: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple, tuple], ...]:
-    """(key, rho) for every rho in [pi, ker(colour)] whose join with phi v
-    tau_sigma connects the r traces, in `rho_choices` order.
+                     tau_blocks: tuple[tuple[int, ...], ...]) -> tuple[tuple, ...]:
+    """The key of C_{pi,pi,rho} for every rho in [pi, ker(colour)] whose
+    join with phi v tau_sigma connects the r traces, in the order
+    `enumerate_interval(pi, ker(colour))` yields the rhos.
 
     The arguments are a gluing's shape: the trace mask of each vertex cycle
     and, colour by colour in ker(colour) order, the size and trace mask of
-    each block of pi.  A join connects when the masks of its parts, merged
-    while they meet, reach every trace from trace 0.  The key names
-    C_{pi,pi,rho} by the sizes of pi's blocks inside each block of rho."""
+    each block of pi, in order of their least points; rho runs over groups
+    of these blocks (`_block_partitions`).  A join connects when the masks
+    of its parts, merged while they meet, reach every trace from trace 0.
+    The key, the sorted sizes of pi's blocks inside each block of rho,
+    names C_{pi,pi,rho} (`TableSet.relative_cumulant`)."""
     flat = [b for per_colour in block_shape for b in per_colour]
     # the components of phi v tau_sigma, as masks
     parts = [functools.reduce(operator.or_, (vertex_masks[i] for i in blk))
@@ -720,7 +693,7 @@ def _connecting_rhos(r: int, vertex_masks: tuple[int, ...],
                 if m & reach:
                     reach |= m
         if reach == (1 << r) - 1:
-            hits.append((tuple(sorted(tuple(sorted(flat[j][0] for j in g)) for g in rho)), rho))
+            hits.append(tuple(sorted(tuple(sorted(flat[j][0] for j in g)) for g in rho)))
     return tuple(hits)
 
 
@@ -741,8 +714,10 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
     everything.
 
     pi is the join of the gluing's pairings and rho runs over
-    [pi, ker(colour)] as groups of pi's blocks (`_Gluings.rho_choices`).
-    Which (rho, tau) connect, and which relative cumulants they name, is
+    [pi, ker(colour)].  C_{pi,pi,rho} depends only on the sizes of pi's
+    blocks inside each block of rho, its key (`TableSet.relative_cumulant`),
+    and each key new to the call is built if need be and evaluated at N at
+    its first hit.  Which (rho, tau) connect, and which keys they name, is
     scanned once per entry (`_connecting_rhos`): a tau and a gluing shape,
     the trace masks (trace t as the bit 1 << t) of the vertex cycles and the
     block shape id of each colour's pair (`_block_shapes`).  Every mode
@@ -802,28 +777,11 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
     block_shapes = [_block_shapes(tuple(map(bit.__getitem__, pts[1:]))) for pts in glu.points]
     # per colour in ker(colour) order, its index and its shapes
     ordered_shapes = [(c, block_shapes[c][1]) for c in glu.ker_order]
-    ground = expr.positions
-    c_cache = tables.relative_cumulants
-    c_at_n: dict[tuple, Fraction | None] = {}  # this call's keys, at N unless symbolic
+    # this call's keys: the relative cumulant at N, or itself when symbolic
+    c_at_n: dict[tuple, Fraction | PolyFrac] = {}
     # without kappa, per cycle id: the trace's numerator, over dens
     nums: list[int] = []
     dens: list[int] = []
-
-    def build_cumulants(combo: tuple[_Pair, ...], hits: Sequence[tuple[tuple, tuple]]) -> None:
-        """C_{pi,pi,rho} for each key of hits new to the call, built on this
-        gluing's blocks unless the tables hold it, and evaluated at N."""
-        blocks = None
-        for key, rho in hits:
-            if key in c_at_n:
-                continue
-            if key not in c_cache:
-                if blocks is None:
-                    blocks, _ = glu.rho_choices(combo)
-                pi = SetPartition(blocks, ground=ground)
-                rho_part = SetPartition([[k for j in g for k in blocks[j]] for g in rho],
-                                        ground=ground)
-                c_cache[key] = wg_cumulant(tables, pi, pi, rho_part)
-            c_at_n[key] = None if symbolic else tables.cumulant_at(key, n)
 
     def kappa_terms(ids: tuple[int, ...]) -> Iterator[tuple[int, tuple, int, int]]:
         """(index, tau, k, den) per partition tau of the vertex cycles whose
@@ -847,7 +805,7 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
                 yield t, tau, k, den
 
     # (vertex masks, block shape ids, tau index) -> [k summed over den, den,
-    # connecting (key, rho)s, N exponent]
+    # keys of the connecting rhos, N exponent]
     entries: dict[tuple, list] = {}
     # each gluing's block shape ids, in step with the gluings
     bids = itertools.product(*(ids for ids, _ in block_shapes))
@@ -862,7 +820,7 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
             if m is None:
                 m = mask_of[b] = sum(t for t, pm in trace_positions if b & pm)
             trace_masks.append(m)
-        for (combo, ids, exponent, _), bid in zip(rows, bids):
+        for (_, ids, exponent, _), bid in zip(rows, bids):
             if kappa is None:  # tau is the discrete partition
                 k = math.prod(map(nums.__getitem__, ids))
                 if not k:
@@ -877,7 +835,10 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
                     hits = _connecting_rhos(r, masks, tuple([shapes[bid[c]] for c, shapes in
                                                              ordered_shapes]),
                                             tuple(zip(range(len(ids)))) if tau is None else tau)
-                    build_cumulants(combo, hits)
+                    for key in hits:  # each key new to the call, at its first hit
+                        if key not in c_at_n:
+                            c_at_n[key] = tables.relative_cumulant(key) if symbolic else \
+                                tables.cumulant_at(key, n)
                     # N^(chi - r)
                     entry = entries[masks, bid, t] = [0, den, hits, exponent + r]
                 if den == entry[1]:  # the common case, without a call
@@ -887,10 +848,10 @@ def trace_cumulant(exprs: Sequence[TraceExpression], *,
     # per (N exponent, key), in first-hit order: [sum, den]
     weights: dict[tuple, list[int]] = {}
     for k_sum, den, hits, e in entries.values():
-        for key, _ in hits:
+        for key in hits:
             _add_over(weights.setdefault((e, key), [0, 1]), k_sum, den)
     if symbolic:
-        return _symbolic_sum(weights, c_cache.__getitem__)
+        return _symbolic_sum(weights, c_at_n.__getitem__)
     acc = [0, 1]
     for (e, key), (w, d) in weights.items():
         _add_term(acc, c_at_n[key], w, d, int(n), e)

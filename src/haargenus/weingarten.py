@@ -24,8 +24,8 @@ import numpy as np
 from .errors import CapExceededError, PoleError, ValidationError
 from .ratpoly import ONE, ZERO, Poly, PolyFrac, bareiss_solve, exact_div, monomial, padd, \
     pmul, poly_gcd, pshift
-from .setpart import SetPartition, YoungDiagram, enumerate_pairings, mobius, \
-    enumerate_interval, young_diagrams
+from .setpart import PARTITION_CAP, SetPartition, YoungDiagram, enumerate_interval, \
+    enumerate_pairings, enumerate_partitions, mobius, young_diagrams
 
 WG_CAP = 10
 
@@ -237,7 +237,7 @@ class TableSet:
     coefficients the evaluators build from them, kept across calls: the
     normalized wg per diagram, the product of normalized wg per tuple of join
     diagrams (`wg_product`), and the relative cumulants C_{pi,pi,rho} of trace
-    cumulants (`relative_cumulants`).  Values at N are kept too, per (diagrams,
+    cumulants (`relative_cumulant`).  Values at N are kept too, per (diagrams,
     N) (`wg_product_at`) and per (relative cumulant key, N) (`cumulant_at`);
     each of these two memos holds at most VALUES_AT_N_CAP values and drops its
     oldest first, so a sweep over N cannot grow it without limit.  A pole is
@@ -247,7 +247,7 @@ class TableSet:
         self.cap = cap
         self._wg_cache: dict[YoungDiagram, PolyFrac] = {}
         self._wg_products: dict[tuple[YoungDiagram, ...], PolyFrac] = {}
-        # relative cumulants C_{pi,pi,rho} built by trace cumulants, keyed by the
+        # relative cumulants C_{pi,pi,rho} (`relative_cumulant`), keyed by the
         # sizes of pi's blocks inside each block of rho, which determine them
         self.relative_cumulants: dict[tuple, PolyFrac] = {}
         self._wg_products_at: dict[tuple, Fraction] = {}
@@ -280,9 +280,34 @@ class TableSet:
                 f"Weingarten factor for diagram(s) {rows} has a pole at N={n}: {exc}",
                 n_value=n, factors=exc.factors) from exc
 
+    def relative_cumulant(self, key: tuple[tuple[int, ...], ...]) -> PolyFrac:
+        """C_{pi,pi,rho} named by its key, the sorted sizes of pi's blocks
+        inside each block of rho, built once and kept in `relative_cumulants`.
+
+        [pi, rho] is the product over rho's blocks of the lattices of set
+        partitions of the pi-blocks inside, so C is the product over rho's
+        blocks of a Mobius sum: over set partitions of the block's pi-blocks
+        into b parts, (-1)^(b-1) (b-1)! times the wg of each part's diagram.
+        `wg_cumulant` sums the same terms over SetPartitions."""
+        value = self.relative_cumulants.get(key)
+        if value is None:
+            value = PolyFrac(1)
+            for sizes in key:
+                m = len(sizes)
+                total = PolyFrac(0)
+                for sigma in enumerate_partitions(range(1, m + 1), cap=max(PARTITION_CAP, m)):
+                    b = sigma.num_blocks
+                    parts = (YoungDiagram.from_even_block_sizes(sizes[i - 1] for i in v)
+                             for v in sigma.blocks)
+                    total = total + math.prod(map(self.wg_diagram, parts), start=PolyFrac(
+                        (-1) ** (b - 1) * math.factorial(b - 1)))
+                value = value * total
+            self.relative_cumulants[key] = value
+        return value
+
     def cumulant_at(self, key: tuple, n: int) -> Fraction:
-        """The relative cumulant `relative_cumulants[key]` at N."""
-        return _value_at(self._cumulants_at, key, n, self.relative_cumulants.__getitem__)
+        """`relative_cumulant(key)` at N."""
+        return _value_at(self._cumulants_at, key, n, self.relative_cumulant)
 
     def wg_block(self, pi: SetPartition, block: Iterable[int]) -> PolyFrac:
         """Normalized wg of the restriction to one block of a coarser partition."""

@@ -17,9 +17,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from haargenus.errors import CapExceededError, PoleError, ValidationError
-from haargenus.expansion import (TERM_CAP, TraceExpression, _Gluings, _pairing_table,
-                                 asymptotic_moment, center_slots,
-                                 concatenate, evaluate_moment, expand_moment,
+from haargenus.expansion import (TERM_CAP, TraceExpression, _Gluings, _block_shapes,
+                                 _connecting_rhos, _pairing_table, asymptotic_moment,
+                                 center_slots, concatenate, evaluate_moment, expand_moment,
                                  moment_symbolic, predicted_second_order_cov,
                                  to_unnormalized, trace_cumulant)
 from haargenus.matrixlab import DenseMatrix, brute_force_moment, trace_along
@@ -27,7 +27,8 @@ from haargenus.permap import (K_inverse, Premap, delta_eps_conjugate, euler_char
                               pairings_to_premap, particular_cycles)
 from haargenus.ratpoly import PolyFrac, format_polyfrac
 from haargenus.setpart import (SetPartition, enumerate_interval, enumerate_pairings,
-                               enumerate_partitions, join_of_pairings_diagram, mobius)
+                               enumerate_partitions, join_of_pairings_diagram, mobius,
+                               young_diagrams)
 from haargenus.weingarten import TableSet, wg_cumulant
 from oracles import (check_conjugated_color_consistency, dense_trace_along, kernel_of,
                      fraction_moment, fraction_moment_symbolic, join_trace_cumulant,
@@ -250,8 +251,6 @@ class TestGluingKernel:
             assert tuple(tuple(glu.codes[c] for c in glu.cycles[i]) for i in ids) == vertex
             assert tuple(glu.labels[i] for i in ids) == labels
             assert glu.pairings(combo) == pairings
-            assert glu.arcs(combo) == {k: v for p, q in pairings
-                                       for k, v in pairings_to_premap(p, q)._map.items()}
         # one id per distinct cycle, in first-seen order
         assert list(glu.cycle_ids) == glu.cycles
         assert list(glu.cycle_ids.values()) == list(range(len(glu.cycles)))
@@ -311,7 +310,7 @@ class TestGluingKernel:
             for t in terms:
                 alpha = Premap({k: v for p, q in t.pairings
                                 for k, v in pairings_to_premap(p, q)._map.items()})
-                assert t.arcs == alpha._map and t.alpha == alpha
+                assert t.alpha == alpha
                 conj = delta_eps_conjugate(alpha, expr.eps)
                 assert t.chi == euler_characteristic(phi, conj)
                 assert t.vertex_cycles == particular_cycles(K_inverse(phi, conj))
@@ -367,19 +366,31 @@ class TestGluingKernel:
             assert grouped == stream and list(grouped) == list(stream)
 
     def test_rho_choices_follow_the_interval(self):
-        # trace cumulants build and evaluate the relative cumulants in this order
+        # trace cumulants build and evaluate the relative cumulants in the
+        # order `_connecting_rhos` names them: that of `enumerate_interval`.
+        # One trace is connected by every rho, so every key is named.
         rng = random.Random(11)
         for _ in range(15):
             expr = random_expression(rng)
             glu = _Gluings(expr, TABLES, TERM_CAP)
             ker = kernel_of(expr.color)
             for combo in rng.sample(list(itertools.product(*glu.choices)), min(5, glu.total)):
-                blocks, rhos = glu.rho_choices(combo)
-                pi = SetPartition(blocks)
-                assert pi == SetPartition([b for p_plus, p_minus in glu.pairings(combo)
-                                           for b in (p_plus | p_minus).blocks])
-                assert [SetPartition([[k for j in g for k in blocks[j]] for g in rho])
-                        for rho in rhos] == list(enumerate_interval(pi, ker))
+                pi = SetPartition([b for p_plus, p_minus in glu.pairings(combo)
+                                   for b in (p_plus | p_minus).blocks])
+                block_shape = []
+                for c in glu.ker_order:
+                    m = len(glu.points[c]) - 1
+                    ids, shapes = _block_shapes((1,) * m)
+                    pair = combo[c]
+                    block_shape.append(shapes[ids[pair.plus * len(_pairing_table(m)[0])
+                                                  + pair.minus]])
+                # pi's blocks, colour by colour in ker order, by least point
+                assert [size for shape in block_shape for size, _ in shape] == \
+                    [len(b) for v in ker.blocks for b in pi.blocks if b <= v]
+                assert _connecting_rhos(1, (1,), tuple(block_shape), ((0,),)) == \
+                    tuple(tuple(sorted(tuple(sorted(len(b) for b in pi.blocks if b <= v))
+                                       for v in rho.blocks))
+                          for rho in enumerate_interval(pi, ker))
 
     def test_benchmark_tracer_counts_every_gluing(self):
         # the benchmark's tracer patches the kernel by name; a renamed method
@@ -854,7 +865,7 @@ class TestBatchedTraces:
                     repr(evaluate_moment(expr, x, n, mode="float", tables=TABLES).value),
                     asymptotic_moment(expr, TABLES),
                     moment_symbolic(expr, tv, TABLES),
-                    [(t, t.arcs) for t in expand_moment(expr, TABLES)]])
+                    list(expand_moment(expr, TABLES))])
         assert reports[3] == reports[expansion.GLUING_BLOCK]
 
 
@@ -870,8 +881,20 @@ class TestRelativeCumulantCache:
             x = {l: rational_matrix(rng, 5) for l in (1, 2)}
             trace_cumulant(exprs, matrices=x, n=5, tables=tables)
         assert len(tables.relative_cumulants) > 3
+        # and every key of at most 10 points: the sorted even sizes of pi's
+        # blocks inside each block of rho
+        every = set()
+        for half in range(1, 6):
+            for lam in young_diagrams(half):
+                sizes = [2 * row for row in lam.rows]
+                for sigma in enumerate_partitions(range(1, len(sizes) + 1)):
+                    every.add(tuple(sorted(tuple(sorted(sizes[i - 1] for i in b))
+                                           for b in sigma.blocks)))
+        assert len(every) == 51
+        built = TableSet()
         fresh = TableSet()
-        for key, value in tables.relative_cumulants.items():
+        for key, value in [*tables.relative_cumulants.items(),
+                           *((key, built.relative_cumulant(key)) for key in sorted(every))]:
             # the key fixes the cumulant: any pi and rho with these sizes give it
             for shuffled in (False, True):
                 points = list(range(1, 1 + sum(map(sum, key))))
@@ -886,16 +909,19 @@ class TestRelativeCumulantCache:
                 assert wg_cumulant(fresh, pi, pi, rho) == value
 
     def test_reuse_across_calls_keeps_values_and_poles(self, monkeypatch):
-        from haargenus import expansion
-
         built = []
-        real = expansion.wg_cumulant
-        monkeypatch.setattr(expansion, "wg_cumulant",
-                            lambda *args: built.append(args) or real(*args))
         rng = random.Random(59)
         exprs = random_cumulant_args(rng, "distinct", counts=((4, 2),))
         x = {l: rational_matrix(rng, 4) for l in range(1, 7)}
         tables = TableSet()
+        kept, real = tables.relative_cumulants, tables.relative_cumulant
+
+        def spy(key):  # the relative cumulants these tables build
+            if key not in kept:
+                built.append(key)
+            return real(key)
+
+        monkeypatch.setattr(tables, "relative_cumulant", spy)
         first = trace_cumulant(exprs, matrices=x, n=4, tables=tables)
         count = len(built)
         assert count

@@ -9,8 +9,9 @@ For every `exact_moments` and `symbolic_expansions` query of the given seeds
 and rounds (generated by `perfbench/workloads.py`, imported read-only), it
 prints `workload seed round index template result=<hash> eval_at=<hash>`.
 The result hash covers the returned value: exact values by `str`, floats by
-`repr`, PolyFracs by their formatted string, CLI stdout and exit code, and
-the type and text of an exception such as a `PoleError`.  The eval_at hash
+`repr`, PolyFracs by their formatted string, dataclasses by the fields that
+take part in `==`, CLI stdout and exit code, and the type and text of an
+exception such as a `PoleError`.  The eval_at hash
 covers the sequence of `PolyFrac.eval_at` calls the query made: each
 PolyFrac, its N and what it returned or raised.  For every `monte_carlo`
 query it prints `workload seed round index template mean=<repr>
@@ -64,9 +65,9 @@ def canonical(value) -> str:
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(map(canonical, value)) + "]"
     if dataclasses.is_dataclass(value):
-        fields = [f.name for f in dataclasses.fields(value)]
-        # an expansion term's premap is a function of its pairings, so its
-        # arcs are enough; `alpha` would build and validate it
+        # the fields that take part in ==; an expansion term's premap, `alpha`,
+        # is a function of its pairings and is not read
+        fields = [f.name for f in dataclasses.fields(value) if f.compare]
         return type(value).__name__ + canonical({f: getattr(value, f) for f in fields})
     if isinstance(value, YoungDiagram):
         return f"Y{value.rows}"
