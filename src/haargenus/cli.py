@@ -46,7 +46,7 @@ def emit(report: dict, out: str | None) -> None:
     except ValueError as exc:
         raise ValidationError(f"the report holds a value that is not finite ({exc})") from exc
     if out:
-        with open(out, "w") as fh:
+        with _output(out, "--out"), open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -72,6 +72,16 @@ def _input(path: str, field: str):
     except (OSError, AttributeError, TypeError, ValueError, ZeroDivisionError,
             OverflowError) as exc:
         raise ValidationError(f"{path}: bad {field}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def _output(path: str, option: str):
+    """Report a path that cannot be written as a validation error naming the
+    option and the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValidationError(f"{option} {path}: cannot write: {exc}") from exc
 
 
 def _read_json(path: str):
@@ -131,7 +141,8 @@ def cmd_wg(args) -> int:
     lam = None if args.lam is None else _diagram(args.lam, args.n)
     table = weingarten_table(args.n, cap=args.cap)
     if args.golden_out:
-        path = write_golden(args.n, args.golden_out, cap=args.cap)
+        with _output(args.golden_out, "--golden-out"):
+            path = write_golden(args.n, args.golden_out, cap=args.cap)
         emit({"meta": _metadata(args), "written": path}, args.out)
         return 0
     if lam is not None:

@@ -17,13 +17,15 @@ each at N (a pole is raised again on every call, never stored).
 All evaluators share one kernel, `_Gluings`, which runs on ints.  A pair of
 pairings (p_plus, p_minus) glues a colour by the premap that takes each
 positive point to minus its p_plus partner and each negative point to its
-p_minus partner; each colour size's pairings, as partner arrays, and pairs
-(with their join's diagram) are built once per process (`_pairing_table`).
-K^{-1} is a tuple over codes 0..2n-1, one per signed position, given colour
-by colour so that each colour's p_plus and p_minus halves of K^{-1} are
-fixed runs of codes: each pairing's halves are built once per expression,
-and `_Gluings.term_for` joins one pair's halves per colour by concatenation
-and walks the vertex cycles, skipping mirrors with a bitmask of positions.
+p_minus partner; each colour size's pairings, as partner arrays, and the
+diagram index of each pair's join, as one flat tuple, are built once per
+process (`_pairing_table`).  A gluing chooses p_plus and p_minus of each
+colour as two indices.  K^{-1} is a tuple over codes 0..2n-1, one per signed
+position, given colour by colour so that each colour's p_plus and p_minus
+halves of K^{-1} are fixed runs of codes: each pairing's halves are built
+once per expression, and `_Gluings.term_for` joins the chosen halves by
+concatenation and walks the vertex cycles, skipping mirrors with a bitmask
+of positions.
 Each call keeps one cycle table: every distinct cycle of codes gets an id,
 in first-seen order, with its label cycle and position bits made once, and
 `term_for` returns ids, which tell gluings apart.  An empty trace, tr(I) / N
@@ -67,7 +69,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapExceededError, ValidationError
 from .matrixlab import DenseMatrix, _integer_at_least, _slot_matrix, check_dimension, \
@@ -254,32 +256,23 @@ class ExpansionTerm:
                                   SetPartition([b for _, q in self.pairings for b in q.blocks]))
 
 
-class _Pair(NamedTuple):
-    """A pair of pairings (p_plus, p_minus) of the points 1..m, with what every
-    gluing through it needs that depends on both pairings."""
-
-    plus: int  # index of p_plus in the table's pairings
-    minus: int  # index of p_minus
-    lam: int  # index of the diagram of p_plus v p_minus in the table's diagrams
-
-
 @functools.lru_cache(maxsize=None)
-def _pairing_table(m: int) -> tuple[tuple[tuple[int, ...], ...], tuple[_Pair, ...], tuple,
+def _pairing_table(m: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple,
                                     tuple[Callable, ...]]:
-    """(partners, pairs, diagrams, takes) of the points 1..m, built once per
+    """(partners, lams, diagrams, takes) of the points 1..m, built once per
     colour size: the pairings as partner arrays on 0..m-1, in
-    `enumerate_pairings` order, every pair of indices (p_plus major) with the
-    index of its join's diagram, and per pairing p the itemgetter that reads
-    a list at p's entries.  A colour's positions in increasing order relabel
-    1..m monotonically, which keeps the order of pairings and join blocks."""
+    `enumerate_pairings` order; at i * P + j (P pairings), the index in
+    diagrams of the join of pairings i (p_plus) and j (p_minus); and per
+    pairing p the itemgetter that reads a list at p's entries.  A colour's
+    positions in increasing order relabel 1..m monotonically, which keeps
+    the order of pairings and join blocks."""
     partners = tuple(pairing_partners(m))
-    pairs, diagrams = [], {}  # diagram -> index
-    for i, p_plus in enumerate(partners):
-        for j, p_minus in enumerate(partners):
-            lam = YoungDiagram(len(b) // 2 for b in join_blocks(p_plus, p_minus))
-            pairs.append(_Pair(i, j, diagrams.setdefault(lam, len(diagrams))))
+    diagrams: dict[YoungDiagram, int] = {}  # diagram -> index
+    joins = (join_blocks(p_plus, p_minus) for p_plus in partners for p_minus in partners)
+    lams = tuple(diagrams.setdefault(YoungDiagram(len(b) // 2 for b in blocks), len(diagrams))
+                 for blocks in joins)
     takes = tuple(operator.itemgetter(*p) for p in partners)
-    return partners, tuple(pairs), tuple(diagrams), takes
+    return partners, lams, tuple(diagrams), takes
 
 
 @functools.lru_cache(maxsize=None)
@@ -287,15 +280,16 @@ def _diagram_table(sizes: tuple[int, ...]) -> tuple[tuple, tuple[int, ...], tupl
     """(lambdas, rows, columns) of colours of these sizes, built once per
     process: every tuple of the colours' diagrams, in the order the gluings
     first meet them (the product of the colours' lists, colour 0 slowest, as
-    each colour's pairs meet its diagrams in index order); the rows of each;
-    and per colour, each pair's diagram index times the colour's stride, so
-    that a gluing's index in lambdas is the sum over its pairs."""
+    each colour's pairing pairs meet its diagrams in index order); the rows
+    of each; and per colour, each pairing pair's diagram index times the
+    colour's stride, so that a gluing's index in lambdas is the sum over its
+    colours."""
     tables = [_pairing_table(m) for m in sizes]
     lambdas = tuple(itertools.product(*(t[2] for t in tables)))
     strides = [math.prod(len(t[2]) for t in tables[c + 1:]) for c in range(len(tables))]
     return (lambdas, tuple(sum(d.num_rows for d in lam) for lam in lambdas),
-            tuple(tuple(pair.lam * stride for pair in pairs)
-                  for (_, pairs, *_), stride in zip(tables, strides)))
+            tuple(tuple(lam * stride for lam in lams)
+                  for (_, lams, *_), stride in zip(tables, strides)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -317,8 +311,11 @@ class _Gluings:
     table: each distinct vertex cycle of codes has an id in `cycle_ids`, and
     per id `cycles` holds its codes, `labels` its label cycle and `bits` its
     positions (rank i as the bit 1 << i); `lambdas` lists the gluings'
-    tuples of diagrams (`_diagram_table`).  Pairings are relabelled onto the
-    real points only where they are read (`pairings`)."""
+    tuples of diagrams (`_diagram_table`).  A gluing is a combo of indices,
+    p_plus then p_minus of each colour, one per range of `choices`, each
+    picking a half of K^{-1} from `halves`; their product runs p_plus major,
+    in the order of `_pairing_table`'s lams.  Pairings are relabelled onto
+    the real points only where they are read (`pairings`)."""
 
     def __init__(self, expr: TraceExpression, tables: TableSet, term_cap: int):
         self.tables = tables
@@ -358,9 +355,10 @@ class _Gluings:
         self.cycles: list[tuple[int, ...]] = [()] * len(self.empty)
         self.labels: list[tuple[int, ...]] = [()] * len(self.empty)
         self.bits: list[int] = [0] * len(self.empty)
-        self.choices: list[Sequence[_Pair]] = [[]] if odd else []  # no gluing when odd
-        # per colour, each pairing's half of K^{-1} as p_plus and as p_minus
-        self.halves: list[tuple[list[tuple[int, ...]], list[tuple[int, ...]]]] = []
+        # per colour, the indices of p_plus and of p_minus in its pairing table
+        self.choices: list[Sequence[int]] = [[]] if odd else []  # no gluing when odd
+        # in step with choices, each pairing's half of K^{-1} as p_plus, as p_minus
+        self.halves: list[list[tuple[int, ...]]] = []
         # per colour, (0, least position, ...): point i of the table is points[i]
         self.points: list[tuple[int, ...]] = []
         # choices run over colours in sorted order; ker(colour) orders them by least position
@@ -369,25 +367,23 @@ class _Gluings:
         for pts in colours:
             tables.table(len(pts))  # a table beyond its cap fails before enumeration
             self.points.append((0, *pts))
-            _, pairs, _, takes = _pairing_table(len(pts))
+            takes = _pairing_table(len(pts))[3]
             # the arc x -> -p(x) of p_plus and -x -> p(x) of p_minus
-            to_minus = [code[dst[-k]] for k in pts]
-            to_plus = [code[dst[k]] for k in pts]
-            self.halves.append(([take(to_minus) for take in takes],
-                                [take(to_plus) for take in takes]))
-            self.choices.append(pairs)
+            for to in ([code[dst[-k]] for k in pts], [code[dst[k]] for k in pts]):
+                self.halves.append([take(to) for take in takes])
+                self.choices.append(range(len(takes)))
         self._pairings: list[list[SetPartition]] | None = None
         self.lambdas, self._rows, self._columns = \
             ((), (), ()) if odd else _diagram_table(tuple(map(len, colours)))
 
-    def term_for(self, combo: tuple[_Pair, ...]) -> tuple[int, ...]:
+    def term_for(self, combo: tuple[int, ...]) -> tuple[int, ...]:
         """The ids of the gluing's vertex cycles: those of the empty traces,
         then the ids in `cycle_ids` of the particular cycles of K^{-1}, one
         cycle of each mirror pair, the one through the pair's least point,
         which is positive; in order of that point."""
         kinv = ()
-        for (plus, minus), pair in zip(self.halves, combo):
-            kinv += plus[pair.plus] + minus[pair.minus]
+        for half, i in zip(self.halves, combo):
+            kinv += half[i]
         cycle_ids, cycles, labels, bits = self.cycle_ids, self.cycles, self.labels, self.bits
         ids = [*self.empty]
         free = (1 << self.n) - 1  # the positions on no vertex cycle yet
@@ -413,7 +409,7 @@ class _Gluings:
             free ^= bits[cid]
         return tuple(ids)
 
-    def slices(self) -> Iterator[tuple[list[tuple[tuple[_Pair, ...], tuple[int, ...], int, int]],
+    def slices(self) -> Iterator[tuple[list[tuple[tuple[int, ...], tuple[int, ...], int, int]],
                                        list[tuple[int, ...]]]]:
         """Every gluing, in order, in slices of at most GLUING_BLOCK: the
         slice's gluings, each as (combo, vertex cycle ids, exponent, index of
@@ -433,7 +429,7 @@ class _Gluings:
             yield rows, self.labels[known:]
             known = len(self.labels)
 
-    def pairings(self, combo: tuple[_Pair, ...]) -> tuple[tuple[SetPartition, SetPartition], ...]:
+    def pairings(self, combo: tuple[int, ...]) -> tuple[tuple[SetPartition, SetPartition], ...]:
         """Each colour's (p_plus, p_minus) on its positions; each colour's
         pairings are relabelled once per kernel, on the first read."""
         if self._pairings is None:
@@ -441,8 +437,8 @@ class _Gluings:
                                              for i, a in enumerate(p, 1) if i <= a])
                                for p in _pairing_table(len(pts) - 1)[0]]
                               for pts in self.points]
-        return tuple((real[pair.plus], real[pair.minus])
-                     for real, pair in zip(self._pairings, combo))
+        return tuple((real[combo[2 * c]], real[combo[2 * c + 1]])
+                     for c, real in enumerate(self._pairings))
 
 
 def expand_moment(expr: TraceExpression, tables: TableSet | None = None,
@@ -651,11 +647,11 @@ def asymptotic_moment(expr: TraceExpression, tables: TableSet | None = None,
 @functools.lru_cache(maxsize=BLOCK_SHAPES_CAP)
 def _block_shapes(bits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
     """(ids, shapes) on a colour whose point i (0..m-1) lies on the trace of
-    bit bits[i]: the join of the i-th pair of `_pairing_table(m)` has the
-    shape shapes[ids[i]], the (size, mask of traces) of each of its blocks,
-    in order of their least points.  Indexed by position in that table, so a
-    rebuilt table reads it alike; memoised for the process, for at most
-    BLOCK_SHAPES_CAP bit tuples."""
+    bit bits[i]: the join of pairings i and j of `_pairing_table(m)` (P of
+    them) has the shape shapes[ids[i * P + j]], the (size, mask of traces)
+    of each of its blocks, in order of their least points.  Indexed by
+    position in that table, so a rebuilt table reads it alike; memoised for
+    the process, for at most BLOCK_SHAPES_CAP bit tuples."""
     partners = _pairing_table(len(bits))[0]
     shapes: dict[tuple, int] = {}  # shape -> id
     ids = tuple(shapes.setdefault(tuple((len(b), sum({bits[i] for i in b}))

@@ -7,6 +7,7 @@ Each suite returns a JSON-serializable report; `counterexamples` (or
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -28,97 +29,78 @@ def _all_permutations(domain: Sequence[int]):
         yield SignedPermutation(dict(zip(base, images)))
 
 
-def biane_scan(max_n: int = 6) -> dict:
+def _scan(suite: str, name: str, lhs_name: str, rhs_name: str):
+    """Make a scan report from a generator of its cases, each (where, x, lhs,
+    rhs): a dict naming the instance's family, the permutation or premap x,
+    and the two tests' answers.  A case whose answers differ is a
+    counterexample: where, then x, lhs and rhs under the given names."""
+    def wrap(cases):
+        @functools.wraps(cases)
+        def scan(*args, **kwargs) -> dict:
+            instances = agreements = 0
+            counterexamples = []
+            for where, x, lhs, rhs in cases(*args, **kwargs):
+                instances += 1
+                if lhs == rhs:
+                    agreements += 1
+                else:
+                    counterexamples.append({**where, name: x.to_json(), lhs_name: lhs,
+                                            rhs_name: rhs})
+            return {"suite": suite, "instances": instances, "agreements": agreements,
+                    "counterexamples": counterexamples}
+        return scan
+    return wrap
+
+
+@_scan("biane", "alpha", "definitional", "cycle_count")
+def biane_scan(max_n: int = 6):
     """Definitional disc-noncrossing test versus the cycle-count criterion,
     for every permutation relative to the full cycle on [n]."""
-    instances = agreements = 0
-    counterexamples = []
     for n in range(3, max_n + 1):
         phi = SignedPermutation.from_cycles([tuple(range(1, n + 1))])
         for alpha in _all_permutations(range(1, n + 1)):
-            instances += 1
-            lhs = is_disc_noncrossing(phi, alpha)
-            rhs = biane_criterion(phi, alpha)
-            if lhs == rhs:
-                agreements += 1
-            else:
-                counterexamples.append({"n": n, "alpha": alpha.to_json(),
-                                        "definitional": lhs, "cycle_count": rhs})
-    return {"suite": "biane", "instances": instances, "agreements": agreements,
-            "counterexamples": counterexamples}
+            yield {"n": n}, alpha, is_disc_noncrossing(phi, alpha), biane_criterion(phi, alpha)
 
 
-def mingo_nica_scan(splits: Iterable[tuple[int, int]] = ((2, 2), (3, 2), (4, 2), (3, 3))) -> dict:
+def _splits(splits: Iterable[tuple[int, int]]):
+    """Per split, its report field, the annular frame and the two cycles."""
+    for ext_size, int_size in splits:
+        ext = tuple(range(1, ext_size + 1))
+        int_ = tuple(range(ext_size + 1, ext_size + int_size + 1))
+        yield {"split": [ext_size, int_size]}, AnnularFrame.from_cycles(ext, int_), ext, int_
+
+
+@_scan("mingo_nica", "alpha", "definitional", "cycle_count")
+def mingo_nica_scan(splits: Iterable[tuple[int, int]] = ((2, 2), (3, 2), (4, 2), (3, 3))):
     """Definitional annular-noncrossing test versus the cycle-count criterion,
     for every connecting permutation on each split."""
-    instances = agreements = 0
-    counterexamples = []
-    for ext_size, int_size in splits:
-        total = ext_size + int_size
-        ext = tuple(range(1, ext_size + 1))
-        int_ = tuple(range(ext_size + 1, total + 1))
-        frame = AnnularFrame.from_cycles(ext, int_)
-        for alpha in _all_permutations(range(1, total + 1)):
-            if not alpha.connects(ext, int_):
-                continue
-            instances += 1
-            lhs = is_annular_noncrossing(frame, alpha)
-            rhs = mingo_nica_criterion(frame, alpha)
-            if lhs == rhs:
-                agreements += 1
-            else:
-                counterexamples.append({"split": [ext_size, int_size],
-                                        "alpha": alpha.to_json(),
-                                        "definitional": lhs, "cycle_count": rhs})
-    return {"suite": "mingo_nica", "instances": instances, "agreements": agreements,
-            "counterexamples": counterexamples}
+    for where, frame, ext, int_ in _splits(splits):
+        for alpha in _all_permutations(ext + int_):
+            if alpha.connects(ext, int_):
+                yield (where, alpha, is_annular_noncrossing(frame, alpha),
+                       mingo_nica_criterion(frame, alpha))
 
 
-def premap_disc_scan(max_n: int = 4) -> dict:
+@_scan("premap_disc", "premap", "characterization", "chi2")
+def premap_disc_scan(max_n: int = 4):
     """chi = 2 versus the unoriented disc characterization, over all premaps."""
-    instances = agreements = 0
-    counterexamples = []
     for n in range(2, max_n + 1):
         phi = SignedPermutation.from_cycles([tuple(range(1, n + 1))])
         for a in enumerate_premaps(range(1, n + 1)):
-            instances += 1
-            lhs = premap_chi2_disc(phi, a)
-            rhs = euler_characteristic(phi, a) == 2
-            if lhs == rhs:
-                agreements += 1
-            else:
-                counterexamples.append({"n": n, "premap": a.to_json(),
-                                        "characterization": lhs, "chi2": rhs})
-    return {"suite": "premap_disc", "instances": instances, "agreements": agreements,
-            "counterexamples": counterexamples}
+            yield {"n": n}, a, premap_chi2_disc(phi, a), euler_characteristic(phi, a) == 2
 
 
-def premap_annular_scan(splits: Iterable[tuple[int, int]] = ((2, 2), (3, 2))) -> dict:
+@_scan("premap_annular", "premap", "characterization", "chi2")
+def premap_annular_scan(splits: Iterable[tuple[int, int]] = ((2, 2), (3, 2))):
     """chi = 2 versus the unoriented annular characterization, over all
     premaps connecting the two boundary handles."""
-    instances = agreements = 0
-    counterexamples = []
-    for ext_size, int_size in splits:
-        total = ext_size + int_size
-        ext = tuple(range(1, ext_size + 1))
-        int_ = tuple(range(ext_size + 1, total + 1))
-        frame = AnnularFrame.from_cycles(ext, int_)
+    for where, frame, ext, int_ in _splits(splits):
         pm_ext = [x for k in ext for x in (k, -k)]
         pm_int = [x for k in int_ for x in (k, -k)]
-        for a in enumerate_premaps(range(1, total + 1)):
-            if not a.connects(pm_ext, pm_int):
-                continue
-            instances += 1
-            lhs = premap_chi2_annular(frame, a)
-            rhs = euler_characteristic(frame.phi, a) == 2
-            if lhs == rhs:
-                agreements += 1
-            else:
-                counterexamples.append({"split": [ext_size, int_size],
-                                        "premap": a.to_json(),
-                                        "characterization": lhs, "chi2": rhs})
-    return {"suite": "premap_annular", "instances": instances, "agreements": agreements,
-            "counterexamples": counterexamples}
+        for a in enumerate_premaps(ext + int_):
+            if a.connects(pm_ext, pm_int):
+                yield (where, a, premap_chi2_annular(frame, a),
+                       euler_characteristic(frame.phi, a) == 2)
 
 
 def noncross_suite(fast: bool = True) -> dict:

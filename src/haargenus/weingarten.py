@@ -196,7 +196,7 @@ def golden_path(n: int) -> str:
 def write_golden(n: int, path: str | None = None, cap: int = WG_CAP) -> str:
     path = path or golden_path(n)
     table = weingarten_table(n, cap=cap)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
         json.dump(table.to_json(), fh, indent=1, sort_keys=True)
         fh.write("\n")

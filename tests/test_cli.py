@@ -223,6 +223,36 @@ class TestBadInput:
         assert "positive integer" in result.stderr and "Traceback" not in result.stderr
 
 
+class TestUnwritableOutput:
+    """A report or golden table that cannot be written exits 2, naming the
+    option and the path, with nothing on stdout."""
+
+    @pytest.mark.parametrize("target", ["dir", "missing/x.json"])
+    def test_out(self, expr_path, tmp_path, capsys, target):
+        out = str(tmp_path / target)
+        if target == "dir":
+            (tmp_path / target).mkdir()
+        assert main(["moment", "--expr", expr_path, "--N", "2", "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert f"--out {out}: cannot write" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("target", ["file/x.json", "dir"])
+    def test_golden_out(self, tmp_path, capsys, target):
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir").mkdir()
+        out = str(tmp_path / target)
+        assert main(["wg", "--n", "4", "--golden-out", out]) == 2
+        captured = capsys.readouterr()
+        assert f"--golden-out {out}: cannot write" in captured.err and captured.out == ""
+
+    def test_golden_out_bare_file_name(self, tmp_path, monkeypatch, capsys):
+        # a path with no directory part is written in the working directory
+        monkeypatch.chdir(tmp_path)
+        assert main(["wg", "--n", "2", "--golden-out", "wg_n2.json"]) == 0
+        assert json.loads(capsys.readouterr().out)["written"] == "wg_n2.json"
+        assert json.loads((tmp_path / "wg_n2.json").read_text())
+
+
 class TestNonFiniteFloats:
     """Finite float matrices whose traces or results overflow exit 2 with
     the cause named, and no report holds a value that JSON cannot hold.

@@ -406,8 +406,9 @@ _HUGE = st.builds(lambda sign, k, d: Fraction(sign * (2**63 + k), d),
 @st.composite
 def _small_mixed_batches(draw, exact: bool):
     """(matrices, cycles): labels 1-3 of size n and 4-6 of size m (n, m in
-    1..5, maybe equal), and 1-4 cycles of 1-4 signed labels of one size each,
-    as the evaluators' small calls pass them.  Exact labels 3 and 6 are
+    1..5, maybe equal), and 1-4 cycles of 1-4 signed labels of one size each.
+    The evaluators give every call one dimension (`_resolve_for_mode`), so
+    mixed sizes in one call cover the public kernel only.  Exact labels 3 and 6 are
     drawn from small, near-2^40 or at-least-2^63 entries, so int64 and
     Python-int stacks of both sizes share a call."""
     sizes = {1: draw(st.integers(1, 5)), 2: draw(st.integers(1, 5))}

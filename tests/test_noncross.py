@@ -273,3 +273,29 @@ class TestScans:
     def test_premap_scans_clean(self):
         assert premap_disc_scan(4)["counterexamples"] == []
         assert premap_annular_scan(((2, 2),))["counterexamples"] == []
+
+    @pytest.mark.parametrize("scan, arg, criterion, fields", [
+        (biane_scan, 4, "biane_criterion", ("n", "alpha", "definitional", "cycle_count")),
+        (mingo_nica_scan, ((2, 2),), "mingo_nica_criterion",
+         ("split", "alpha", "definitional", "cycle_count")),
+        (premap_disc_scan, 3, "premap_chi2_disc", ("n", "premap", "characterization", "chi2")),
+        (premap_annular_scan, ((2, 2),), "premap_chi2_annular",
+         ("split", "premap", "characterization", "chi2")),
+    ])
+    def test_counterexamples_name_their_instance(self, monkeypatch, scan, arg, criterion,
+                                                 fields):
+        # a criterion that always says True disagrees wherever the other test says False
+        from haargenus import verify
+
+        clean = scan(arg)
+        monkeypatch.setattr(verify, criterion, lambda *a: True)
+        report = scan(arg)
+        assert report["suite"] == clean["suite"]
+        assert report["instances"] == clean["instances"]
+        assert 0 < len(report["counterexamples"]) == \
+            report["instances"] - report["agreements"] < report["instances"]
+        family, name, _, _ = fields
+        for c in report["counterexamples"]:
+            assert tuple(c) == fields
+            assert isinstance(c[family], (int, list)) and isinstance(c[name], (dict, list))
+            assert True in (c[fields[2]], c[fields[3]]) and False in (c[fields[2]], c[fields[3]])
